@@ -206,10 +206,9 @@ class PartialDataset:
     def extend(self, other: "PartialDataset") -> "PartialDataset":
         """In-place ``merge`` (same combine, mutates and returns *self*).
 
-        Left-folding shard results through :meth:`merge` re-copies every
-        accumulated counter per shard — quadratic in the shard count.
-        The coordinator folds through ``extend`` instead, which is linear
-        and produces the identical accumulation.
+        Left-folding partials through :meth:`merge` re-copies every
+        accumulated counter per partial — quadratic in their count.
+        ``extend`` is linear and produces the identical accumulation.
         """
         self.systems.extend(other.systems)
         for attribute, counter in other.value_counts.items():

@@ -305,7 +305,7 @@ class EnCore:
             raise RuntimeError("model_payload() requires a trained model")
         if self._model_payload_cache is None:
             from repro.core.persistence import model_to_dict
-            from repro.engine.batch import encode_model_payload
+            from repro.engine.sharding import encode_model_payload
 
             self._model_payload_cache = encode_model_payload(
                 model_to_dict(self.model)
@@ -466,9 +466,10 @@ class EnCore:
         """Check a fleet of targets, yielding reports in input order.
 
         ``workers > 1`` fans target chunks out to a process pool
-        (``repro.engine.batch``); each worker rebuilds the detector from
-        the model snapshot, and reports stream back to the caller as
-        shards complete.
+        (``repro.engine.sharding``, the executor ``train`` uses, with the
+        same retry/bisect recovery); each worker rebuilds the detector
+        from the model snapshot, and reports stream back to the caller
+        as shards complete.
         """
         if self.model is None or self._detector is None:
             raise RuntimeError(
@@ -483,7 +484,7 @@ class EnCore:
                     yield report
             return
         self._require_forkable(workers)
-        from repro.engine.batch import BatchChecker
+        from repro.engine.sharding import BatchChecker
 
         checker = BatchChecker(
             self.worker_config(),
@@ -492,13 +493,15 @@ class EnCore:
             config_payload=self.worker_payload(),
             model_bytes=self.model_payload(),
             cache=self._cache, cache_salt=self.assembler.cache_salt,
+            retry=self.retry_policy, shard_timeout=self.shard_timeout,
+            encore=self,
         )
         yield from checker.stream(images)
 
     def _check_guarded(self, image: SystemImage):
         """One target under the error policy; ``None`` when quarantined.
 
-        Mirrors the worker-side isolation in ``repro.engine.batch`` so
+        The same call runs inside check workers (``repro.engine.sharding``), so
         fleet checking behaves identically at any worker count.  The
         single-target :meth:`check` stays fail-fast regardless of
         policy: with exactly one target there is nothing to salvage.

@@ -1,11 +1,12 @@
-"""The stage engine: explicit pipeline stages, sharding, batch checking.
+"""The stage engine: explicit pipeline stages and one shard executor.
 
 ``repro.core`` implements *what* each stage computes; this package owns
 *how* stages execute — stage boundaries and their serialisable
-artifacts (:mod:`~repro.engine.stages`, :mod:`~repro.engine.artifacts`),
-sharded parallel corpus assembly over a process pool
-(:mod:`~repro.engine.sharding`), and streamed parallel batch checking
-(:mod:`~repro.engine.batch`).
+artifacts (:mod:`~repro.engine.stages`, :mod:`~repro.engine.artifacts`)
+and one fault-tolerant shard executor over a process pool
+(:mod:`~repro.engine.sharding`) that runs both sharded corpus assembly
+(:class:`ShardedAssembler`) and streamed batch checking
+(:class:`BatchChecker`).
 
 The contract throughout: executing a stage with ``workers=N`` for any N
 (and any chunk size) produces results identical to the serial run.
@@ -15,7 +16,6 @@ target is independent and reports are re-ordered to input order.
 """
 
 from repro.engine.artifacts import (
-    CheckResult,
     ShardResult,
     assembled_system_from_dict,
     assembled_system_to_dict,
@@ -23,13 +23,16 @@ from repro.engine.artifacts import (
     partial_to_dict,
     report_from_dict,
 )
-from repro.engine.batch import BatchChecker
-from repro.engine.sharding import ShardedAssembler, chunked, default_chunk_size
+from repro.engine.sharding import (
+    BatchChecker,
+    ShardedAssembler,
+    chunked,
+    default_chunk_size,
+)
 from repro.engine.stages import StageEngine, StageSpec, render_stage_graph, stage_graph
 
 __all__ = [
     "BatchChecker",
-    "CheckResult",
     "ShardResult",
     "ShardedAssembler",
     "StageEngine",

@@ -4,17 +4,17 @@ Every boundary in the stage graph (``repro.engine.stages``) exchanges a
 value that can leave the process: system images already serialise via
 :mod:`repro.sysmodel.snapshot`, rules and model snapshots via
 :mod:`repro.core.persistence`.  This module fills the remaining gaps —
-assembled systems, partial datasets, shard results and check results —
-so any stage's output can be pickled to a worker process, written to
+assembled systems, partial datasets and the shard result envelope — so
+any stage's output can be pickled to a worker process, written to
 disk, or shipped to another host and resumed there.
 
 JSON round-trips are lossless except for report warning scores, which
 :meth:`repro.core.report.Report.to_dict` rounds to 4 decimals (ranking
 is preserved).  Inter-process shard transfer uses the compact binary
-codec (:mod:`repro.engine.codec`) via :meth:`ShardResult.to_bytes` /
-:meth:`CheckResult.to_bytes` and is exact: warning scores travel at
-full float64 precision (the *wire* forms below, not the rounded JSON
-surface), so sharded checking is byte-identical to serial checking.
+codec (:mod:`repro.engine.codec`) via :meth:`ShardResult.to_bytes` and
+is exact: warning scores travel at full float64 precision (the *wire*
+forms below, not the rounded JSON surface), so sharded checking is
+byte-identical to serial checking.
 
 Two size optimisations shape the wire forms.  Assembled rows shipped
 *back* from workers elide their backing image — the coordinator already
@@ -138,127 +138,24 @@ def assembled_system_from_dict(
 # -- partial datasets ----------------------------------------------------------
 
 
-def partial_to_dict(
-    partial: PartialDataset, include_images: bool = True
-) -> Dict[str, Any]:
+def partial_to_dict(partial: PartialDataset) -> Dict[str, Any]:
     """Serialise a partial dataset as its system rows.
 
     The per-attribute counters are a pure function of the rows, so the
     wire format carries only the rows and the loader re-accumulates —
     there is no way for serialised statistics to drift from the data.
     """
-    return {
-        "systems": [
-            assembled_system_to_dict(s, include_image=include_images)
-            for s in partial.systems
-        ]
-    }
+    return {"systems": [assembled_system_to_dict(s) for s in partial.systems]}
 
 
-def partial_from_dict(
-    data: Dict[str, Any],
-    images_by_id: Optional[Dict[str, SystemImage]] = None,
-) -> PartialDataset:
-    """Rebuild a partial; *images_by_id* revives image-elided rows."""
-    images_by_id = images_by_id or {}
+def partial_from_dict(data: Dict[str, Any]) -> PartialDataset:
+    """Rebuild a partial from :func:`partial_to_dict`."""
     return PartialDataset.from_systems(
-        assembled_system_from_dict(s, image=images_by_id.get(s.get("image_id")))
-        for s in data["systems"]
+        assembled_system_from_dict(s) for s in data["systems"]
     )
 
 
-# -- shard results -------------------------------------------------------------
-
-
-@dataclass
-class ShardResult:
-    """What one assembly worker hands back: rows + stats + telemetry.
-
-    ``metrics`` is a :meth:`repro.obs.metrics.MetricsRegistry.to_dict`
-    snapshot of the worker's process-local registry; the coordinator folds
-    it into its own registry so sharded runs report the same totals as
-    serial ones.
-    """
-
-    partial: PartialDataset
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    shard_index: int = 0
-    #: Serialised :class:`~repro.core.resilience.QuarantineRecord` dicts
-    #: for images this shard dropped under a non-strict error policy.
-    quarantine: List[Dict[str, Any]] = field(default_factory=list)
-    #: Total images dropped, including silent ``skip``-policy drops that
-    #: keep no record — what the coordinator's error budget counts.
-    dropped: int = 0
-    #: :meth:`repro.obs.profile.StageProfiler.to_dict` snapshot of the
-    #: worker's resource profile; empty unless the coordinator is
-    #: profiling (the payload carries the flag).
-    profile: Dict[str, Any] = field(default_factory=dict)
-    #: :meth:`repro.obs.tracing.Tracer.snapshot` of the worker's span
-    #: forest; empty unless the payload shipped a trace context.  Wire
-    #: bytes are unchanged when tracing is off (the key is elided).
-    spans: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "partial": partial_to_dict(self.partial),
-            "metrics": self.metrics,
-            "shard_index": self.shard_index,
-            "quarantine": list(self.quarantine),
-            "dropped": self.dropped,
-            "profile": dict(self.profile),
-        }
-        if self.spans:
-            out["spans"] = dict(self.spans)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ShardResult":
-        return cls(
-            partial=partial_from_dict(data["partial"]),
-            metrics=dict(data.get("metrics", {})),
-            shard_index=int(data.get("shard_index", 0)),
-            quarantine=[dict(r) for r in data.get("quarantine", ())],
-            dropped=int(data.get("dropped", 0)),
-            profile=dict(data.get("profile", {})),
-            spans=dict(data.get("spans", {})),
-        )
-
-    def to_bytes(self) -> bytes:
-        """Compact binary wire form for the worker→coordinator hop.
-
-        Rows elide their backing images (the coordinator holds the
-        originals); everything else matches :meth:`to_dict`.
-        """
-        out = {
-            "partial": partial_to_dict(self.partial, include_images=False),
-            "metrics": self.metrics,
-            "shard_index": self.shard_index,
-            "quarantine": list(self.quarantine),
-            "dropped": self.dropped,
-            "profile": dict(self.profile),
-        }
-        if self.spans:
-            out["spans"] = dict(self.spans)
-        return codec.encode(out)
-
-    @classmethod
-    def from_bytes(
-        cls, data: bytes, images_by_id: Dict[str, SystemImage]
-    ) -> "ShardResult":
-        """Decode :meth:`to_bytes`, re-attaching the coordinator's images."""
-        decoded = codec.decode(data)
-        return cls(
-            partial=partial_from_dict(decoded["partial"], images_by_id),
-            metrics=dict(decoded.get("metrics", {})),
-            shard_index=int(decoded.get("shard_index", 0)),
-            quarantine=[dict(r) for r in decoded.get("quarantine", ())],
-            dropped=int(decoded.get("dropped", 0)),
-            profile=dict(decoded.get("profile", {})),
-            spans=dict(decoded.get("spans", {})),
-        )
-
-
-# -- check results -------------------------------------------------------------
+# -- reports and shard results -------------------------------------------------
 
 
 def warning_to_wire(warning: Warning) -> Dict[str, Any]:
@@ -320,69 +217,94 @@ def report_from_dict(data: Dict[str, Any]) -> Report:
 
 
 @dataclass
-class CheckResult:
-    """What one checking worker hands back: reports + telemetry.
+class ShardResult:
+    """What one worker hands back for one chunk: items + telemetry.
 
-    ``drift`` is a :meth:`repro.obs.model.DriftMonitor.to_dict` snapshot
-    of the worker's observation state; the coordinator folds it so the
-    drift summary is identical for any worker count.
+    ``kind`` is the task kind.  ``assemble`` items are
+    :class:`~repro.core.dataset.AssembledSystem` rows, shipped
+    image-elided (:meth:`from_bytes` re-attaches the coordinator's own
+    images); ``check`` items are :class:`~repro.core.report.Report`
+    objects in the full-precision wire form.  ``metrics`` is a
+    :meth:`repro.obs.metrics.MetricsRegistry.to_dict` snapshot of the
+    worker's process-local registry; the coordinator folds it into its
+    own registry so sharded runs report the same totals as serial ones.
     """
 
-    reports: List[Report]
+    kind: str
+    items: List[Any]
     metrics: Dict[str, Any] = field(default_factory=dict)
     shard_index: int = 0
-    drift: Dict[str, Any] = field(default_factory=dict)
-    #: Serialised quarantine records for targets this shard dropped
-    #: under a non-strict error policy (no report is produced for them).
+    #: Serialised :class:`~repro.core.resilience.QuarantineRecord` dicts
+    #: for images this shard dropped under a non-strict error policy.
     quarantine: List[Dict[str, Any]] = field(default_factory=list)
+    #: Total images dropped, including silent ``skip``-policy drops that
+    #: keep no record — what the coordinator's error budget counts.
     dropped: int = 0
-    #: Worker resource-profile snapshot (see :class:`ShardResult.profile`).
+    #: :meth:`repro.obs.profile.StageProfiler.to_dict` snapshot of the
+    #: worker's resource profile; empty unless the coordinator is
+    #: profiling (the payload carries the flag).
     profile: Dict[str, Any] = field(default_factory=dict)
-    #: Worker span-forest snapshot (see :class:`ShardResult.spans`).
+    #: :meth:`repro.obs.tracing.Tracer.snapshot` of the worker's span
+    #: forest; empty unless the payload shipped a trace context.
     spans: Dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "reports": [r.to_dict() for r in self.reports],
-            "metrics": self.metrics,
-            "shard_index": self.shard_index,
-            "drift": self.drift,
-            "quarantine": list(self.quarantine),
-            "dropped": self.dropped,
-            "profile": dict(self.profile),
-        }
-        if self.spans:
-            out["spans"] = dict(self.spans)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CheckResult":
-        return cls(
-            reports=[report_from_dict(r) for r in data["reports"]],
-            metrics=dict(data.get("metrics", {})),
-            shard_index=int(data.get("shard_index", 0)),
-            drift=dict(data.get("drift", {})),
-            quarantine=[dict(r) for r in data.get("quarantine", ())],
-            dropped=int(data.get("dropped", 0)),
-            profile=dict(data.get("profile", {})),
-            spans=dict(data.get("spans", {})),
-        )
+    #: :meth:`repro.obs.model.DriftMonitor.to_dict` snapshot of a check
+    #: worker's observations; the coordinator folds it so the drift
+    #: summary is identical for any worker count.
+    drift: Dict[str, Any] = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
-        """Compact binary wire form; scores stay full-precision float64."""
+        """Compact binary wire form for the worker→coordinator hop.
+
+        Empty ``spans`` and ``drift`` are elided, so wire bytes are
+        unchanged when tracing is off.
+        """
+        if self.kind == "check":
+            items = [report_to_wire(report) for report in self.items]
+        else:
+            items = [
+                assembled_system_to_dict(system, include_image=False)
+                for system in self.items
+            ]
         out = {
-            "reports": [report_to_wire(r) for r in self.reports],
+            "kind": self.kind,
+            "items": items,
             "metrics": self.metrics,
             "shard_index": self.shard_index,
-            "drift": self.drift,
             "quarantine": list(self.quarantine),
             "dropped": self.dropped,
             "profile": dict(self.profile),
         }
         if self.spans:
             out["spans"] = dict(self.spans)
+        if self.drift:
+            out["drift"] = dict(self.drift)
         return codec.encode(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "CheckResult":
-        return cls.from_dict(codec.decode(data))
+    def from_bytes(
+        cls, data: bytes, images_by_id: Optional[Dict[str, SystemImage]] = None
+    ) -> "ShardResult":
+        """Decode :meth:`to_bytes`, re-attaching the coordinator's images."""
+        decoded = codec.decode(data)
+        kind = decoded["kind"]
+        if kind == "check":
+            items: List[Any] = [report_from_dict(r) for r in decoded["items"]]
+        else:
+            images_by_id = images_by_id or {}
+            items = [
+                assembled_system_from_dict(
+                    row, image=images_by_id.get(row.get("image_id"))
+                )
+                for row in decoded["items"]
+            ]
+        return cls(
+            kind=kind,
+            items=items,
+            metrics=dict(decoded.get("metrics", {})),
+            shard_index=int(decoded.get("shard_index", 0)),
+            quarantine=[dict(r) for r in decoded.get("quarantine", ())],
+            dropped=int(decoded.get("dropped", 0)),
+            profile=dict(decoded.get("profile", {})),
+            spans=dict(decoded.get("spans", {})),
+            drift=dict(decoded.get("drift", {})),
+        )

@@ -1,7 +1,7 @@
 """Compact versioned binary codec for inter-process artifacts.
 
 Every hop in the data plane — shard payloads and results
-(:mod:`repro.engine.sharding`, :mod:`repro.engine.batch`), worker
+(:mod:`repro.engine.sharding`), worker
 configs and model snapshots (:mod:`repro.core.persistence`), and the
 content-addressed result cache (:mod:`repro.engine.cache`) — ships
 values encoded by this module instead of full pickles.  The format is a

@@ -14,10 +14,10 @@ and one pipeline per worker process (:func:`worker_encore`):
   across ``repro serve`` requests.  A shard failure that breaks the
   pool (``BrokenProcessPool``, shard timeout) *poisons* it; the next
   acquisition respawns a fresh pool (``pool.respawn.total``) while the
-  failed shards recover through the existing retry/bisection machinery
-  in :mod:`repro.engine.sharding` — recovery always runs in fresh
-  single-worker pools, never the shared one, so a crashing image cannot
-  wedge the warm pool twice.
+  failed shards — assembly and check alike — recover through the shard
+  executor's retry/bisection policy in :mod:`repro.engine.sharding`;
+  recovery always runs in fresh single-worker pools, never the shared
+  one, so a crashing image cannot wedge the warm pool twice.
 * The **worker side** caches the built :class:`~repro.core.pipeline.EnCore`
   keyed by the config payload digest (and the installed model by the
   model payload digest), so a worker that has seen this configuration

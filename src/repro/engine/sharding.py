@@ -1,22 +1,31 @@
-"""Sharded parallel corpus assembly with fault-tolerant recovery.
+"""One fault-tolerant shard executor for corpus assembly and batch checking.
 
-Corpus assembly (parse → type → augment, per image) is embarrassingly
-parallel: no image's row depends on another's.  The coordinator splits
-the image list into contiguous chunks, ships each chunk to a worker
-process as a compact codec-framed task (:mod:`repro.engine.codec`), and
-folds the returned :class:`~repro.engine.artifacts.ShardResult`
-partials back together left-to-right in input order.  Because
-:meth:`PartialDataset.merge` is associative and order-preserving, the
-finalized dataset is identical — fingerprint and all — to a serial
-pass, regardless of worker count or chunk size.
+Training and checking are the same map over images: assembling a
+training image never depends on another image, and "since the checking
+and the learning are cleanly separated" (paper §3) neither does
+checking a target.  One executor runs both.  The coordinator splits the
+image list into contiguous chunks, ships each chunk to a worker process
+as a compact codec-framed task (:mod:`repro.engine.codec`) whose
+``kind`` is ``assemble`` or ``check``, and gets back one
+:class:`~repro.engine.artifacts.ShardResult` envelope per chunk, in
+input order:
+
+* :class:`ShardedAssembler` left-folds the assembled rows.  Because
+  :class:`PartialDataset` accumulation is associative and
+  order-preserving, the finalized dataset is identical — fingerprint
+  and all — to a serial pass, regardless of worker count or chunk size.
+* :class:`BatchChecker` streams each shard's reports as it completes.
+  Warning scores cross the process boundary at full float64 precision,
+  so sharded reports are exactly the serial ones.
 
 The data plane (see ``docs/architecture.md``, "Data plane"):
 
 * Tasks and results cross the process boundary as codec bytes, not
-  pickles: the config payload is encoded **once per pool lifetime**
-  (hoisted by :meth:`EnCore.worker_payload`), each image is encoded
-  once and memoised (:func:`~repro.engine.artifacts.image_payload`),
-  and result rows ride back image-elided — the coordinator re-attaches
+  pickles: the config and model payloads are encoded **once per pool
+  lifetime** (hoisted by :meth:`EnCore.worker_payload` /
+  :meth:`EnCore.model_payload`), each image is encoded once and
+  memoised (:func:`~repro.engine.artifacts.image_payload`), and
+  assembled rows ride back image-elided — the coordinator re-attaches
   its own :class:`~repro.sysmodel.image.SystemImage` objects by id.
 * Shards run on the shared warm pool (:mod:`repro.engine.pool`), whose
   workers keep their built pipeline across shards and runs.  A shard
@@ -24,26 +33,30 @@ The data plane (see ``docs/architecture.md``, "Data plane"):
   fresh single-worker pools — the crash firewall never reuses the
   shared pool.
 * When a result cache (:mod:`repro.engine.cache`) is attached, the
-  coordinator resolves cache hits in-process *before* sharding and
-  ships only the misses; hit rows fold back in exact input order, so
-  cached runs stay byte-identical to cold ones.
+  assembly coordinator resolves cache hits in-process *before* sharding
+  and ships only the misses; hit rows fold back in exact input order,
+  so cached runs stay byte-identical to cold ones.  Check workers look
+  the cache up themselves (every target needs a report regardless).
 
-Failure handling has three layers (see ``docs/robustness.md``):
+Failure handling is one policy for both jobs (see ``docs/robustness.md``):
 
-1. **Per-image isolation** happens inside the worker: the assembler's
-   error policy drops unparseable images into quarantine records that
-   ride back on the shard result.  An image whose *payload* cannot be
-   decoded (:class:`~repro.engine.codec.CodecError`) quarantines the
-   same way, under stage ``codec``.
-2. **Per-shard recovery** happens here: a shard whose worker crashed
+1. **Per-image isolation** happens inside the worker: the error policy
+   drops unparseable images into quarantine records that ride back on
+   the shard result.  An image whose *payload* cannot be decoded
+   (:class:`~repro.engine.codec.CodecError`) quarantines the same way,
+   under stage ``codec``.
+2. **Per-shard retry**: a shard whose worker crashed
    (``BrokenProcessPool``) or stalled (``shard_timeout``) is retried in
    a fresh single-worker pool under an exponential-backoff
    :class:`~repro.core.resilience.RetryPolicy`.
 3. **Bisection** kicks in when retries are exhausted: the chunk is
    split recursively until the poisoned image(s) are isolated and
-   quarantined individually, so one crash-inducing image costs exactly
-   itself — never its shard, never the run.  When no subprocess can be
-   created at all, survivors are assembled serially in-process.
+   quarantined individually (stage ``worker``), so one crash-inducing
+   image costs exactly itself — never its shard, never the run.  Under
+   ``strict``, the last failure propagates instead.
+4. **Inline fallback**: when no subprocess can be created at all, the
+   chunks run in-process on the coordinator's own assembler (or
+   pipeline, for checks).
 
 Workers record into a fresh process-local metrics registry per shard
 and return its snapshot; the coordinator merges those snapshots so
@@ -57,11 +70,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.dataset import Dataset, PartialDataset
+from repro.core.report import Report
 from repro.core.resilience import (
     ErrorPolicy,
+    Quarantine,
     QuarantineRecord,
     RetryPolicy,
     enforce_error_budget,
@@ -75,6 +90,7 @@ from repro.engine.pool import (
     get_warm_pool,
     worker_cache,
     worker_encore,
+    worker_install_model,
     worker_tracer,
 )
 from repro.obs import get_logger
@@ -106,7 +122,7 @@ log = get_logger("engine.sharding")
 RECOVERABLE = (BrokenProcessPool, ShardTimeout)
 
 #: Pool-creation failures that mean "no subprocess can be created here"
-#: (restricted sandboxes) — assembly falls back to the serial path.
+#: (restricted sandboxes) — the job falls back to running inline.
 POOL_UNAVAILABLE = (OSError, PermissionError, ValueError)
 
 
@@ -121,9 +137,10 @@ def default_chunk_size(n_items: int, workers: int) -> int:
     """About four chunks per worker.
 
     Smaller chunks let the coordinator deserialise shard *i* while the
-    pool is still assembling shard *i+1*, hiding the result-shipping
-    latency behind worker compute; they also bound the blast radius of
-    a crashed worker to a quarter of one worker's share.
+    pool is still working on shard *i+1* (and let checks start
+    streaming early), hiding the result-shipping latency behind worker
+    compute; they also bound the blast radius of a crashed worker to a
+    quarter of one worker's share.
     """
     return max(1, math.ceil(n_items / (max(1, workers) * 4)))
 
@@ -138,6 +155,18 @@ def encode_config_payload(config) -> Tuple[bytes, str]:
     """
     data = codec.encode(config.to_dict())
     get_registry().counter("codec.config.encodes.total").inc()
+    return data, codec.digest(data)
+
+
+def encode_model_payload(model_dict: Dict[str, Any]) -> Tuple[bytes, str]:
+    """``(codec bytes, digest)`` of a model snapshot dict — counted.
+
+    Like config payloads, the model crosses the process boundary as one
+    hoisted encoding per pool lifetime; ``codec.model.encodes.total``
+    guards against per-shard re-encoding creeping back in.
+    """
+    data = codec.encode(model_dict)
+    get_registry().counter("codec.model.encodes.total").inc()
     return data, codec.digest(data)
 
 
@@ -183,8 +212,8 @@ def decode_task_images(
     return images
 
 
-def _assemble_shard(task: bytes) -> bytes:
-    """Worker entry point: assemble one codec-framed chunk task.
+def _run_shard(task: bytes) -> bytes:
+    """Worker entry point: run one codec-framed chunk task of either kind.
 
     Must stay a module-level function (picklable under every
     multiprocessing start method).  The shard records into a fresh
@@ -194,11 +223,12 @@ def _assemble_shard(task: bytes) -> bytes:
     (the serve daemon) and that fork-copy would otherwise shadow a
     plain ``set_registry`` and leak counts across shards.  Quarantine
     records accumulated by the worker's error policy ride back on the
-    result.  The pipeline itself is cached per worker process
-    (:func:`repro.engine.pool.worker_encore`) and reset per shard.
+    result.  The pipeline (and, for checks, the installed model) is
+    cached per worker process (:mod:`repro.engine.pool`) and reset per
+    shard.
     """
     payload = codec.decode(task)
-    shard_index = payload["shard_index"]
+    kind, shard_index = payload["kind"], payload["shard_index"]
     tracer = worker_tracer(payload, shard_index)
     with use_registry(MetricsRegistry()), (
         use_tracer(tracer) if tracer is not None else nullcontext()
@@ -208,6 +238,8 @@ def _assemble_shard(task: bytes) -> bytes:
             profiler = set_profiler(StageProfiler().start())
         try:
             encore = worker_encore(payload["config"], payload["config_digest"])
+            if kind == "check":
+                worker_install_model(encore, payload["model"], payload["model_digest"])
             attach_worker_cache(encore.assembler, payload.get("cache"))
             if payload.get("faults"):
                 from repro.testing.faults import FaultPlan
@@ -221,26 +253,34 @@ def _assemble_shard(task: bytes) -> bytes:
             # shipped, and must not observe histograms a tracing-off run
             # would lack (metrics stay identical either way).
             shard_span = (
-                tracer.span("assemble.shard", shard=shard_index,
-                            items=len(images))
+                tracer.span(f"{kind}.shard", shard=shard_index, items=len(images))
                 if tracer is not None else nullcontext()
             )
             shard_sample = (
-                profiler.shard("assemble", shard_index, items=len(images))
+                profiler.shard(kind, shard_index, items=len(images))
                 if profiler is not None else nullcontext()
             )
             with shard_span, shard_sample:
-                partial = encore.assembler.assemble_partial(
-                    images, shard_index=shard_index
-                )
+                if kind == "check":
+                    items: List[Any] = [
+                        report for report in map(encore._check_guarded, images)
+                        if report is not None
+                    ]
+                else:
+                    items = encore.assembler.assemble_partial(
+                        images, shard_index=shard_index
+                    ).systems
+            drift = encore.drift if kind == "check" else None
             return ShardResult(
-                partial=partial,
+                kind=kind,
+                items=items,
                 metrics=get_registry().to_dict(),
                 shard_index=shard_index,
-                quarantine=encore.assembler.quarantine.to_dicts(),
-                dropped=encore.assembler.quarantine.dropped,
+                quarantine=encore.quarantine.to_dicts(),
+                dropped=encore.quarantine.dropped,
                 profile=profiler.to_dict() if profiler is not None else {},
                 spans=tracer.snapshot(shard=shard_index) if tracer is not None else {},
+                drift=drift.to_dict() if drift is not None else {},
             ).to_bytes()
         finally:
             if profiler is not None:
@@ -248,41 +288,39 @@ def _assemble_shard(task: bytes) -> bytes:
                 profiler.stop()
 
 
-class ShardedAssembler:
-    """Assemble a corpus across *workers* processes, surviving failures.
+class _ShardExecutor:
+    """The coordinator side shared by both jobs.
 
-    ``workers <= 1`` runs serially through *assembler* (the caller's own
-    instance, preserving programmatic customization exactly); ``workers
-    > 1`` ships codec-framed chunk tasks to the shared warm pool, whose
-    workers rebuild (once) from *config*.  When a process pool cannot be
-    created (restricted sandboxes), assembly falls back to the serial
-    path with a warning — results are identical either way.
-
-    *retry* tunes the crash/timeout recovery backoff (injectable sleeper
-    for tests), *shard_timeout* bounds one shard's wall time in seconds
-    (``None`` = unbounded), *fault_plan* is the test-only injection
-    hook from :mod:`repro.testing.faults`, shipped to workers inside the
-    shard payload, *config_payload* is the hoisted ``(bytes, digest)``
-    config encoding (computed here, once, when not supplied), and *pool*
-    overrides the shared warm pool (tests).
+    Frames tasks, dispatches them through the warm pool, folds results
+    and runs the retry → bisect → inline recovery policy.  Subclasses
+    name their ``kind``, provide the coordinator objects results fold
+    into (``assembler``, ``quarantine``, ``drift``, ``cache`` /
+    ``cache_salt``, ``model_bytes``) and run a chunk inline
+    (``_inline_items``).
     """
+
+    #: Task kind — also names the worker's ``{kind}.shard`` span, its
+    #: profiler shard sample and the ``{kind}.shards.total`` counter.
+    kind = ""
+    #: Counter bumped when bisection pins a crash on a single image.
+    quarantine_counter = ""
+    drift = None
+    model_bytes: Optional[Tuple[bytes, str]] = None
 
     def __init__(
         self,
         config,
-        assembler,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan=None,
-        config_payload: Optional[Tuple[bytes, str]] = None,
-        pool: Optional[WarmPool] = None,
+        workers: int,
+        chunk_size: Optional[int],
+        retry: Optional[RetryPolicy],
+        shard_timeout: Optional[float],
+        fault_plan,
+        config_payload: Optional[Tuple[bytes, str]],
+        pool: Optional[WarmPool],
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.config = config
-        self.assembler = assembler
         self.workers = workers
         self.chunk_size = chunk_size
         self.retry = retry if retry is not None else RetryPolicy()
@@ -294,68 +332,28 @@ class ShardedAssembler:
         )
         self.pool = pool
 
-    def assemble(self, images: Iterable[SystemImage]) -> Dataset:
-        images = list(images)
-        if self.workers <= 1 or len(images) <= 1:
-            self._install_inline_faults()
-            return self.assembler.assemble_corpus(images)
-        return self._assemble_sharded(images)
-
-    def assemble_partial(self, images: Iterable[SystemImage]) -> PartialDataset:
-        images = list(images)
-        if self.workers <= 1 or len(images) <= 1:
-            self._install_inline_faults()
-            return self.assembler.assemble_partial(images)
-        return self._sharded_partial(images)
-
-    # -- internals -------------------------------------------------------------
-
     @property
     def _policy(self) -> ErrorPolicy:
         return ErrorPolicy.parse(getattr(self.config, "error_policy", "strict"))
 
     def _install_inline_faults(self) -> None:
-        """Arm the fault plan on the serial path (coordinator-safe mode)."""
+        """Arm the fault plan on the coordinator (in-process mode)."""
         if self.fault_plan is not None and self.assembler.fault_hook is None:
             self.assembler.fault_hook = self.fault_plan.hook
 
-    def _assemble_sharded(self, images: List[SystemImage]) -> Dataset:
-        with span("assemble.corpus") as s:
-            dropped_before = self.assembler.quarantine.dropped
-            dataset = self._sharded_partial(images).finalize()
-            enforce_error_budget(
-                self.assembler.quarantine.dropped - dropped_before,
-                len(images),
-                getattr(self.config, "max_error_rate", 1.0),
-                self._policy,
-            )
-            s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
-        return dataset
-
-    def _cache_spec(self) -> Optional[Dict[str, Any]]:
-        """The disk-cache handle shipped inside worker tasks.
-
-        ``store_only``: the coordinator already resolved every hit in
-        its pre-pass, so workers skip lookups and just fill the cache
-        for future runs (and other processes).
-        """
-        cache = getattr(self.assembler, "cache", None)
-        if cache is None or cache.root is None:
-            return None
-        return {
-            "root": str(cache.root),
-            "salt": self.assembler.cache_salt,
-            "store_only": True,
-        }
+    # -- one task frame, one decode, one fold ----------------------------------
 
     def _task(self, chunk: List[SystemImage], index: int) -> bytes:
         payload: Dict[str, Any] = {
+            "kind": self.kind,
             "config": self.config_payload[0],
             "config_digest": self.config_payload[1],
             "images": [image_payload(image) for image in chunk],
             "image_ids": [image.image_id for image in chunk],
             "shard_index": index,
         }
+        if self.model_bytes is not None:
+            payload["model"], payload["model_digest"] = self.model_bytes
         if self.fault_plan is not None:
             payload["faults"] = self.fault_plan.to_dict()
         if get_profiler() is not None:
@@ -365,114 +363,56 @@ class ShardedAssembler:
             # Propagate the coordinator's trace identity: the worker
             # re-parents its span forest under the span active here.
             payload["trace"] = context.to_dict()
-        cache_spec = self._cache_spec()
-        if cache_spec is not None:
-            payload["cache"] = cache_spec
+        if self.cache is not None and self.cache.root is not None:
+            # Assembly workers only store: the coordinator's pre-pass
+            # already resolved every hit.  Check workers look up too.
+            payload["cache"] = {
+                "root": str(self.cache.root),
+                "salt": self.cache_salt,
+                "store_only": self.kind == "assemble",
+            }
         return codec.encode(payload)
 
     @staticmethod
-    def _decode_result(raw: bytes, chunk: List[SystemImage]) -> ShardResult:
+    def _decode(raw: bytes, chunk: List[SystemImage]) -> ShardResult:
         return ShardResult.from_bytes(
             raw, {image.image_id: image for image in chunk}
         )
 
-    def _partition(
-        self, images: List[SystemImage]
-    ) -> Tuple[List[Tuple[str, Any]], List[List[SystemImage]]]:
-        """Split *images* into fold segments: cached rows and miss chunks.
+    def _fold(self, result: ShardResult, shard: bool = True) -> None:
+        """Fold one result's telemetry and quarantine into the coordinator.
 
-        With no cache attached this is a single run of misses, chunked
-        exactly as before.  With a cache, hits are resolved here in the
-        coordinator (their per-system counters replayed by the
-        assembler) and contiguous miss runs are chunked by the *miss*
-        count — so a warm corpus with one touched image ships exactly
-        that image.
+        Shard merges are associative, so totals (metrics, drift, profile)
+        match a serial run exactly.  ``shard=False`` is for bisection
+        sub-runs: their telemetry folds as they finish, but the chunk is
+        counted once, when its joined result folds.
         """
-        order: List[Tuple[str, Any]] = []
-        misses = 0
-        cache = getattr(self.assembler, "cache", None)
-        if cache is not None:
-            for image in images:
-                system = self.assembler.cached_assembled(image)
-                if system is not None:
-                    order.append(("hit", system))
-                else:
-                    order.append(("miss", image))
-                    misses += 1
-        else:
-            order = [("miss", image) for image in images]
-            misses = len(images)
-        segments: List[Tuple[str, Any]] = []
-        chunks: List[List[SystemImage]] = []
-        if misses:
-            chunk_size = self.chunk_size or default_chunk_size(misses, self.workers)
-            i = 0
-            while i < len(order):
-                kind = order[i][0]
-                j = i
-                while j < len(order) and order[j][0] == kind:
-                    j += 1
-                run = [item for _, item in order[i:j]]
-                if kind == "hit":
-                    segments.append(("rows", run))
-                else:
-                    for chunk in chunked(run, chunk_size):
-                        segments.append(("chunk", len(chunks)))
-                        chunks.append(chunk)
-                i = j
-        elif order:
-            segments.append(("rows", [system for _, system in order]))
-        return segments, chunks
+        if result.metrics:
+            merge_snapshot(result.metrics)
+        if result.profile:
+            merge_profile_snapshot(result.profile)
+        if result.spans:
+            merge_remote_spans(result.spans)
+        if self.drift is not None and result.drift:
+            self.drift.merge_snapshot(result.drift)
+        self.quarantine.extend_dicts(result.quarantine, dropped=result.dropped)
+        if shard:
+            get_registry().counter(f"{self.kind}.shards.total").inc()
+            # Long runs tick the health monitor between shard folds
+            # (no-op unless one is installed and its sampling interval
+            # elapsed), so a multi-hour job still gets timeline points
+            # and alert evaluation without a second thread.
+            health_tick()
 
-    def _sharded_partial(self, images: List[SystemImage]) -> PartialDataset:
-        registry = get_registry()
-        segments, chunks = self._partition(images)
-        results: List[Optional[ShardResult]] = [None] * len(chunks)
-        with span(
-            "assemble.shards", shards=len(chunks), workers=self.workers,
-            cached=len(images) - sum(len(c) for c in chunks),
-        ):
-            if chunks:
-                self._run_chunks(chunks, results)
-            merged = PartialDataset()
-            shards_done = 0
-            for kind, ref in segments:
-                if kind == "rows":
-                    for system in ref:
-                        merged.add(system)
-                    continue
-                # The fold is a left fold in input order, so the result
-                # is byte-identical to a serial pass no matter which
-                # shards were cached or needed recovery.  extend() is
-                # merge() without the per-shard copy.
-                result = results[ref]
-                assert result is not None
-                merged.extend(result.partial)
-                if result.metrics:
-                    merge_snapshot(result.metrics)
-                if result.profile:
-                    merge_profile_snapshot(result.profile)
-                if result.spans:
-                    merge_remote_spans(result.spans)
-                self.assembler.quarantine.extend_dicts(
-                    result.quarantine, dropped=result.dropped
-                )
-                shards_done += 1
-                # Long sharded runs tick the health monitor between
-                # shard folds (no-op unless one is installed and its
-                # sampling interval elapsed), so a multi-hour train
-                # still gets timeline points and alert evaluation.
-                health_tick()
-        if shards_done:
-            registry.counter("assemble.shards.total").inc(shards_done)
-        return merged
+    # -- dispatch --------------------------------------------------------------
 
-    def _run_chunks(
-        self,
-        chunks: List[List[SystemImage]],
-        results: List[Optional[ShardResult]],
-    ) -> None:
-        """Ship chunk tasks through the warm pool, recovering failures."""
+    def _dispatch(self, chunks: List[List[SystemImage]]) -> Iterator[ShardResult]:
+        """Yield one result per chunk, in input order, as shards complete.
+
+        Every task is submitted up front; a shard lost to a crashed or
+        stalled worker is recovered in place before the next result is
+        yielded, so callers fold (or stream) strictly in input order.
+        """
         registry = get_registry()
         pool = self.pool if self.pool is not None else get_warm_pool(self.workers)
         try:
@@ -480,12 +420,13 @@ class ShardedAssembler:
         except POOL_UNAVAILABLE as exc:
             log.warning("shard.pool_unavailable", error=str(exc))
             for index, chunk in enumerate(chunks):
-                results[index] = self._assemble_inline(chunk, index)
+                yield self._inline(chunk, index)
             return
-        tasks = [self._task(chunk, index) for index, chunk in enumerate(chunks)]
-        failed: List[int] = []
         try:
-            futures = [executor.submit(_assemble_shard, task) for task in tasks]
+            futures = [
+                executor.submit(_run_shard, self._task(chunk, index))
+                for index, chunk in enumerate(chunks)
+            ]
         except (BrokenProcessPool, RuntimeError) as exc:
             # The previous generation died between acquisitions; treat
             # every shard as failed and let recovery (fresh pools)
@@ -493,28 +434,28 @@ class ShardedAssembler:
             log.warning("shard.pool_broken_at_submit", error=type(exc).__name__)
             pool.poison()
             registry.counter("retry.shards.failed").inc(len(chunks))
-            failed = list(range(len(chunks)))
-            futures = []
-        for index, future in enumerate(futures):
-            try:
-                raw = future.result(timeout=self.shard_timeout)
-            except RECOVERABLE as exc:
-                future.cancel()
-                pool.poison()
-                failed.append(index)
-                registry.counter("retry.shards.failed").inc()
-                log.warning(
-                    "shard.failed", shard=index,
-                    error=type(exc).__name__, images=len(chunks[index]),
-                )
-                continue
-            results[index] = self._decode_result(raw, chunks[index])
-        for index in failed:
-            results[index] = self._recover_chunk(chunks[index], index)
+            futures = [None] * len(chunks)
+        for index, (chunk, future) in enumerate(zip(chunks, futures)):
+            raw = None
+            if future is not None:
+                try:
+                    raw = future.result(timeout=self.shard_timeout)
+                except RECOVERABLE as exc:
+                    future.cancel()
+                    pool.poison()
+                    registry.counter("retry.shards.failed").inc()
+                    log.warning(
+                        "shard.failed", shard=index,
+                        error=type(exc).__name__, images=len(chunk),
+                    )
+            if raw is None:
+                yield self._recover(chunk, index)
+            else:
+                yield self._decode(raw, chunk)
 
-    # -- shard recovery --------------------------------------------------------
+    # -- recovery --------------------------------------------------------------
 
-    def _recover_chunk(self, chunk: List[SystemImage], index: int) -> ShardResult:
+    def _recover(self, chunk: List[SystemImage], index: int) -> ShardResult:
         """Bring one failed shard back: backoff-retry, then bisect."""
         registry = get_registry()
         last_exc: Optional[BaseException] = None
@@ -533,100 +474,323 @@ class ShardedAssembler:
             registry.counter("retry.recovered.total").inc()
             log.info("shard.recovered", shard=index, attempt=attempt)
             return result
+        assert last_exc is not None
         if self._policy is ErrorPolicy.STRICT:
-            assert last_exc is not None
             raise last_exc
         registry.counter("retry.bisections.total").inc()
         log.warning(
             "shard.bisecting", shard=index, images=len(chunk),
-            error=type(last_exc).__name__ if last_exc else "",
+            error=type(last_exc).__name__,
         )
-        partial, records, dropped = self._bisect(chunk, index)
-        return ShardResult(
-            partial=partial, metrics={}, shard_index=index,
-            quarantine=records, dropped=dropped,
-        )
+        items = self._bisect(chunk, index, last_exc)
+        return ShardResult(kind=self.kind, items=items, shard_index=index)
+
+    def _bisect(
+        self, chunk: List[SystemImage], index: int, exc: BaseException
+    ) -> List[Any]:
+        """Isolate the poisoned image(s) of a chunk that just failed with *exc*.
+
+        Recursively halves the chunk, running each half in its own
+        single-worker pool, until failures are pinned to single images —
+        each of which is quarantined with stage ``worker``.  Sub-runs
+        fold their telemetry as they finish; the survivors' items come
+        back concatenated in input order, so the final fold stays
+        byte-identical to running the clean subset serially.
+        """
+        if len(chunk) == 1:
+            image = chunk[0]
+            record = QuarantineRecord(
+                image_id=image.image_id, stage="worker",
+                error=type(exc).__name__,
+                message=str(exc) or "worker process crashed or stalled",
+                shard_index=index,
+            )
+            self.quarantine.add(record)
+            get_registry().counter(self.quarantine_counter, stage="worker").inc()
+            log.warning(
+                "image.quarantined", image=image.image_id,
+                stage="worker", error=record.error,
+            )
+            return []
+        items: List[Any] = []
+        mid = (len(chunk) + 1) // 2
+        for half in (chunk[:mid], chunk[mid:]):
+            try:
+                result = self._run_isolated(half, index)
+            except RECOVERABLE as half_exc:
+                items.extend(self._bisect(half, index, half_exc))
+                continue
+            self._fold(result, shard=False)
+            items.extend(result.items)
+        return items
 
     def _run_isolated(self, chunk: List[SystemImage], index: int) -> ShardResult:
         """Run one chunk in a fresh single-worker pool (crash firewall).
 
         Never the warm pool: a chunk under recovery is suspected of
         crashing workers, and the firewall's job is to contain that.
-        Falls back to in-process serial assembly of the chunk when no
-        subprocess can be created at all — per-image isolation still
-        applies there, so survivors are never lost.
+        Falls back to running the chunk inline when no subprocess can be
+        created at all — per-image isolation still applies there, so
+        survivors are never lost.
         """
         task = self._task(chunk, index)
         try:
             executor = ProcessPoolExecutor(max_workers=1)
         except POOL_UNAVAILABLE as exc:
             log.warning("shard.recovery_pool_unavailable", error=str(exc))
-            return self._assemble_inline(chunk, index)
+            return self._inline(chunk, index)
         try:
-            raw = executor.submit(_assemble_shard, task).result(
+            raw = executor.submit(_run_shard, task).result(
                 timeout=self.shard_timeout
             )
-            return self._decode_result(raw, chunk)
+            return self._decode(raw, chunk)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
 
-    def _assemble_inline(self, chunk: List[SystemImage], index: int) -> ShardResult:
-        """In-process serial assembly (the last-resort recovery path).
+    def _inline(self, chunk: List[SystemImage], index: int) -> ShardResult:
+        """Run one chunk in-process (the last-resort recovery path).
 
-        Records go straight into the coordinator assembler's quarantine,
-        so the returned result carries none of its own; the coordinator
-        fold sees an already-accounted shard.
+        Records (and, for checks, drift observations) go straight into
+        the coordinator's own objects, so the result carries only items.
         """
+        return ShardResult(
+            kind=self.kind, items=self._inline_items(chunk, index),
+            shard_index=index,
+        )
+
+    def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
+        raise NotImplementedError
+
+
+class ShardedAssembler(_ShardExecutor):
+    """Assemble a corpus across *workers* processes, surviving failures.
+
+    ``workers <= 1`` runs serially through *assembler* (the caller's own
+    instance, preserving programmatic customization exactly); ``workers
+    > 1`` ships codec-framed chunk tasks to the shared warm pool, whose
+    workers rebuild (once) from *config*.  When a process pool cannot be
+    created (restricted sandboxes), assembly runs inline through
+    *assembler* with a warning — results are identical either way.
+
+    *retry* tunes the crash/timeout recovery backoff (injectable sleeper
+    for tests), *shard_timeout* bounds one shard's wall time in seconds
+    (``None`` = unbounded), *fault_plan* is the test-only injection
+    hook from :mod:`repro.testing.faults`, shipped to workers inside the
+    shard payload, *config_payload* is the hoisted ``(bytes, digest)``
+    config encoding (computed here, once, when not supplied), and *pool*
+    overrides the shared warm pool (tests).
+    """
+
+    kind = "assemble"
+    quarantine_counter = "quarantine.images.total"
+
+    def __init__(
+        self,
+        config,
+        assembler,
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+        retry: Optional[RetryPolicy] = None,
+        shard_timeout: Optional[float] = None,
+        fault_plan=None,
+        config_payload: Optional[Tuple[bytes, str]] = None,
+        pool: Optional[WarmPool] = None,
+    ) -> None:
+        super().__init__(
+            config, workers, chunk_size, retry, shard_timeout, fault_plan,
+            config_payload, pool,
+        )
+        self.assembler = assembler
+
+    @property
+    def quarantine(self) -> Quarantine:
+        return self.assembler.quarantine
+
+    @property
+    def cache(self):
+        return getattr(self.assembler, "cache", None)
+
+    @property
+    def cache_salt(self) -> str:
+        return self.assembler.cache_salt
+
+    def assemble(self, images: Iterable[SystemImage]) -> Dataset:
+        images = list(images)
+        if self.workers <= 1 or len(images) <= 1:
+            self._install_inline_faults()
+            return self.assembler.assemble_corpus(images)
+        return self._assemble_sharded(images)
+
+    def assemble_partial(self, images: Iterable[SystemImage]) -> PartialDataset:
+        images = list(images)
+        if self.workers <= 1 or len(images) <= 1:
+            self._install_inline_faults()
+            return self.assembler.assemble_partial(images)
+        return self._sharded_partial(images)
+
+    # -- internals -------------------------------------------------------------
+
+    def _assemble_sharded(self, images: List[SystemImage]) -> Dataset:
+        with span("assemble.corpus") as s:
+            dropped_before = self.assembler.quarantine.dropped
+            dataset = self._sharded_partial(images).finalize()
+            enforce_error_budget(
+                self.assembler.quarantine.dropped - dropped_before,
+                len(images),
+                getattr(self.config, "max_error_rate", 1.0),
+                self._policy,
+            )
+            s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
+        return dataset
+
+    def _partition(
+        self, images: List[SystemImage]
+    ) -> Tuple[List[Tuple[str, List[Any]]], List[List[SystemImage]]]:
+        """Split *images* into fold segments: cached rows and miss chunks.
+
+        With no cache attached this is a single run of misses, chunked
+        exactly as before.  With a cache, hits are resolved here in the
+        coordinator (their per-system counters replayed by the
+        assembler) and contiguous miss runs are chunked by the *miss*
+        count — so a warm corpus with one touched image ships exactly
+        that image.
+        """
+        order: List[Tuple[str, Any]] = []
+        misses = 0
+        if self.cache is not None:
+            for image in images:
+                system = self.assembler.cached_assembled(image)
+                if system is not None:
+                    order.append(("hit", system))
+                else:
+                    order.append(("miss", image))
+                    misses += 1
+        else:
+            order = [("miss", image) for image in images]
+            misses = len(images)
+        segments: List[Tuple[str, List[Any]]] = []
+        chunks: List[List[SystemImage]] = []
+        if misses:
+            chunk_size = self.chunk_size or default_chunk_size(misses, self.workers)
+            i = 0
+            while i < len(order):
+                kind = order[i][0]
+                j = i
+                while j < len(order) and order[j][0] == kind:
+                    j += 1
+                run = [item for _, item in order[i:j]]
+                if kind == "hit":
+                    segments.append(("rows", run))
+                else:
+                    for chunk in chunked(run, chunk_size):
+                        segments.append(("chunk", chunk))
+                        chunks.append(chunk)
+                i = j
+        elif order:
+            segments.append(("rows", [system for _, system in order]))
+        return segments, chunks
+
+    def _sharded_partial(self, images: List[SystemImage]) -> PartialDataset:
+        segments, chunks = self._partition(images)
+        with span(
+            "assemble.shards", shards=len(chunks), workers=self.workers,
+            cached=len(images) - sum(len(c) for c in chunks),
+        ):
+            # A left fold in input order: the result is byte-identical
+            # to a serial pass no matter which shards were cached or
+            # needed recovery.  The dispatch generator starts (and the
+            # pool is touched) only when the first chunk is reached.
+            results = self._dispatch(chunks)
+            merged = PartialDataset()
+            for kind, rows in segments:
+                if kind == "chunk":
+                    result = next(results)
+                    self._fold(result)
+                    rows = result.items
+                for system in rows:
+                    merged.add(system)
+        return merged
+
+    def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
         self._install_inline_faults()
-        partial = self.assembler.assemble_partial(chunk, shard_index=index)
-        return ShardResult(partial=partial, metrics={}, shard_index=index)
+        return self.assembler.assemble_partial(chunk, shard_index=index).systems
 
-    def _bisect(
-        self, chunk: List[SystemImage], index: int
-    ) -> Tuple[PartialDataset, List[Dict[str, Any]], int]:
-        """Isolate the poisoned image(s) of a repeatedly-failing chunk.
 
-        Recursively halves the chunk, running each half in its own
-        single-worker pool, until failures are pinned to single images —
-        each of which is quarantined with stage ``worker``.  Survivors'
-        partials are concatenated in input order, so the final fold
-        stays byte-identical to assembling the clean subset serially.
-        Sub-run metrics are folded here; the aggregate result returned
-        to the caller carries an empty snapshot to avoid double counts.
-        """
-        try:
-            result = self._run_isolated(chunk, index)
-        except RECOVERABLE as exc:
-            if len(chunk) == 1:
-                image = chunk[0]
-                record = QuarantineRecord(
-                    image_id=image.image_id, stage="worker",
-                    error=type(exc).__name__,
-                    message=str(exc) or "worker process crashed or stalled",
-                    shard_index=index,
-                )
-                get_registry().counter(
-                    "quarantine.images.total", stage="worker"
-                ).inc()
-                log.warning(
-                    "image.quarantined", image=image.image_id,
-                    stage="worker", error=record.error,
-                )
-                return PartialDataset(), [record.to_dict()], 1
-            mid = (len(chunk) + 1) // 2
-            left_partial, left_records, left_dropped = self._bisect(
-                chunk[:mid], index
+class BatchChecker(_ShardExecutor):
+    """Stream reports for a fleet of targets across worker processes.
+
+    *model_payload* is the :func:`repro.core.persistence.model_to_dict`
+    snapshot (or its hoisted ``(bytes, digest)`` encoding via
+    *model_bytes* — preferred, computed once per model by
+    :meth:`EnCore.model_payload`); *drift* is the coordinator's
+    :class:`~repro.obs.model.DriftMonitor` that worker observation
+    snapshots fold into; *quarantine* is the coordinator's
+    :class:`~repro.core.resilience.Quarantine` that worker-side drop
+    records fold into; *cache*/*cache_salt* arm the workers' result
+    cache; *encore* is the coordinator pipeline chunks run on inline
+    when no worker process can be created at all.  *retry*,
+    *shard_timeout*, *fault_plan*, *config_payload* and *pool* are as
+    for :class:`ShardedAssembler`.
+    """
+
+    kind = "check"
+    quarantine_counter = "quarantine.targets.total"
+
+    def __init__(
+        self,
+        config,
+        model_payload: Optional[Dict[str, Any]] = None,
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+        drift=None,
+        quarantine=None,
+        fault_plan=None,
+        config_payload: Optional[Tuple[bytes, str]] = None,
+        model_bytes: Optional[Tuple[bytes, str]] = None,
+        pool: Optional[WarmPool] = None,
+        cache=None,
+        cache_salt: str = "",
+        retry: Optional[RetryPolicy] = None,
+        shard_timeout: Optional[float] = None,
+        encore=None,
+    ) -> None:
+        super().__init__(
+            config, workers, chunk_size, retry, shard_timeout, fault_plan,
+            config_payload, pool,
+        )
+        if model_bytes is None:
+            if model_payload is None:
+                raise ValueError("model_payload or model_bytes is required")
+            model_bytes = encode_model_payload(model_payload)
+        self.model_bytes = model_bytes
+        self.drift = drift
+        self.quarantine = quarantine if quarantine is not None else Quarantine()
+        self.cache = cache
+        self.cache_salt = cache_salt
+        self.encore = encore
+        self.assembler = encore.assembler if encore is not None else None
+
+    def stream(self, images: Iterable[SystemImage]) -> Iterator[Report]:
+        """Yield one report per surviving target, in input order."""
+        images = list(images)
+        if not images:
+            return
+        chunk_size = self.chunk_size or default_chunk_size(len(images), self.workers)
+        with span("check.batch", targets=len(images), workers=self.workers):
+            # Tasks are framed inside the batch span so the propagated
+            # trace context names it as the workers' remote parent.
+            for result in self._dispatch(chunked(images, chunk_size)):
+                self._fold(result)
+                yield from result.items
+
+    def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
+        if self.encore is None:
+            raise RuntimeError(
+                "no worker process can be created and no coordinator "
+                "pipeline is attached to check inline"
             )
-            right_partial, right_records, right_dropped = self._bisect(
-                chunk[mid:], index
-            )
-            return (
-                left_partial.extend(right_partial),
-                left_records + right_records,
-                left_dropped + right_dropped,
-            )
-        if result.metrics:
-            merge_snapshot(result.metrics)
-        if result.profile:
-            merge_profile_snapshot(result.profile)
-        return result.partial, list(result.quarantine), result.dropped
+        self._install_inline_faults()
+        return [
+            report for report in map(self.encore._check_guarded, chunk)
+            if report is not None
+        ]

@@ -4,8 +4,8 @@ The facade in :mod:`repro.core.pipeline` presents ``train()`` /
 ``check()``; this module names the stages those calls run through, the
 artifact exchanged at every boundary, and how each stage scales out.
 :class:`StageEngine` is the orchestrator: it owns worker/chunking policy
-and drives the shardable stages through
-:mod:`repro.engine.sharding` / :mod:`repro.engine.batch`.
+and drives the shardable stages through the shard executor in
+:mod:`repro.engine.sharding`.
 
 Stage boundaries double as serialisation points — every ``produces``
 artifact has a wire format (see :mod:`repro.engine.artifacts` and the

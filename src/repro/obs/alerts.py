@@ -30,27 +30,20 @@ the rule, the series selector, and the window values that justified the
 transition — so a page can be audited from the ledger alone.  ``for_s``
 debounces: a rule must hold continuously that long before it fires.
 
-Parsing uses :mod:`tomllib` when the interpreter has it (3.11+) and
-falls back to a deliberately small TOML-subset parser otherwise — the
-rule files this module defines only need ``[[rule]]`` tables, scalar
-keys, and dotted label keys.  Config errors raise
-:class:`AlertConfigError` (a :class:`ValueError`) with file/line
-context.
+Rule files are parsed with the standard library's :mod:`tomllib`.
+Config errors raise :class:`AlertConfigError` (a :class:`ValueError`)
+with file/line context.
 """
 
 from __future__ import annotations
 
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.obs.timeline import Timeline
-
-try:  # Python 3.11+
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - exercised on 3.9/3.10 CI
-    _tomllib = None
 
 #: Where :func:`load_rules` looks when no path is given.
 DEFAULT_RULES_PATH = Path(".encore") / "alerts.toml"
@@ -71,88 +64,6 @@ STATS = ("rate", "delta", "value", "change", "count", "mean", "p50", "p99")
 
 class AlertConfigError(ValueError):
     """An alert rule file failed to parse or validate."""
-
-
-# ---------------------------------------------------------------------------
-# TOML-subset fallback parser
-# ---------------------------------------------------------------------------
-
-
-def _parse_scalar(raw: str, lineno: int) -> object:
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if raw.startswith("'") and raw.endswith("'") and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise AlertConfigError(
-            f"line {lineno}: cannot parse value {raw!r}"
-        ) from None
-
-
-def _parse_minitoml(text: str) -> Dict[str, object]:
-    """Parse the TOML subset alert files use.
-
-    Supports ``[[table]]`` array-of-tables headers, ``[table]``
-    headers, bare/dotted keys, and string/int/float/bool scalars.
-    Inline tables, arrays, multi-line strings and datetimes are out of
-    scope — :func:`load_rules` prefers the stdlib parser when present.
-    """
-    root: Dict[str, object] = {}
-    current: Dict[str, object] = root
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise AlertConfigError(f"line {lineno}: malformed table header")
-            name = line[2:-2].strip()
-            bucket = root.setdefault(name, [])
-            if not isinstance(bucket, list):
-                raise AlertConfigError(
-                    f"line {lineno}: {name!r} is both a table and an array"
-                )
-            current = {}
-            bucket.append(current)
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise AlertConfigError(f"line {lineno}: malformed table header")
-            name = line[1:-1].strip()
-            existing = root.setdefault(name, {})
-            if not isinstance(existing, dict):
-                raise AlertConfigError(
-                    f"line {lineno}: {name!r} is both an array and a table"
-                )
-            current = existing
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise AlertConfigError(f"line {lineno}: expected 'key = value'")
-        # strip a trailing comment outside quotes
-        value = value.strip()
-        if not (value.startswith('"') or value.startswith("'")):
-            value = value.split("#", 1)[0]
-        target = current
-        parts = [p.strip() for p in key.strip().split(".")]
-        for part in parts[:-1]:
-            nxt = target.setdefault(part, {})
-            if not isinstance(nxt, dict):
-                raise AlertConfigError(
-                    f"line {lineno}: key {part!r} conflicts with a scalar"
-                )
-            target = nxt
-        target[parts[-1]] = _parse_scalar(value, lineno)
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +222,10 @@ def _rule_from_table(table: Mapping, index: int) -> AlertRule:
 
 def parse_rules(text: str, source: str = "<string>") -> List[AlertRule]:
     """Parse rule-file text into validated :class:`AlertRule` objects."""
-    if _tomllib is not None:
-        try:
-            data = _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise AlertConfigError(f"{source}: {exc}") from exc
-    else:
-        try:
-            data = _parse_minitoml(text)
-        except AlertConfigError as exc:
-            raise AlertConfigError(f"{source}: {exc}") from exc
+    try:
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise AlertConfigError(f"{source}: {exc}") from exc
     tables = data.get("rule", [])
     if not isinstance(tables, list):
         raise AlertConfigError(f"{source}: 'rule' must be an array of tables")

@@ -26,12 +26,14 @@ when it is needed.  A live daemon can be snapshotted too: pass *fetch*
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import io
 import json
 import re
 import tarfile
 import time
+import zlib
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -277,19 +279,23 @@ def check_bundle(path: Union[str, Path]) -> Dict[str, object]:
     disk, so checking an untrusted bundle is safe.
     """
     bundle = Path(path)
+    blobs: Dict[str, bytes] = {}
     try:
-        archive = tarfile.open(bundle, "r:gz")
-    except (OSError, tarfile.TarError) as exc:
-        raise DoctorError(f"cannot open bundle {bundle}: {exc}")
-    with archive:
-        blobs: Dict[str, bytes] = {}
-        for member in archive.getmembers():
-            if not member.isfile():
-                raise DoctorError(
-                    f"bundle member {member.name!r} is not a regular file"
-                )
-            handle = archive.extractfile(member)
-            blobs[member.name] = handle.read() if handle is not None else b""
+        # Decompress the whole stream up front: gzip checks its CRC and
+        # length trailer only at end of stream, which a tar reader that
+        # stops at the end-of-archive marker never reaches.  A flipped
+        # byte can surface anywhere in here, as any of these errors.
+        data = gzip.decompress(bundle.read_bytes())
+        with tarfile.open(fileobj=io.BytesIO(data), mode="r:") as archive:
+            for member in archive.getmembers():
+                if not member.isfile():
+                    raise DoctorError(
+                        f"bundle member {member.name!r} is not a regular file"
+                    )
+                handle = archive.extractfile(member)
+                blobs[member.name] = handle.read() if handle is not None else b""
+    except (OSError, EOFError, zlib.error, tarfile.TarError) as exc:
+        raise DoctorError(f"cannot open bundle {bundle}: {exc}") from exc
     raw_manifest = blobs.pop("manifest.json", None)
     if raw_manifest is None:
         raise DoctorError("bundle has no manifest.json")

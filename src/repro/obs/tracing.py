@@ -269,7 +269,7 @@ class Tracer:
     def snapshot(self, **meta: object) -> dict:
         """Everything a coordinator needs to adopt this tracer's spans.
 
-        Shipped back on ``ShardResult``/``CheckResult``: the span forest
+        Shipped back on ``ShardResult``: the span forest
         in wire form (absolute local timestamps), this process' epoch↔
         clock anchor, and the remote parent the forest re-parents under.
         """
@@ -419,8 +419,8 @@ def current_context() -> Optional[TraceContext]:
 
     ``span_id`` is the innermost open span — what a task frame built
     right now should name as its remote parent.  This is what
-    ``engine/sharding.py`` and ``engine/batch.py`` serialise into ENCB
-    payloads, and what structured log records join traces through.
+    ``engine/sharding.py`` serialises into ENCB task payloads, and what
+    structured log records join traces through.
     """
     tracer = get_tracer()
     if tracer is None:

@@ -2,8 +2,8 @@
 
 Covers the PR's alerting layer end to end:
 
-* rule-file parsing — stdlib TOML and the 3.9/3.10 fallback subset
-  parser, validation errors, per-kind defaults;
+* rule-file parsing — TOML syntax and validation errors, per-kind
+  defaults;
 * :class:`~repro.obs.alerts.AlertEngine` — every rule kind, ``for_s``
   debounce, firing→resolved lifecycle, no-data semantics, provenance;
 * :class:`~repro.obs.health.HealthMonitor` — ticking, listeners, the
@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.obs.alerts as alerts_mod
 from repro.cli import main
 from repro.obs.alerts import (
     AlertConfigError,
@@ -31,7 +30,6 @@ from repro.obs.alerts import (
     load_rules,
     parse_rules,
     render_incidents,
-    _parse_minitoml,
 )
 from repro.obs.health import (
     HealthMonitor,
@@ -86,51 +84,6 @@ def _no_global_monitor():
 # -- TOML parsing ---------------------------------------------------------------
 
 
-class TestMiniToml:
-    def test_parses_the_rule_file_subset(self):
-        data = _parse_minitoml(RULES_TOML)
-        rules = data["rule"]
-        assert len(rules) == 3
-        assert rules[0]["name"] == "error-burn"
-        assert rules[0]["labels"] == {"status": "500"}
-        assert rules[0]["objective"] == 0.99
-        assert rules[0]["window_s"] == 60
-        assert rules[2]["for_s"] == 30
-
-    def test_scalar_types(self):
-        data = _parse_minitoml(
-            's = "text"\nq = \'raw\'\nb = true\nn = 7\nf = 1.5\n'
-            "c = 3 # trailing comment\n"
-        )
-        assert data == {
-            "s": "text", "q": "raw", "b": True, "n": 7, "f": 1.5, "c": 3,
-        }
-
-    def test_plain_table_header(self):
-        data = _parse_minitoml("[meta]\nowner = \"sre\"\n")
-        assert data == {"meta": {"owner": "sre"}}
-
-    def test_malformed_header_rejected(self):
-        with pytest.raises(AlertConfigError, match="line 1"):
-            _parse_minitoml("[[rule\n")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(AlertConfigError, match="key = value"):
-            _parse_minitoml("[[rule]]\nname\n")
-
-    def test_unparseable_scalar_rejected(self):
-        with pytest.raises(AlertConfigError, match="cannot parse"):
-            _parse_minitoml("x = [1, 2]\n")
-
-    def test_fallback_parses_same_rules_as_stdlib(self, monkeypatch):
-        with_stdlib = parse_rules(RULES_TOML)
-        monkeypatch.setattr(alerts_mod, "_tomllib", None)
-        with_fallback = parse_rules(RULES_TOML)
-        assert [r.to_dict() for r in with_fallback] == [
-            r.to_dict() for r in with_stdlib
-        ]
-
-
 class TestRuleParsing:
     def test_valid_file_round_trips(self, tmp_path):
         path = tmp_path / "alerts.toml"
@@ -142,6 +95,11 @@ class TestRuleParsing:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(AlertConfigError, match="not found"):
             load_rules(tmp_path / "absent.toml")
+
+    @pytest.mark.parametrize("text", ["[[rule\n", "[[rule]]\nname\n"])
+    def test_toml_syntax_error_is_config_error(self, text):
+        with pytest.raises(AlertConfigError, match=r"rules\.toml: .*line"):
+            parse_rules(text, source="rules.toml")
 
     def test_duplicate_names_rejected(self):
         text = RULES_TOML + "\n[[rule]]\nname = \"drift\"\nkind = \"drift_psi\"\n"

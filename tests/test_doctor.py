@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import tarfile
 
 import pytest
@@ -185,8 +186,14 @@ class TestDoctorCli:
         assert main(["doctor"]) == 0
         capsys.readouterr()
         bundle = tmp_path / ".encore" / "doctor-bundle.tar.gz"
-        raw = bytearray(bundle.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        bundle.write_bytes(bytes(raw))
-        assert main(["doctor", "check"]) == 1
-        assert "bundle check failed" in capsys.readouterr().err
+        pristine = bundle.read_bytes()
+        # Past the gzip header's mtime/OS/file-name fields, which carry
+        # no content: every later byte is covered by deflate or the CRC.
+        body_start = pristine.index(b"\x00", 10) + 1
+        positions = random.Random(0).sample(range(body_start, len(pristine)), 32)
+        for position in positions:
+            raw = bytearray(pristine)
+            raw[position] ^= 0xFF
+            bundle.write_bytes(bytes(raw))
+            assert main(["doctor", "check"]) == 1, position
+            assert "bundle check failed" in capsys.readouterr().err, position

@@ -25,8 +25,21 @@ from repro.engine import (
     render_stage_graph,
     stage_graph,
 )
+from repro.engine import codec
 from repro.engine.artifacts import ShardResult
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+
+
+def _root_owned_datadir(image, image_id):
+    """A copy of *image* whose MySQL datadir is owned by root."""
+    broken = image.copy(image_id)
+    datadir = None
+    for line in broken.config_file("mysql").text.splitlines():
+        if line.strip().startswith("datadir"):
+            datadir = line.split("=", 1)[1].strip()
+    assert datadir
+    broken.fs.chown(datadir, owner="root", group="root")
+    return broken
 
 
 @pytest.fixture(scope="module")
@@ -278,26 +291,36 @@ class TestArtifacts:
         assert restored == partial
         assert restored.finalize().fingerprint() == partial.finalize().fingerprint()
 
-    def test_shard_result_round_trip(self, assembled):
-        result = ShardResult(
-            partial=PartialDataset.from_systems(assembled[:3]),
-            metrics={"metrics": []},
-            shard_index=2,
+    def test_shard_result_round_trip(self, assembled, serial_model,
+                                     held_out_image):
+        """Both envelope kinds survive the worker→coordinator wire form."""
+        rows = assembled[:3]
+        wire = ShardResult(
+            "assemble", rows, metrics={"metrics": []}, shard_index=2,
+        ).to_bytes()
+        # A tracing-off envelope carries no spans key at all.
+        assert "spans" not in codec.decode(wire)
+        restored = ShardResult.from_bytes(
+            wire, {system.image_id: system.image for system in rows}
         )
-        restored = ShardResult.from_dict(result.to_dict())
         assert restored.shard_index == 2
-        assert restored.partial == result.partial
+        assert PartialDataset.from_systems(restored.items) == (
+            PartialDataset.from_systems(rows)
+        )
+
+        encore, _ = serial_model
+        reports = [encore.check(_root_owned_datadir(held_out_image, "wire-rt"))]
+        assert reports[0].warnings
+        restored = ShardResult.from_bytes(ShardResult("check", reports).to_bytes())
+        assert [r.to_dict() for r in restored.items] == [r.to_dict() for r in reports]
+        # Scores are exact float64 on the wire, not the rounded JSON form.
+        assert [w.score for w in restored.items[0].warnings] == [
+            w.score for w in reports[0].warnings
+        ]
 
     def test_report_round_trip(self, small_corpus, serial_model, held_out_image):
         encore, _ = serial_model
-        broken = held_out_image.copy("artifact-rt")
-        datadir = None
-        for line in broken.config_file("mysql").text.splitlines():
-            if line.strip().startswith("datadir"):
-                datadir = line.split("=", 1)[1].strip()
-        assert datadir
-        broken.fs.chown(datadir, owner="root", group="root")
-        report = encore.check(broken)
+        report = encore.check(_root_owned_datadir(held_out_image, "artifact-rt"))
         restored = report_from_dict(report.to_dict())
         assert restored.image_id == report.image_id
         assert [w.kind for w in restored.warnings] == [

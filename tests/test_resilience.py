@@ -266,82 +266,130 @@ class TestChaosInvariant:
             encore.train(poisoned, workers=2)
 
 
+@pytest.fixture(scope="module")
+def corpus_model(corpus):
+    """A model trained serially on the whole corpus (read-only)."""
+    encore = EnCore(EnCoreConfig(error_policy="strict"))
+    encore.train(corpus)
+    return encore
+
+
+def _encore_for(job, model_source, **config):
+    """A fresh EnCore for *job*; check jobs carry *model_source*'s model."""
+    from repro.core.persistence import model_to_dict
+
+    encore = EnCore(EnCoreConfig(**config))
+    if job == "check":
+        encore.load_model_data(
+            json.loads(json.dumps(model_to_dict(model_source.model)))
+        )
+    return encore
+
+
+def _run_job(job, encore, images, **kwargs):
+    """Train on or check *images*; returns what two runs must agree on."""
+    if job == "train":
+        return encore.train(images, **kwargs).ruleset_digest()
+    return [report.to_dict() for report in encore.check_stream(images, **kwargs)]
+
+
+def _checker_with(policy, baseline):
+    """A fresh EnCore under *policy*, carrying the baseline's model."""
+    return _encore_for("check", baseline, error_policy=policy)
+
+
 class TestWorkerCrashRecovery:
-    def test_crash_once_recovers_by_retry(self, corpus, fresh_registry, tmp_path):
-        baseline = EnCore(EnCoreConfig(error_policy="strict"))
-        baseline.train(corpus)
-        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
+    """One retry → bisect → quarantine policy, driven through ``train``.
+
+    :class:`TestCheckWorkerCrashRecovery` re-runs every test here through
+    ``check_stream``: the contract is the same for both jobs — output
+    equal to a serial run over the clean subset, exactly the victim
+    quarantined with stage ``worker``.
+    """
+
+    job = "train"
+    #: Counter a worker crash pinned on one image bumps, per job.
+    quarantine_counter = "quarantine.images.total"
+
+    def _baseline(self, images, corpus_model):
+        strict = _encore_for(self.job, corpus_model, error_policy="strict")
+        return _run_job(self.job, strict, images)
+
+    def test_crash_once_recovers_by_retry(self, corpus, corpus_model,
+                                          fresh_registry, tmp_path):
+        baseline = self._baseline(corpus, corpus_model)
+        encore = _encore_for(self.job, corpus_model, error_policy="quarantine")
         encore.retry_policy = fast_retry()
         encore.fault_plan = FaultPlan.crash_once(tmp_path, corpus[5].image_id)
-        model = encore.train(corpus, workers=2)
+        output = _run_job(self.job, encore, corpus, workers=2)
         # the crash burned out on its first firing: nothing quarantined
         assert not encore.quarantine.records
-        assert model.ruleset_digest() == baseline.model.ruleset_digest()
+        assert output == baseline
         assert fresh_registry.total("retry.shards.failed") >= 1
         assert fresh_registry.total("retry.attempts.total") >= 1
         assert fresh_registry.total("retry.recovered.total") >= 1
 
-    def test_crash_always_bisects_to_the_image(self, corpus, fresh_registry,
-                                               tmp_path):
+    def test_crash_always_bisects_to_the_image(self, corpus, corpus_model,
+                                               fresh_registry, tmp_path):
         victim = corpus[5].image_id
         clean = [image for image in corpus if image.image_id != victim]
-        baseline = EnCore(EnCoreConfig(error_policy="strict"))
-        baseline.train(clean)
-        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
+        baseline = self._baseline(clean, corpus_model)
+        encore = _encore_for(self.job, corpus_model, error_policy="quarantine")
         encore.retry_policy = fast_retry(max_attempts=2)
         encore.fault_plan = FaultPlan.crash_always(tmp_path, victim)
-        model = encore.train(corpus, workers=2)
+        output = _run_job(self.job, encore, corpus, workers=2)
         # exactly the poisoned image is quarantined, as a worker fault
         assert encore.quarantine.image_ids() == [victim]
         assert encore.quarantine.records[0].stage == "worker"
-        assert model.ruleset_digest() == baseline.model.ruleset_digest()
+        assert output == baseline
         assert fresh_registry.total("retry.bisections.total") >= 1
-        assert fresh_registry.total("quarantine.images.total") == 1
+        assert fresh_registry.total(self.quarantine_counter) == 1
 
-    def test_crash_always_under_strict_propagates(self, corpus, tmp_path):
-        encore = EnCore(EnCoreConfig(error_policy="strict"))
+    def test_crash_always_under_strict_propagates(self, corpus, corpus_model,
+                                                  tmp_path):
+        encore = _encore_for(self.job, corpus_model, error_policy="strict")
         encore.retry_policy = fast_retry(max_attempts=2)
         encore.fault_plan = FaultPlan.crash_always(tmp_path, corpus[5].image_id)
         with pytest.raises(RECOVERABLE):
-            encore.train(corpus, workers=2)
+            _run_job(self.job, encore, corpus, workers=2)
 
-    def test_serial_fault_is_contained_in_process(self, corpus, tmp_path):
+    def test_serial_fault_is_contained_in_process(self, corpus, corpus_model,
+                                                  tmp_path):
         """On the serial path the same plan raises instead of killing us."""
-        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
-        encore.fault_plan = FaultPlan.crash_always(tmp_path, corpus[5].image_id)
-        model = encore.train(corpus, workers=1)
-        assert encore.quarantine.image_ids() == [corpus[5].image_id]
+        victim = corpus[5].image_id
+        clean = [image for image in corpus if image.image_id != victim]
+        baseline = self._baseline(clean, corpus_model)
+        encore = _encore_for(self.job, corpus_model, error_policy="quarantine")
+        encore.fault_plan = FaultPlan.crash_always(tmp_path, victim)
+        output = _run_job(self.job, encore, corpus, workers=1)
+        assert encore.quarantine.image_ids() == [victim]
         assert encore.quarantine.records[0].stage == "worker"
-        assert len(model.dataset) == len(corpus) - 1
+        assert output == baseline
 
-    def test_hang_recovers_via_shard_timeout(self, corpus, fresh_registry,
-                                             tmp_path):
+    def test_hang_recovers_via_shard_timeout(self, corpus, corpus_model,
+                                             fresh_registry, tmp_path):
         victim = corpus[2].image_id
         subset = corpus[:8]
         clean = [image for image in subset if image.image_id != victim]
-        baseline = EnCore(EnCoreConfig(error_policy="strict"))
-        baseline.train(clean)
-        encore = EnCore(EnCoreConfig(error_policy="quarantine", max_error_rate=0.2))
+        baseline = self._baseline(clean, corpus_model)
+        encore = _encore_for(self.job, corpus_model, error_policy="quarantine",
+                             max_error_rate=0.2)
         encore.retry_policy = fast_retry(max_attempts=1)
         encore.shard_timeout = 1.5
         plan = FaultPlan.hang_always(tmp_path, victim, hang_seconds=30.0)
         encore.fault_plan = plan
         try:
-            model = encore.train(subset, workers=2, chunk_size=4)
+            output = _run_job(self.job, encore, subset, workers=2, chunk_size=4)
         finally:
             plan.stop_hangs()
         assert encore.quarantine.image_ids() == [victim]
         assert encore.quarantine.records[0].stage == "worker"
-        assert model.ruleset_digest() == baseline.model.ruleset_digest()
+        assert output == baseline
 
 
-def _checker_with(policy, baseline):
-    """A fresh EnCore under *policy*, carrying the baseline's model."""
-    from repro.core.persistence import model_to_dict
-
-    encore = EnCore(EnCoreConfig(error_policy=policy))
-    encore.load_model_data(json.loads(json.dumps(model_to_dict(baseline.model))))
-    return encore
+class TestCheckWorkerCrashRecovery(TestWorkerCrashRecovery):
+    job = "check"
+    quarantine_counter = "quarantine.targets.total"
 
 
 class TestCheckQuarantine:
@@ -364,21 +412,6 @@ class TestCheckQuarantine:
         bad = next(image for image in poisoned if image.image_id in ids)
         with pytest.raises(ConfigParseError):
             _checker_with("quarantine", baseline).check(bad)
-
-
-class TestBatchMidStreamFallback:
-    def test_pool_break_finishes_serially(self, corpus, fresh_registry, tmp_path):
-        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
-        encore.train(corpus)
-        encore.quarantine.clear()
-        victim = corpus[10].image_id
-        encore.fault_plan = FaultPlan.crash_always(tmp_path, victim)
-        reports = list(encore.check_stream(corpus, workers=2, chunk_size=5))
-        # the crashing target is quarantined by the in-process fallback,
-        # every other target still gets its report
-        assert len(reports) == len(corpus) - 1
-        assert victim in encore.quarantine.image_ids()
-        assert fresh_registry.total("batch.serial_fallback.total") >= 1
 
 
 class TestCLIResilience:
