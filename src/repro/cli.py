@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -59,7 +60,8 @@ from repro.corpus.generator import Ec2CorpusGenerator
 from repro.corpus.private_cloud import PrivateCloudGenerator
 from repro.obs import configure as configure_logging
 from repro.obs import get_logger, get_registry, render_stats, reset_registry
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.profile import tracing_allocations
+from repro.obs.tracing import Tracer, get_tracer, set_tracer
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import load_image, save_image
 
@@ -165,20 +167,20 @@ def _record_ledger(
     if encore.quarantine.dropped:
         quarantine_meta = dict(encore.quarantine.counts_by_stage())
         quarantine_meta["total"] = encore.quarantine.dropped
-    from repro.obs.profile import get_profiler
+    from repro.obs.profile import profile_digest, profile_tables
 
     profile_meta: Dict[str, object] = {}
-    profiler = get_profiler()
-    if profiler is not None and (profiler.stages or profiler.shards):
-        profile_meta = {
-            "digest": profiler.digest(),
-            "stages": len(profiler.stages),
-            "shards": len(profiler.shards),
-            "max_rss_bytes": max(
-                [int(s.max_rss_bytes) for s in profiler.stages.values()]
-                + [int(s.get("max_rss_bytes", 0)) for s in profiler.shards]
-            ),
-        }
+    tracer = get_tracer()
+    if tracer is not None and tracer.resources:
+        tables = profile_tables(tracer)
+        rows = [*tables["stages"].values(), *tables["shards"]]
+        if rows:
+            profile_meta = {
+                "digest": profile_digest(tables),
+                "stages": len(tables["stages"]),
+                "shards": len(tables["shards"]),
+                "max_rss_bytes": max(int(row["max_rss_bytes"]) for row in rows),
+            }
     from repro.obs.health import get_monitor
 
     incidents_meta: List[Dict[str, object]] = []
@@ -541,22 +543,24 @@ def cmd_profile(args: argparse.Namespace) -> int:
         )
     try:
         doc = load_profile(path)
-    except ValueError as exc:
-        raise SystemExit(f"corrupt profile document {path}: {exc}")
-    if args.format == "json":
-        print(_json.dumps(doc, indent=1, sort_keys=True))
-    elif args.format == "chrome":
-        trace = chrome_trace(doc)
-        if args.out:
-            from repro.obs.fileio import atomic_write_text
-
-            atomic_write_text(args.out, _json.dumps(trace) + "\n")
-            print(f"chrome trace written to {args.out} "
-                  "(load in chrome://tracing or https://ui.perfetto.dev)")
+        if not isinstance(doc, dict):
+            raise TypeError(f"top level is {type(doc).__name__}, not an object")
+        if args.format == "json":
+            rendered = _json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        elif args.format == "chrome":
+            rendered = _json.dumps(chrome_trace(doc)) + "\n"
         else:
-            print(_json.dumps(trace))
+            rendered = render_profile(doc, top=args.top)
+    except (TypeError, ValueError, AttributeError, KeyError) as exc:
+        raise SystemExit(f"corrupt profile document {path}: {exc}")
+    if args.format == "chrome" and args.out:
+        from repro.obs.fileio import atomic_write_text
+
+        atomic_write_text(args.out, rendered)
+        print(f"chrome trace written to {args.out} "
+              "(load in chrome://tracing or https://ui.perfetto.dev)")
     else:
-        print(render_profile(doc, top=args.top), end="")
+        print(rendered, end="")
     return 0
 
 
@@ -942,7 +946,13 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
-def _add_obs_options(parser: argparse.ArgumentParser) -> None:
+def _add_obs_options(parser: argparse.ArgumentParser, profile: bool = True,
+                     alerts: bool = True) -> None:
+    """Observability flags; *profile*/*alerts* only where a run can use them.
+
+    ``--profile`` needs pipeline stages to sample and ``--alerts`` an
+    engine fold loop (or the serve daemon) to tick the monitor.
+    """
     group = parser.add_argument_group("observability")
     group.add_argument("-v", "--verbose", action="count", default=0,
                        help="increase log verbosity (-v info, -vv debug)")
@@ -954,13 +964,14 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
                        help="write a nested-span JSON trace of this run")
     group.add_argument("--metrics", metavar="FILE",
                        help="write the metrics snapshot as JSON ('-' for stdout)")
-    group.add_argument("--profile", metavar="FILE", nargs="?",
-                       const=DEFAULT_PROFILE_PATH,
-                       help="record per-stage wall/CPU/RSS/allocation "
-                            "profiles (including worker shards) and write "
-                            "the profile document here (default: "
-                            f"{DEFAULT_PROFILE_PATH}; render it with "
-                            "'repro profile')")
+    if profile:
+        group.add_argument("--profile", metavar="FILE", nargs="?",
+                           const=DEFAULT_PROFILE_PATH,
+                           help="record per-stage wall/CPU/RSS/allocation "
+                                "profiles (including worker shards) and "
+                                "write the profile document here (default: "
+                                f"{DEFAULT_PROFILE_PATH}; render it with "
+                                "'repro profile')")
     group.add_argument("--ledger", metavar="FILE",
                        help="run-ledger path (default: .encore/ledger.jsonl)")
     group.add_argument("--no-ledger", action="store_true",
@@ -968,16 +979,18 @@ def _add_obs_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--quarantine", metavar="FILE",
                        help="quarantine-log path "
                             "(default: .encore/quarantine.jsonl)")
-    group.add_argument("--alerts", metavar="FILE", nargs="?",
-                       const=DEFAULT_ALERTS_PATH,
-                       help="evaluate alert rules from this TOML file during "
-                            "the run (sampling the metrics registry on a "
-                            "bounded timeline); incidents land in the run "
-                            f"ledger (default file: {DEFAULT_ALERTS_PATH})")
-    group.add_argument("--alerts-interval", type=float, default=5.0,
-                       metavar="S",
-                       help="seconds between timeline samples / rule "
-                            "evaluations (default: 5)")
+    if alerts:
+        group.add_argument("--alerts", metavar="FILE", nargs="?",
+                           const=DEFAULT_ALERTS_PATH,
+                           help="evaluate alert rules from this TOML file "
+                                "during the run (sampling the metrics "
+                                "registry on a bounded timeline); incidents "
+                                "land in the run ledger (default file: "
+                                f"{DEFAULT_ALERTS_PATH})")
+        group.add_argument("--alerts-interval", type=float, default=5.0,
+                           metavar="S",
+                           help="seconds between timeline samples / rule "
+                                "evaluations (default: 5)")
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
@@ -1034,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic corpus")
-    _add_obs_options(p)
+    _add_obs_options(p, profile=False, alerts=False)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
@@ -1098,7 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("ledger", help="show or diff the run ledger")
-    _add_obs_options(p)
+    _add_obs_options(p, profile=False, alerts=False)
     p.add_argument("action", choices=["show", "diff"])
     p.add_argument("refs", nargs="*",
                    help="for diff: two entry refs, each an index (0, -1, ...) "
@@ -1151,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the HTTP detection service over a model snapshot"
     )
-    _add_obs_options(p)
+    _add_obs_options(p, profile=False)
     p.add_argument("--snapshot", required=True,
                    help="model snapshot to serve (from 'train --model')")
     p.add_argument("--host", default="127.0.0.1")
@@ -1192,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "quarantine", help="list images dropped by the error policy"
     )
-    _add_obs_options(p)
+    _add_obs_options(p, profile=False, alerts=False)
     p.add_argument("action", choices=["show"])
     p.add_argument("--all", action="store_true",
                    help="every recorded run, not just the most recent")
@@ -1268,22 +1281,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(verbosity=verbosity,
                       json_lines=getattr(args, "log_json", False))
     reset_registry()
+    profile = getattr(args, "profile", None)
     tracer: Optional[Tracer] = None
-    if getattr(args, "trace", None):
-        tracer = Tracer()
-        set_tracer(tracer)
-    profiler = None
-    if getattr(args, "profile", None):
-        from repro.obs.profile import StageProfiler, set_profiler
-
-        profiler = StageProfiler().start()
-        set_profiler(profiler)
-        if tracer is None:
-            # The profile document embeds the span tree (Chrome export
-            # needs it), so profiling implies an in-memory tracer even
-            # without --trace; it is only saved into the profile.
-            tracer = Tracer()
-            set_tracer(tracer)
+    if getattr(args, "trace", None) or profile:
+        # A profile is derived from the span forest, so profiling implies
+        # an in-memory tracer (sampling resources) even without --trace.
+        tracer = set_tracer(Tracer(resources=bool(profile)))
     flight = None
     if args.command in FLIGHT_COMMANDS:
         # Always-on black box for pipeline runs: closed spans, log
@@ -1293,8 +1296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         flight = set_flight(FlightRecorder())
     monitor = None
-    if (getattr(args, "alerts", None)
-            and args.command not in ("serve", "alerts", "watch")):
+    if getattr(args, "alerts", None) and args.command != "serve":
         # serve builds its own monitor (sampling under its fold lock);
         # here the monitor follows the process registry and is ticked
         # by the engine fold loops (sharded assembly, batch checking).
@@ -1316,7 +1318,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.core.resilience import ErrorBudgetExceeded
 
     try:
-        return args.func(args)
+        with tracing_allocations() if profile else nullcontext():
+            return args.func(args)
     except ErrorBudgetExceeded as exc:
         log.error("run.aborted", error="ErrorBudgetExceeded")
         print(f"error: {exc}", file=sys.stderr)
@@ -1342,22 +1345,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 tracer.save(args.trace)
                 log.info("trace.saved", path=args.trace,
                          spans=len(tracer.roots))
-        if profiler is not None:
-            from repro.obs.profile import (
-                profile_document, save_profile, set_profiler,
-            )
+        if profile:
+            from repro.obs.profile import profile_document, save_profile
 
-            set_profiler(None)
-            profiler.stop()
             doc = profile_document(
-                profiler, tracer,
+                tracer,
                 command=args.command,
                 workers=getattr(args, "workers", 1) or 1,
                 run_seconds=round(time.monotonic() - args._run_started, 6),
             )
-            save_profile(doc, args.profile)
-            log.info("profile.saved", path=args.profile,
-                     stages=len(profiler.stages), shards=len(profiler.shards))
+            save_profile(doc, profile)
+            log.info("profile.saved", path=profile,
+                     stages=len(doc["stages"]), shards=len(doc["shards"]))
         metrics_dest = getattr(args, "metrics", None)
         if metrics_dest:
             snapshot = get_registry().to_json()

@@ -203,22 +203,6 @@ class PartialDataset:
         merged.augmented = self.augmented | other.augmented
         return merged
 
-    def extend(self, other: "PartialDataset") -> "PartialDataset":
-        """In-place ``merge`` (same combine, mutates and returns *self*).
-
-        Left-folding partials through :meth:`merge` re-copies every
-        accumulated counter per partial — quadratic in their count.
-        ``extend`` is linear and produces the identical accumulation.
-        """
-        self.systems.extend(other.systems)
-        for attribute, counter in other.value_counts.items():
-            self.value_counts.setdefault(attribute, Counter()).update(counter)
-        for attribute, counter in other.type_counts.items():
-            self.type_counts.setdefault(attribute, Counter()).update(counter)
-        self.multi_valued |= other.multi_valued
-        self.augmented |= other.augmented
-        return self
-
     def __len__(self) -> int:
         return len(self.systems)
 

@@ -358,7 +358,7 @@ class EnCore:
         model.telemetry["assemble_seconds"] = assemble_span.duration
         model.telemetry["train_seconds"] = train_span.duration
         # Coordinator-process CPU only; worker CPU lives in the profile
-        # document's shard samples (see repro.obs.profile).
+        # document's shard rows (see repro.obs.profile).
         model.telemetry["train_cpu_seconds"] = process_cpu_seconds() - cpu_start
         if workers > 1:
             model.telemetry["assemble_workers"] = float(workers)

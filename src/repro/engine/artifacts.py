@@ -240,12 +240,10 @@ class ShardResult:
     #: Total images dropped, including silent ``skip``-policy drops that
     #: keep no record — what the coordinator's error budget counts.
     dropped: int = 0
-    #: :meth:`repro.obs.profile.StageProfiler.to_dict` snapshot of the
-    #: worker's resource profile; empty unless the coordinator is
-    #: profiling (the payload carries the flag).
-    profile: Dict[str, Any] = field(default_factory=dict)
     #: :meth:`repro.obs.tracing.Tracer.snapshot` of the worker's span
-    #: forest; empty unless the payload shipped a trace context.
+    #: forest; empty unless the payload shipped a trace context.  On a
+    #: profiled run its spans carry resource attributes, and its
+    #: ``{kind}.shard`` root becomes the profile's shard row.
     spans: Dict[str, Any] = field(default_factory=dict)
     #: :meth:`repro.obs.model.DriftMonitor.to_dict` snapshot of a check
     #: worker's observations; the coordinator folds it so the drift
@@ -272,7 +270,6 @@ class ShardResult:
             "shard_index": self.shard_index,
             "quarantine": list(self.quarantine),
             "dropped": self.dropped,
-            "profile": dict(self.profile),
         }
         if self.spans:
             out["spans"] = dict(self.spans)
@@ -304,7 +301,6 @@ class ShardResult:
             shard_index=int(decoded.get("shard_index", 0)),
             quarantine=[dict(r) for r in decoded.get("quarantine", ())],
             dropped=int(decoded.get("dropped", 0)),
-            profile=dict(decoded.get("profile", {})),
             spans=dict(decoded.get("spans", {})),
             drift=dict(decoded.get("drift", {})),
         )

@@ -66,6 +66,7 @@ sharded runs report the same telemetry totals as serial ones.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -101,13 +102,14 @@ from repro.obs.metrics import (
     merge_snapshot,
     use_registry,
 )
-from repro.obs.profile import (
-    StageProfiler,
-    get_profiler,
-    merge_profile_snapshot,
-    set_profiler,
+from repro.obs.profile import tracing_allocations
+from repro.obs.tracing import (
+    current_context,
+    get_tracer,
+    merge_remote_spans,
+    span,
+    use_tracer,
 )
-from repro.obs.tracing import current_context, merge_remote_spans, span, use_tracer
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import image_from_dict
 
@@ -225,67 +227,57 @@ def _run_shard(task: bytes) -> bytes:
     records accumulated by the worker's error policy ride back on the
     result.  The pipeline (and, for checks, the installed model) is
     cached per worker process (:mod:`repro.engine.pool`) and reset per
-    shard.
+    shard.  A profiled task samples resources on the worker's spans and
+    traces allocations for the shard's duration.
     """
     payload = codec.decode(task)
     kind, shard_index = payload["kind"], payload["shard_index"]
     tracer = worker_tracer(payload, shard_index)
     with use_registry(MetricsRegistry()), (
         use_tracer(tracer) if tracer is not None else nullcontext()
-    ):
-        profiler = None
-        if payload.get("profile"):
-            profiler = set_profiler(StageProfiler().start())
-        try:
-            encore = worker_encore(payload["config"], payload["config_digest"])
-            if kind == "check":
-                worker_install_model(encore, payload["model"], payload["model_digest"])
-            attach_worker_cache(encore.assembler, payload.get("cache"))
-            if payload.get("faults"):
-                from repro.testing.faults import FaultPlan
+    ), (tracing_allocations() if payload.get("profile") else nullcontext()):
+        encore = worker_encore(payload["config"], payload["config_digest"])
+        if kind == "check":
+            worker_install_model(encore, payload["model"], payload["model_digest"])
+        attach_worker_cache(encore.assembler, payload.get("cache"))
+        if payload.get("faults"):
+            from repro.testing.faults import FaultPlan
 
-                encore.assembler.fault_hook = (
-                    FaultPlan.from_dict(payload["faults"]).hook
-                )
-            images = decode_task_images(payload, encore.assembler, shard_index)
-            # The shard-root span goes through the tracer directly, not
-            # the module-level span(): it only exists when a context was
-            # shipped, and must not observe histograms a tracing-off run
-            # would lack (metrics stay identical either way).
-            shard_span = (
-                tracer.span(f"{kind}.shard", shard=shard_index, items=len(images))
-                if tracer is not None else nullcontext()
+            encore.assembler.fault_hook = (
+                FaultPlan.from_dict(payload["faults"]).hook
             )
-            shard_sample = (
-                profiler.shard(kind, shard_index, items=len(images))
-                if profiler is not None else nullcontext()
-            )
-            with shard_span, shard_sample:
-                if kind == "check":
-                    items: List[Any] = [
-                        report for report in map(encore._check_guarded, images)
-                        if report is not None
-                    ]
-                else:
-                    items = encore.assembler.assemble_partial(
-                        images, shard_index=shard_index
-                    ).systems
-            drift = encore.drift if kind == "check" else None
-            return ShardResult(
-                kind=kind,
-                items=items,
-                metrics=get_registry().to_dict(),
-                shard_index=shard_index,
-                quarantine=encore.quarantine.to_dicts(),
-                dropped=encore.quarantine.dropped,
-                profile=profiler.to_dict() if profiler is not None else {},
-                spans=tracer.snapshot(shard=shard_index) if tracer is not None else {},
-                drift=drift.to_dict() if drift is not None else {},
-            ).to_bytes()
-        finally:
-            if profiler is not None:
-                set_profiler(None)
-                profiler.stop()
+        images = decode_task_images(payload, encore.assembler, shard_index)
+        # The shard-root span goes through the tracer directly, not
+        # the module-level span(): it only exists when a context was
+        # shipped, and must not observe histograms a tracing-off run
+        # would lack (metrics stay identical either way).
+        with (
+            tracer.span(f"{kind}.shard", shard=shard_index, items=len(images))
+            if tracer is not None else nullcontext()
+        ):
+            if kind == "check":
+                items: List[Any] = [
+                    report for report in map(encore._check_guarded, images)
+                    if report is not None
+                ]
+            else:
+                items = encore.assembler.assemble_partial(
+                    images, shard_index=shard_index
+                ).systems
+        drift = encore.drift if kind == "check" else None
+        return ShardResult(
+            kind=kind,
+            items=items,
+            metrics=get_registry().to_dict(),
+            shard_index=shard_index,
+            quarantine=encore.quarantine.to_dicts(),
+            dropped=encore.quarantine.dropped,
+            spans=(
+                tracer.snapshot(shard=shard_index, pid=os.getpid())
+                if tracer is not None else {}
+            ),
+            drift=drift.to_dict() if drift is not None else {},
+        ).to_bytes()
 
 
 class _ShardExecutor:
@@ -299,8 +291,8 @@ class _ShardExecutor:
     (``_inline_items``).
     """
 
-    #: Task kind — also names the worker's ``{kind}.shard`` span, its
-    #: profiler shard sample and the ``{kind}.shards.total`` counter.
+    #: Task kind — also names the worker's ``{kind}.shard`` span (a
+    #: profile's shard row) and the ``{kind}.shards.total`` counter.
     kind = ""
     #: Counter bumped when bisection pins a crash on a single image.
     quarantine_counter = ""
@@ -356,13 +348,14 @@ class _ShardExecutor:
             payload["model"], payload["model_digest"] = self.model_bytes
         if self.fault_plan is not None:
             payload["faults"] = self.fault_plan.to_dict()
-        if get_profiler() is not None:
-            payload["profile"] = True
-        context = current_context()
-        if context is not None:
+        tracer = get_tracer()
+        if tracer is not None:
             # Propagate the coordinator's trace identity: the worker
-            # re-parents its span forest under the span active here.
-            payload["trace"] = context.to_dict()
+            # re-parents its span forest under the span active here,
+            # and samples resources on it when the coordinator does.
+            payload["trace"] = current_context().to_dict()
+            if tracer.resources:
+                payload["profile"] = True
         if self.cache is not None and self.cache.root is not None:
             # Assembly workers only store: the coordinator's pre-pass
             # already resolved every hit.  Check workers look up too.
@@ -382,15 +375,13 @@ class _ShardExecutor:
     def _fold(self, result: ShardResult, shard: bool = True) -> None:
         """Fold one result's telemetry and quarantine into the coordinator.
 
-        Shard merges are associative, so totals (metrics, drift, profile)
+        Shard merges are associative, so totals (metrics, spans, drift)
         match a serial run exactly.  ``shard=False`` is for bisection
         sub-runs: their telemetry folds as they finish, but the chunk is
         counted once, when its joined result folds.
         """
         if result.metrics:
             merge_snapshot(result.metrics)
-        if result.profile:
-            merge_profile_snapshot(result.profile)
         if result.spans:
             merge_remote_spans(result.spans)
         if self.drift is not None and result.drift:

@@ -15,7 +15,6 @@ resumed in another process or on another host.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -160,32 +159,6 @@ class StageEngine:
         return self.encore.check_stream(
             images, workers=self.workers, chunk_size=self.chunk_size
         )
-
-    # -- profiling -------------------------------------------------------------
-
-    @contextmanager
-    def profiled(self):
-        """Profile every stage run inside the ``with`` body.
-
-        Installs a :class:`~repro.obs.profile.StageProfiler` (restoring
-        any previous one on exit) so each stage boundary — including
-        worker processes of sharded stages, whose snapshots fold back
-        automatically — records wall/CPU/RSS/allocation samples::
-
-            with engine.profiled() as profiler:
-                engine.train(images)
-            print(render_profile(profile_document(profiler)))
-        """
-        from repro.obs.profile import StageProfiler, get_profiler, set_profiler
-
-        previous = get_profiler()
-        profiler = StageProfiler().start()
-        set_profiler(profiler)
-        try:
-            yield profiler
-        finally:
-            set_profiler(previous)
-            profiler.stop()
 
     # -- internals -------------------------------------------------------------
 

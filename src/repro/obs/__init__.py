@@ -13,10 +13,10 @@ Three cooperating layers, all dependency-free:
   (the evidence record behind every learned rule) and
   :class:`DriftMonitor` (checked-fleet vs. training-corpus
   distribution drift, PSI/KL per attribute);
-* :mod:`repro.obs.profile` — per-stage resource profiling
-  (:class:`StageProfiler`: wall/CPU/RSS/allocation peaks, mergeable
-  across worker processes) with JSON, Chrome ``trace_event`` and text
-  exports;
+* :mod:`repro.obs.profile` — per-stage and per-shard resource tables
+  (wall/CPU/RSS/allocation peaks) derived from the spans of a
+  resource-sampling :class:`Tracer`, with JSON, Chrome ``trace_event``
+  and text exports;
 * :mod:`repro.obs.ledger` — the append-only run ledger every CLI
   train/check/audit run records into, with :func:`diff_entries` for
   run-over-run regression comparison;
@@ -28,8 +28,7 @@ Three cooperating layers, all dependency-free:
   trace / metrics / ledger file the layer writes;
 * :mod:`repro.obs.timeline` — bounded ring-buffer time-series of
   registry samples (:class:`Timeline` + :class:`TimelineSampler`),
-  associatively mergeable across shards, with windowed rate / delta /
-  percentile queries;
+  with windowed rate / delta / percentile queries;
 * :mod:`repro.obs.alerts` — declarative alert rules
   (``.encore/alerts.toml``) evaluated against the timeline by
   :class:`AlertEngine`, producing :class:`Incident` records with a
@@ -96,14 +95,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.timeline import Timeline, TimelineSampler
 from repro.obs.profile import (
-    StageProfile,
-    StageProfiler,
     chrome_trace,
-    get_profiler,
-    merge_profile_snapshot,
     profile_document,
+    profile_tables,
     render_profile,
-    set_profiler,
 )
 from repro.obs.tracing import (
     Span,
@@ -137,8 +132,6 @@ __all__ = [
     "MetricsRegistry",
     "Provenance",
     "Span",
-    "StageProfile",
-    "StageProfiler",
     "StructuredLogger",
     "Timeline",
     "TimelineSampler",
@@ -157,21 +150,19 @@ __all__ = [
     "get_flight",
     "get_logger",
     "get_monitor",
-    "get_profiler",
     "get_registry",
     "get_tracer",
     "load_rules",
     "parse_rules",
-    "merge_profile_snapshot",
     "merge_remote_spans",
     "merge_snapshot",
     "profile_document",
+    "profile_tables",
     "render_profile",
     "render_stats",
     "reset_registry",
     "set_flight",
     "set_monitor",
-    "set_profiler",
     "set_registry",
     "set_tracer",
     "span",

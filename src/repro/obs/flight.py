@@ -9,11 +9,6 @@ at ≤2% on a full check pass) and bounded by construction, so a
 months-long serve daemon holds exactly ``capacity`` entries per ring no
 matter how much traffic it saw.
 
-Dumps are mergeable like the metrics timeline: :meth:`merge` unions two
-dumps per ring, ordered by timestamp, and keeps the newest ``capacity``
-entries — an associative fold, so combining recorder dumps from several
-processes in any grouping yields the same recent history.
-
 Hook points (all optional — everything no-ops until a recorder is
 installed via :func:`set_flight`):
 
@@ -35,7 +30,7 @@ import logging
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, Mapping, Optional, Union
 
 from repro.obs.timeline import Ring
 
@@ -145,47 +140,6 @@ class FlightRecorder:
             for name, ring in self._rings.items():
                 out[name] = [dict(entry) for _, entry in ring]
         return out
-
-    def merge(self, data: Mapping) -> None:
-        """Fold another dump in: union per ring, keep the newest entries.
-
-        Ordered by each entry's ``t`` (stable on ties), truncated to
-        ``capacity`` from the newest end — the same associative
-        "recent history wins" fold the metrics timeline uses.
-        """
-        if not data:
-            return
-        with self._lock:
-            for name in RING_NAMES:
-                incoming = data.get(name) or []
-                if not incoming:
-                    continue
-                combined: List[tuple] = list(self._rings[name])
-                combined.extend(
-                    (float(entry.get("t", 0.0)), dict(entry))
-                    for entry in incoming
-                    if isinstance(entry, Mapping)
-                )
-                combined.sort(key=lambda item: item[0])
-                fresh = Ring(self.capacity)
-                for item in combined[-self.capacity:]:
-                    fresh.append(item)
-                self._rings[name] = fresh
-            for name, count in (data.get("totals") or {}).items():
-                if name in self._totals:
-                    try:
-                        self._totals[name] += int(count)
-                    except (TypeError, ValueError):
-                        continue
-
-    @classmethod
-    def from_dict(cls, data: Mapping,
-                  capacity: Optional[int] = None) -> "FlightRecorder":
-        recorder = cls(capacity=capacity or int(data.get("capacity", DEFAULT_CAPACITY)))
-        recorder.merge(data)
-        # merge() added the dump's totals on top of zero, which is what
-        # a restored recorder should report — nothing else to fix up.
-        return recorder
 
     def save(self, path: Union[str, Path]) -> Path:
         """Atomic JSON dump (tmp + replace, parents created)."""

@@ -8,7 +8,7 @@ Glues the three timeline pieces together for every execution mode:
   process-globally via :func:`set_monitor` and the engine fold loops
   call the module-level :func:`maybe_tick` — a cheap no-op unless a
   monitor is installed *and* its interval elapsed (the same pattern
-  the stage profiler uses with ``get_profiler``);
+  :func:`~repro.obs.flight.get_flight` uses for span and log hooks);
 * listeners registered with :meth:`on_transition` receive
   ``(event, incident)`` after each evaluation — the serve daemon uses
   one to append ``serve.alert`` ledger entries, the CLI to log.
@@ -159,7 +159,7 @@ class HealthMonitor:
 
 
 # ---------------------------------------------------------------------------
-# Process-global monitor (mirrors the profiler's get/set pattern)
+# Process-global monitor (mirrors the flight recorder's get/set pattern)
 # ---------------------------------------------------------------------------
 
 _monitor: Optional[HealthMonitor] = None

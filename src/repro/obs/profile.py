@@ -1,27 +1,27 @@
-"""Per-stage resource profiling: wall time, CPU time, RSS, allocation peaks.
+"""Per-stage and per-shard resource profiles, derived from the span forest.
 
 The metrics layer answers *what the pipeline did* (counters, coverage);
-this module answers *where the resources went*.  A :class:`StageProfiler`
-taps the same :func:`repro.obs.tracing.span` boundaries the tracer uses
-— install one with :func:`set_profiler` (the CLI's ``--profile`` does
-this) and every span records, keyed by stage name:
+this module answers *where the resources went*.  A profiled run is a
+traced run: the CLI's ``--profile`` installs a
+:class:`~repro.obs.tracing.Tracer` built with ``resources=True``, and
+every span it closes carries three resource attributes beside its wall
+time:
 
-* wall seconds (the tracer's clock, injectable for tests);
-* CPU seconds (``os.times`` user+system of *this* process only, so
-  worker CPU is never double-counted when worker profiles fold back);
-* peak RSS (``resource.getrusage`` high-water mark, in bytes);
-* ``tracemalloc`` allocation peak over the stage (when tracing is on —
-  the profiler starts it by default and stops it when uninstalled).
+* ``cpu_s`` — CPU seconds (``os.times`` user+system of *this* process
+  only, so worker CPU is never double-counted: it arrives on the
+  workers' own spans);
+* ``max_rss_bytes`` — peak RSS (``resource.getrusage`` high-water mark);
+* ``alloc_peak_bytes`` — ``tracemalloc`` allocation peak over the span
+  (0 unless allocations are traced — see :func:`tracing_allocations`).
 
-Worker processes (sharded assembly, batch checking) build their own
-profiler when the shard payload asks for one, wrap the whole shard in a
-:meth:`StageProfiler.shard` sample, and ship :meth:`StageProfiler.to_dict`
-back on the shard result; the coordinator folds those snapshots with
-:func:`merge_profile_snapshot`.  Both the per-stage fold
-(:meth:`StageProfile.merge`: sums for wall/CPU/calls, maxima for memory
-peaks) and the shard-sample fold (list concatenation) are associative,
-so a profile is complete and order-independent at any ``--workers N`` —
-the same merge discipline as metrics and drift.
+Sharded stages need no side channel.  A worker samples too when its
+task frame asks, its ``{kind}.shard`` root span carries ``shard``,
+``items`` and the resource attributes, and the forest ships back on the
+shard result like any traced run's.  :func:`profile_tables` folds the
+coordinator roots plus those remote forests into the two tables every
+surface reads: ``stages`` (per span name: summed wall/CPU/calls,
+maximum peaks) and ``shards`` (one row per worker ``{kind}.shard``
+root).
 
 Three export surfaces (see ``docs/observability.md``):
 
@@ -38,11 +38,10 @@ import hashlib
 import json
 import os
 import sys
-import time
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
 try:
     import resource as _resource
@@ -51,18 +50,18 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 
 #: Synthetic pid the coordinator's spans render under in Chrome traces.
 COORDINATOR_PID = 1
-#: Shard samples render under ``SHARD_PID_BASE + shard_index`` — a pure
-#: function of the shard index, so pids are stable across worker folds
-#: and re-exports (the OS pid of the worker rides along in ``args``).
+#: Worker span forests render under ``SHARD_PID_BASE + shard_index`` — a
+#: pure function of the shard index, so pids are stable across worker
+#: folds and re-exports (the OS pid rides in the forest's ``pid``).
 SHARD_PID_BASE = 100
 
 
 def process_cpu_seconds() -> float:
     """User+system CPU seconds of this process (children excluded).
 
-    Children are deliberately excluded: worker CPU arrives through the
-    workers' own profile snapshots, so including it here would double
-    count every sharded stage.
+    Children are deliberately excluded: worker CPU arrives on the
+    workers' own spans, so including it here would double count every
+    sharded stage.
     """
     times = os.times()
     return times.user + times.system
@@ -77,264 +76,100 @@ def max_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-class StageProfile:
-    """Folded resource totals for one stage name."""
-
-    __slots__ = ("wall_s", "cpu_s", "calls", "max_rss_bytes", "alloc_peak_bytes")
-
-    def __init__(self) -> None:
-        self.wall_s: float = 0.0
-        self.cpu_s: float = 0.0
-        self.calls: int = 0
-        self.max_rss_bytes: int = 0
-        self.alloc_peak_bytes: int = 0
-
-    def record(self, wall_s: float, cpu_s: float, rss: int, alloc: int) -> None:
-        self.wall_s += wall_s
-        self.cpu_s += cpu_s
-        self.calls += 1
-        self.max_rss_bytes = max(self.max_rss_bytes, rss)
-        self.alloc_peak_bytes = max(self.alloc_peak_bytes, alloc)
-
-    def merge(self, other: "StageProfile") -> "StageProfile":
-        """Associative fold: sums for time/calls, maxima for peaks."""
-        self.wall_s += other.wall_s
-        self.cpu_s += other.cpu_s
-        self.calls += other.calls
-        self.max_rss_bytes = max(self.max_rss_bytes, other.max_rss_bytes)
-        self.alloc_peak_bytes = max(self.alloc_peak_bytes, other.alloc_peak_bytes)
-        return self
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "wall_s": round(self.wall_s, 9),
-            "cpu_s": round(self.cpu_s, 9),
-            "calls": self.calls,
-            "max_rss_bytes": self.max_rss_bytes,
-            "alloc_peak_bytes": self.alloc_peak_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "StageProfile":
-        profile = cls()
-        profile.wall_s = float(data.get("wall_s", 0.0))
-        profile.cpu_s = float(data.get("cpu_s", 0.0))
-        profile.calls = int(data.get("calls", 0))
-        profile.max_rss_bytes = int(data.get("max_rss_bytes", 0))
-        profile.alloc_peak_bytes = int(data.get("alloc_peak_bytes", 0))
-        return profile
-
-
-class StageProfiler:
-    """Collects per-stage and per-shard resource samples.
-
-    *clock* and *cpu_clock* are injectable (any ``() -> float``) so tests
-    can assert exact durations; *trace_allocations* starts ``tracemalloc``
-    on :meth:`start` when it is not already running (and :meth:`stop`
-    stops it again only if this profiler started it).
-    """
-
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.perf_counter,
-        cpu_clock: Callable[[], float] = process_cpu_seconds,
-        trace_allocations: bool = True,
-    ) -> None:
-        self.clock = clock
-        self.cpu_clock = cpu_clock
-        self.trace_allocations = trace_allocations
-        self.stages: Dict[str, StageProfile] = {}
-        self.shards: List[Dict[str, object]] = []
-        self.meta: Dict[str, object] = {"pid": os.getpid()}
-        #: Pairs one epoch reading with one profiler-clock reading, so
-        #: shard samples (stamped with epoch times in the worker) can be
-        #: placed on the coordinator's span timeline by the Chrome export.
-        self.anchor: Dict[str, float] = {"epoch": time.time(), "clock": clock()}
-        self._owns_tracemalloc = False
-        self._depth = 0
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def start(self) -> "StageProfiler":
-        if self.trace_allocations and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
-        return self
-
-    def stop(self) -> None:
-        if self._owns_tracemalloc and tracemalloc.is_tracing():
+@contextmanager
+def tracing_allocations() -> Iterator[None]:
+    """Trace allocations for the body; stop only if this call started it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        yield
+    finally:
+        if started:
             tracemalloc.stop()
-        self._owns_tracemalloc = False
-
-    # -- sampling --------------------------------------------------------------
-
-    def _alloc_begin(self) -> int:
-        if not tracemalloc.is_tracing():
-            return -1
-        if self._depth == 0 and hasattr(tracemalloc, "reset_peak"):
-            # Only the outermost frame resets, so a nested stage never
-            # erases the high-water mark its parent is measuring.
-            tracemalloc.reset_peak()
-        traced, _peak = tracemalloc.get_traced_memory()
-        return traced
-
-    def _alloc_end(self, traced_at_entry: int) -> int:
-        if traced_at_entry < 0 or not tracemalloc.is_tracing():
-            return 0
-        _traced, peak = tracemalloc.get_traced_memory()
-        return max(0, peak - traced_at_entry)
-
-    @contextmanager
-    def profile(self, name: str) -> Iterator[None]:
-        """Record one stage execution under *name* (nestable)."""
-        wall0, cpu0 = self.clock(), self.cpu_clock()
-        traced0 = self._alloc_begin()
-        self._depth += 1
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            self.record(
-                name,
-                wall_s=self.clock() - wall0,
-                cpu_s=self.cpu_clock() - cpu0,
-                rss=max_rss_bytes(),
-                alloc=self._alloc_end(traced0),
-            )
-
-    def record(self, name: str, wall_s: float, cpu_s: float = 0.0,
-               rss: int = 0, alloc: int = 0) -> None:
-        self.stages.setdefault(name, StageProfile()).record(wall_s, cpu_s, rss, alloc)
-
-    @contextmanager
-    def shard(self, stage: str, shard_index: int, items: int = 0) -> Iterator[None]:
-        """Record one whole-shard sample (the worker-side wrapper)."""
-        wall0, cpu0 = self.clock(), self.cpu_clock()
-        epoch0 = time.time()
-        traced0 = self._alloc_begin()
-        self._depth += 1
-        try:
-            yield
-        finally:
-            self._depth -= 1
-            self.shards.append({
-                "stage": stage,
-                "shard": int(shard_index),
-                "pid": os.getpid(),
-                "items": int(items),
-                "wall_s": round(self.clock() - wall0, 9),
-                "cpu_s": round(self.cpu_clock() - cpu0, 9),
-                "max_rss_bytes": max_rss_bytes(),
-                "alloc_peak_bytes": self._alloc_end(traced0),
-                "epoch_start": epoch0,
-                "epoch_end": time.time(),
-            })
-
-    # -- fold / serialisation --------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "meta": dict(self.meta),
-            "anchor": dict(self.anchor),
-            "stages": {
-                name: self.stages[name].to_dict() for name in sorted(self.stages)
-            },
-            "shards": [dict(sample) for sample in self.shards],
-        }
-
-    def merge_dict(self, data: Mapping) -> "StageProfiler":
-        """Fold a serialised profile snapshot into this profiler.
-
-        Stage totals merge associatively; shard samples concatenate.
-        The snapshot's meta/anchor are the *worker's* and are dropped —
-        the coordinator keeps its own timeline anchor.
-        """
-        for name, payload in data.get("stages", {}).items():
-            mine = self.stages.setdefault(name, StageProfile())
-            mine.merge(StageProfile.from_dict(payload))
-        self.shards.extend(dict(sample) for sample in data.get("shards", ()))
-        return self
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical stage/shard content (ledger key)."""
-        payload = {
-            "stages": {n: self.stages[n].to_dict() for n in sorted(self.stages)},
-            "shards": self.shards,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
-# -- the process-local active profiler -----------------------------------------
-
-_active_profiler: Optional[StageProfiler] = None
+# -- the profile tables --------------------------------------------------------
 
 
-def get_profiler() -> Optional[StageProfiler]:
-    return _active_profiler
+def profile_tables(tracer) -> Dict[str, object]:
+    """Fold a sampling tracer's span forest into ``stages`` and ``shards``.
 
-
-def set_profiler(profiler: Optional[StageProfiler]) -> Optional[StageProfiler]:
-    """Install (or, with ``None``, remove) the process-local profiler."""
-    global _active_profiler
-    _active_profiler = profiler
-    return profiler
-
-
-def merge_profile_snapshot(data: Mapping) -> Optional[StageProfiler]:
-    """Fold a worker's profile snapshot into the active profiler.
-
-    No-op (returning ``None``) when profiling is off — shard results
-    always carry their snapshot field, active or not.
+    Every span — coordinator roots and adopted worker forests alike —
+    adds its wall time, CPU and one call to its name's ``stages`` row,
+    whose peaks are maxima.  A worker forest's ``{kind}.shard`` root
+    becomes a ``shards`` row instead (in fold order), so whole-shard
+    totals never inflate a stage.
     """
-    profiler = _active_profiler
-    if profiler is None or not data:
-        return profiler
-    return profiler.merge_dict(data)
+    stages: Dict[str, Dict[str, float]] = {}
+    shards: List[Dict[str, object]] = []
+
+    def fold(node: Mapping) -> None:
+        attributes = node.get("attributes", {})
+        row = stages.setdefault(node["name"], dict.fromkeys(
+            ("wall_s", "cpu_s", "calls", "max_rss_bytes", "alloc_peak_bytes"), 0
+        ))
+        row["wall_s"] += node["dur"]
+        row["cpu_s"] += attributes.get("cpu_s", 0.0)
+        row["calls"] += 1
+        for peak in ("max_rss_bytes", "alloc_peak_bytes"):
+            row[peak] = max(row[peak], attributes.get(peak, 0))
+        for child in node.get("children", ()):
+            fold(child)
+
+    for root in tracer.snapshot()["spans"]:
+        fold(root)
+    for snapshot in tracer.remote:
+        for root in snapshot["spans"]:
+            if not root["name"].endswith(".shard"):
+                fold(root)
+                continue
+            attributes = root.get("attributes", {})
+            shards.append({
+                "stage": root["name"][:-len(".shard")],
+                "shard": attributes.get("shard", 0),
+                "items": attributes.get("items", 0),
+                "wall_s": round(root["dur"], 9),
+                "cpu_s": attributes.get("cpu_s", 0.0),
+                "max_rss_bytes": attributes.get("max_rss_bytes", 0),
+                "pid": snapshot.get("pid", 0),
+            })
+            for child in root.get("children", ()):
+                fold(child)
+    for row in stages.values():
+        row["wall_s"] = round(row["wall_s"], 9)
+        row["cpu_s"] = round(row["cpu_s"], 9)
+    return {"stages": dict(sorted(stages.items())), "shards": shards}
+
+
+def profile_digest(tables: Mapping) -> str:
+    """SHA-256 over the canonical :func:`profile_tables` content (ledger key)."""
+    blob = json.dumps(dict(tables), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 # -- the profile document ------------------------------------------------------
 
 
-def _span_with_times(span) -> Dict[str, object]:
-    """Serialise a span keeping raw clock timestamps (Chrome needs them)."""
-    out: Dict[str, object] = {
-        "name": span.name,
-        "ts": span.start,
-        "dur": span.duration,
-    }
-    if getattr(span, "span_id", ""):
-        out["span_id"] = span.span_id
-    if getattr(span, "parent_id", ""):
-        out["parent_id"] = span.parent_id
-    if span.attributes:
-        out["attributes"] = {k: v for k, v in sorted(span.attributes.items())}
-    if span.children:
-        out["children"] = [_span_with_times(child) for child in span.children]
-    return out
-
-
-def profile_document(profiler: StageProfiler, tracer=None, **meta: object) -> dict:
+def profile_document(tracer, **meta: object) -> dict:
     """The JSON profile document ``--profile`` writes.
 
-    Bundles the folded per-stage totals and shard samples with the span
-    tree (when a tracer ran alongside, timestamps preserved) so one file
-    feeds all three export surfaces.  A tracer that adopted worker span
-    snapshots (``Tracer.merge_remote``) contributes them under
-    ``remote_spans``, each with its own epoch↔clock anchor, so the
-    Chrome exporter can place pool-worker spans on the coordinator's
-    clock line and link them to their parent span.
+    Bundles the :func:`profile_tables` with the span forest (raw clock
+    timestamps, the tracer's epoch↔clock ``anchor``) and the adopted
+    worker forests under ``remote_spans``, each with its own anchor, so
+    one file feeds all three export surfaces.
     """
-    doc = profiler.to_dict()
-    doc["meta"].update(meta)
-    if tracer is not None:
-        doc["spans"] = [_span_with_times(root) for root in tracer.roots]
-        trace_id = getattr(tracer, "trace_id", "")
-        if trace_id:
-            doc["trace_id"] = trace_id
-        remote = getattr(tracer, "remote", None)
-        if remote:
-            doc["remote_spans"] = [dict(snapshot) for snapshot in remote]
+    local = tracer.snapshot()
+    doc: Dict[str, object] = {
+        "meta": {"pid": os.getpid(), **meta},
+        "anchor": local["anchor"],
+        "spans": local["spans"],
+        **profile_tables(tracer),
+    }
+    if tracer.trace_id:
+        doc["trace_id"] = tracer.trace_id
+    if tracer.remote:
+        doc["remote_spans"] = [dict(snapshot) for snapshot in tracer.remote]
     return doc
 
 
@@ -355,29 +190,19 @@ def chrome_trace(doc: Mapping) -> dict:
     """Convert a profile document to Chrome ``trace_event`` JSON.
 
     Coordinator spans become B/E duration events under
-    :data:`COORDINATOR_PID`; shard samples become complete ("X") events
-    under ``SHARD_PID_BASE + shard_index`` — deterministic pids, so a
-    profile folded from any number of workers (or exported twice) renders
-    identically.  Timestamps are microseconds from the earliest event.
-
-    Worker span forests (``remote_spans``, shipped back on shard
-    results) render as B/E events under their shard's pid, re-anchored
-    onto the coordinator's clock line via the two epoch↔clock anchor
-    pairs, and each forest is linked to its coordinator parent span with
-    a flow event pair (``ph: s`` at the parent, ``ph: f`` at the worker
-    root) — the cross-process parent arrows in the Chrome UI.
+    :data:`COORDINATOR_PID`.  Worker span forests (``remote_spans``)
+    render as B/E events under ``SHARD_PID_BASE + shard_index`` —
+    deterministic pids, so a profile folded from any number of workers
+    (or exported twice) renders identically — re-anchored onto the
+    coordinator's clock line via the two epoch↔clock anchor pairs.
+    Each forest is linked to its coordinator parent span with a flow
+    event pair (``ph: s`` at the parent, ``ph: f`` at the worker root):
+    the cross-process parent arrows in the Chrome UI.  Timestamps are
+    microseconds from the earliest event.
     """
     spans = doc.get("spans", [])
-    shards = doc.get("shards", [])
     remote = doc.get("remote_spans", [])
     anchor = doc.get("anchor", {})
-
-    def shard_clock(sample: Mapping) -> float:
-        """Map a worker's epoch stamp onto the coordinator clock line."""
-        epoch_start = sample.get("epoch_start")
-        if epoch_start is None or "epoch" not in anchor or "clock" not in anchor:
-            return float(anchor.get("clock", 0.0))
-        return float(anchor["clock"]) + (float(epoch_start) - float(anchor["epoch"]))
 
     def remote_clock(snapshot: Mapping, value: float) -> float:
         """Map a worker-clock timestamp onto the coordinator clock line."""
@@ -403,7 +228,6 @@ def chrome_trace(doc: Mapping) -> dict:
             collect_starts(node.get("children", ()), to_clock)
 
     collect_starts(spans)
-    starts.extend(shard_clock(sample) for sample in shards)
     for snapshot in remote:
         collect_starts(
             snapshot.get("spans", ()),
@@ -453,37 +277,17 @@ def chrome_trace(doc: Mapping) -> dict:
     for root in spans:
         emit_span(root)
 
-    seen_shard_pids = set()
-
-    def shard_metadata(shard: int) -> int:
+    shard_pids = set()
+    flow_started = set()
+    for snapshot in remote:
+        shard = int(snapshot.get("shard", 0))
         pid = SHARD_PID_BASE + shard
-        if pid not in seen_shard_pids:
-            seen_shard_pids.add(pid)
+        if pid not in shard_pids:
+            shard_pids.add(pid)
             events.append({
                 "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
                 "args": {"name": f"shard-{shard}"},
             })
-        return pid
-
-    for sample in shards:
-        pid = shard_metadata(int(sample.get("shard", 0)))
-        events.append({
-            "ph": "X",
-            "name": f"{sample.get('stage', 'shard')}.shard[{int(sample.get('shard', 0))}]",
-            "cat": "shard", "pid": pid, "tid": 1,
-            "ts": ts_us(shard_clock(sample)),
-            "dur": max(0, int(round(float(sample.get("wall_s", 0.0)) * 1_000_000))),
-            "args": {
-                "items": sample.get("items", 0),
-                "cpu_s": sample.get("cpu_s", 0.0),
-                "max_rss_bytes": sample.get("max_rss_bytes", 0),
-                "worker_pid": sample.get("pid", 0),
-            },
-        })
-
-    flow_started = set()
-    for snapshot in remote:
-        pid = shard_metadata(int(snapshot.get("shard", 0)))
         parent_id = str(snapshot.get("parent_id", ""))
         parent = span_index.get(parent_id)
 

@@ -18,12 +18,6 @@ start before or after the reload?".  The timeline closes that gap:
   ``max_series`` series (excess series are counted, not stored) — a
   week-long daemon and a 100k-image streamed check cost the same RSS
   as a one-minute run.
-* :meth:`Timeline.merge` folds timelines from shards or threads
-  **associatively**: points are aligned newest-first, cumulative
-  counter values / histogram populations are summed, gauges are summed
-  (per-shard gauges are partial quantities), and tail quantiles take
-  the max (the conservative fleet-wide answer).  Missing points merge
-  as zero, so ``(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)`` point-for-point.
 * :meth:`Timeline.to_dict` / :meth:`Timeline.from_dict` round-trip
   through JSON for export (``/alertz``, ``repro watch``, tests).
 
@@ -422,45 +416,6 @@ class Timeline:
             "p99": p99,
         }
 
-    # -- merge -----------------------------------------------------------------
-
-    def merge(self, other: "Timeline") -> "Timeline":
-        """Associative in-place fold of another timeline's windows.
-
-        Points are aligned **newest-first** per series (the shards'
-        latest samples describe the same wall-clock window even when
-        their first samples don't); a point missing on one side merges
-        as zero.  Counter/gauge values and histogram populations sum;
-        tail quantiles take the max; timestamps take the max.  Summing
-        with an implicit zero identity makes the fold associative and
-        commutative point-for-point.
-        """
-        for sid, theirs in other.series.items():
-            mine = self.series.get(sid)
-            if mine is None:
-                if len(self.series) >= self.max_series:
-                    self.dropped_series += 1
-                    continue
-                mine = self.series[sid] = Series(
-                    theirs.name, theirs.labels, theirs.kind, self.capacity
-                )
-                for point in theirs.ring:
-                    mine.ring.append(point)
-                continue
-            if mine.kind != theirs.kind:
-                raise ValueError(
-                    f"cannot merge series {sid!r}: {mine.kind} vs {theirs.kind}"
-                )
-            merged = _merge_points(
-                mine.points(), theirs.points(), mine.kind
-            )
-            mine.ring = Ring(self.capacity)
-            for point in merged[-self.capacity:]:
-                mine.ring.append(point)
-        self.dropped_series += other.dropped_series
-        self.samples = max(self.samples, other.samples)
-        return self
-
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self) -> Dict[str, object]:
@@ -495,50 +450,6 @@ class Timeline:
                 series.ring.append(tuple(point))
             timeline.series[sid] = series
         return timeline
-
-
-def _merge_points(a: List[tuple], b: List[tuple],
-                  kind: str) -> List[tuple]:
-    """Align two point lists newest-first and combine pairwise."""
-    out: List[tuple] = []
-    ia, ib = len(a) - 1, len(b) - 1
-    while ia >= 0 or ib >= 0:
-        pa = a[ia] if ia >= 0 else None
-        pb = b[ib] if ib >= 0 else None
-        if pa is None:
-            out.append(pb)  # type: ignore[arg-type]
-        elif pb is None:
-            out.append(pa)
-        else:
-            out.append(_combine(pa, pb, kind))
-        ia -= 1
-        ib -= 1
-    out.reverse()
-    return out
-
-
-def _combine(pa: tuple, pb: tuple, kind: str) -> tuple:
-    t = max(pa[0], pb[0])
-    if kind == "counter":
-        return (t, pa[1] + pb[1], pa[2] + pb[2])
-    if kind == "gauge":
-        return (t, pa[1] + pb[1])
-    # histogram: (t, count, sum, p50, p99)
-    return (
-        t,
-        pa[1] + pb[1],
-        pa[2] + pb[2],
-        _max_optional(pa[3], pb[3]),
-        _max_optional(pa[4], pb[4]),
-    )
-
-
-def _max_optional(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
 
 
 class TimelineSampler:

@@ -25,7 +25,11 @@ causally-linked tree at any ``--workers N``.
 
 Tracers take an injectable clock (any ``() -> float`` callable) so tests
 can assert on exact durations deterministically; trace trees serialise
-to nested JSON via :meth:`Tracer.to_dict` / :meth:`Tracer.save`.
+to nested JSON via :meth:`Tracer.to_dict` / :meth:`Tracer.save`.  A
+tracer built with ``resources=True`` (the CLI's ``--profile``) also
+annotates every span it closes with ``cpu_s``, ``max_rss_bytes`` and
+``alloc_peak_bytes``; :mod:`repro.obs.profile` derives the per-stage
+and per-shard profile tables from those spans.
 """
 
 from __future__ import annotations
@@ -35,12 +39,13 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.metrics import get_registry
-from repro.obs.profile import get_profiler
+from repro.obs.profile import max_rss_bytes, process_cpu_seconds
 
 
 def _derive_id(*parts: object) -> str:
@@ -112,7 +117,7 @@ class Span:
     """One timed, attributed, nestable region of work."""
 
     __slots__ = ("name", "attributes", "start", "end", "children",
-                 "span_id", "parent_id")
+                 "span_id", "parent_id", "opened_at")
 
     def __init__(self, name: str, attributes: Optional[Dict[str, object]] = None) -> None:
         self.name = name
@@ -124,6 +129,8 @@ class Span:
         #: ("" for bare spans opened without one).
         self.span_id: str = ""
         self.parent_id: str = ""
+        # ``opened_at`` stays unset unless a resource-sampling tracer
+        # opened the span: ``(cpu seconds, traced bytes)`` at open.
 
     @property
     def duration(self) -> float:
@@ -172,15 +179,22 @@ def span_to_wire(item: Span) -> dict:
 
 
 class Tracer:
-    """Collects a forest of spans with a deterministic-friendly clock."""
+    """Collects a forest of spans with a deterministic-friendly clock.
+
+    With *resources* on, every span also records the CPU seconds, peak
+    RSS and ``tracemalloc`` allocation peak of its region as
+    attributes.
+    """
 
     def __init__(
         self,
         clock: Callable[[], float] = time.perf_counter,
         context: Optional[TraceContext] = None,
         seed: str = "",
+        resources: bool = False,
     ) -> None:
         self.clock = clock
+        self.resources = resources
         #: Trace identity; a fresh deterministic root when none is given.
         self.context = (context if context is not None
                         else TraceContext.root(new_trace_id(clock)))
@@ -229,12 +243,16 @@ class Tracer:
             # shipped this tracer's context across a process boundary.
             opened.parent_id = self.context.span_id
             self.roots.append(opened)
+        if self.resources:
+            opened.opened_at = _resources_at_open(len(stack))
         stack.append(opened)
         opened.start = self.clock()
         return opened
 
     def close_span(self, closing: Span) -> None:
         closing.end = self.clock()
+        if self.resources:
+            closing.annotate(**_resources_since(closing.opened_at))
         stack = self._stack()
         if stack and stack[-1] is closing:
             stack.pop()
@@ -313,6 +331,30 @@ class Tracer:
         self.roots.clear()
         self.remote.clear()
         self._local = threading.local()
+
+
+def _resources_at_open(depth: int) -> Tuple[float, int]:
+    """CPU seconds and traced bytes as a span opens at stack *depth*."""
+    if not tracemalloc.is_tracing():
+        return process_cpu_seconds(), -1
+    if depth == 0:
+        # Only a thread's outermost span resets the peak, so a nested
+        # span never erases the high-water mark its parent is measuring.
+        tracemalloc.reset_peak()
+    return process_cpu_seconds(), tracemalloc.get_traced_memory()[0]
+
+
+def _resources_since(opened_at: Tuple[float, int]) -> Dict[str, object]:
+    """The resource attributes of a span that opened at *opened_at*."""
+    cpu0, traced0 = opened_at
+    alloc = 0
+    if traced0 >= 0 and tracemalloc.is_tracing():
+        alloc = max(0, tracemalloc.get_traced_memory()[1] - traced0)
+    return {
+        "cpu_s": round(process_cpu_seconds() - cpu0, 9),
+        "max_rss_bytes": max_rss_bytes(),
+        "alloc_peak_bytes": alloc,
+    }
 
 
 class TraceExemplars:
@@ -450,10 +492,8 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
             ...
             s.annotate(pairs=pair_count)
 
-    When a :class:`~repro.obs.profile.StageProfiler` is installed (the
-    CLI's ``--profile``), the region's CPU time and memory peaks are
-    sampled alongside the wall clock; a raising body still closes the
-    span, annotated with ``error=<exception type>``.
+    A raising body still closes the span, annotated with
+    ``error=<exception type>``.
     """
     tracer = get_tracer()
     if tracer is not None:
@@ -463,18 +503,12 @@ def span(name: str, **attributes: object) -> Iterator[Span]:
         clock = time.perf_counter
         opened = Span(name, dict(attributes))
         opened.start = clock()
-    profiler = get_profiler()
-    profile_cm = profiler.profile(name) if profiler is not None else None
-    if profile_cm is not None:
-        profile_cm.__enter__()
     try:
         yield opened
     except BaseException as exc:
         opened.annotate(error=type(exc).__name__)
         raise
     finally:
-        if profile_cm is not None:
-            profile_cm.__exit__(None, None, None)
         if tracer is not None:
             tracer.close_span(opened)
         else:

@@ -87,18 +87,6 @@ class TestPartialMerge:
         assert merged == whole
         assert merged.finalize().fingerprint() == whole.finalize().fingerprint()
 
-    def test_extend_matches_merge(self, assembled):
-        """The coordinator's in-place fold equals the pure combine."""
-        chunks = [PartialDataset.from_systems(c) for c in chunked(assembled, 11)]
-        pure = PartialDataset()
-        for chunk in chunks:
-            pure = pure.merge(chunk)
-        folded = PartialDataset()
-        for chunk in chunks:
-            assert folded.extend(chunk) is folded
-        assert folded == pure
-        assert folded.finalize().fingerprint() == pure.finalize().fingerprint()
-
     def test_empty_partial_is_identity(self, assembled):
         partial = PartialDataset.from_systems(assembled[:5])
         assert PartialDataset().merge(partial) == partial

@@ -1,4 +1,4 @@
-"""FlightRecorder: ring behaviour, hook wiring, merge algebra, threads."""
+"""FlightRecorder: ring behaviour, hook wiring, JSON dump, threads."""
 
 import json
 import logging as pylogging
@@ -104,41 +104,12 @@ class TestFlightRecorder:
         assert dump["totals"]["logs"] == 10
         assert recorder.totals()["errors"] == 0
 
-    def test_merge_is_associative(self):
-        def dump(start, count):
-            recorder = FlightRecorder(capacity=4,
-                                      clock=FakeClock(start=start))
-            for index in range(count):
-                recorder.record_log(pylogging.INFO, "m", f"e{start}-{index}")
-            return recorder.to_dict()
-
-        a, b, c = dump(0.0, 3), dump(10.0, 3), dump(20.0, 3)
-
-        def fold(*dumps):
-            target = FlightRecorder(capacity=4)
-            for item in dumps:
-                target.merge(item)
-            return target.to_dict()
-
-        left = fold(fold(a, b), c)
-        right = fold(a, fold(b, c))
-        assert left == right
-        # Newest capacity entries survive, ordered by timestamp.
-        assert [e["event"] for e in left["logs"]] == [
-            "e10.0-2", "e20.0-0", "e20.0-1", "e20.0-2",
-        ]
-        assert left["totals"]["logs"] == 9
-
     def test_round_trip_and_save(self, tmp_path):
         recorder = FlightRecorder(capacity=4, clock=FakeClock())
         recorder.record_span(_span("x", error="KeyError"), trace_id="tt")
         recorder.record_incident("fired", {"rule": "r"})
-        restored = FlightRecorder.from_dict(recorder.to_dict())
-        assert restored.to_dict() == recorder.to_dict()
         path = recorder.save(tmp_path / "flight.json")
-        assert json.loads(path.read_text()) == json.loads(
-            json.dumps(recorder.to_dict(), sort_keys=True)
-        )
+        assert json.loads(path.read_text()) == recorder.to_dict()
 
     def test_global_hooks_default_off(self):
         assert get_flight() is None

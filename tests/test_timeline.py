@@ -1,4 +1,4 @@
-"""Timeline ring buffers, window queries, merge algebra, and sampling.
+"""Timeline ring buffers, window queries, JSON round-trip, and sampling.
 
 Covers the PR's tentpole invariants:
 
@@ -6,7 +6,6 @@ Covers the PR's tentpole invariants:
   exceeds ``max_series``, and long sampling runs hold allocation flat;
 * correct window math — counter deltas/rates, gauge change, histogram
   window stats, and the no-data (``None``) vs zero distinction;
-* associative merge across shards — ``(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)``;
 * concurrent sampling — an 8-thread serve-style workload sampled
   mid-flight loses and double-counts nothing (satellite);
 * the typed ``MetricKindError`` on merge collisions (satellite).
@@ -174,82 +173,6 @@ class TestWindowQueries:
 
     def test_latest_value_takes_max_for_percentiles(self, timeline):
         assert timeline.latest_value("lat", stat="p99") is not None
-
-
-def _sampled_timeline(values, capacity=8):
-    timeline = Timeline(capacity=capacity)
-    for t, value in values:
-        timeline.record_counter("c", {}, value, t=t)
-    return timeline
-
-
-class TestMerge:
-    def test_counter_values_sum_newest_aligned(self):
-        a = _sampled_timeline([(1.0, 10.0), (2.0, 20.0)])
-        b = _sampled_timeline([(1.5, 5.0), (2.5, 7.0)])
-        merged = a.merge(b)
-        points = merged.series["c"].points()
-        assert [p[1] for p in points] == [15.0, 27.0]
-        assert [p[0] for p in points] == [1.5, 2.5]
-
-    def test_unequal_lengths_treat_missing_as_zero(self):
-        a = _sampled_timeline([(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)])
-        b = _sampled_timeline([(2.9, 4.0)])
-        merged = a.merge(b)
-        assert [p[1] for p in merged.series["c"].points()] == [10.0, 20.0, 34.0]
-
-    def test_merge_is_associative(self):
-        def build():
-            return (
-                _sampled_timeline([(1.0, 1.0), (2.0, 2.0), (3.0, 4.0)]),
-                _sampled_timeline([(1.1, 10.0), (2.1, 20.0)]),
-                _sampled_timeline([(2.2, 100.0), (3.2, 200.0), (4.2, 400.0)]),
-            )
-
-        a1, b1, c1 = build()
-        left = a1.merge(b1).merge(c1)
-        a2, b2, c2 = build()
-        right = a2.merge(b2.merge(c2))
-        assert left.to_dict()["series"] == right.to_dict()["series"]
-
-    def test_histogram_merge_sums_population_maxes_tails(self):
-        def record(timeline, t, values):
-            histogram = Histogram((0.1, 1.0))
-            for value in values:
-                histogram.observe(value)
-            timeline.record_histogram("h", {}, histogram, t=t)
-
-        a, b = Timeline(), Timeline()
-        record(a, 1.0, [0.05])
-        record(b, 1.1, [0.5, 0.5])
-        merged = a.merge(b)
-        t, count, total, p50, p99 = merged.series["h"].points()[0]
-        assert count == 3 and total == pytest.approx(1.05)
-        assert p50 is not None and p99 is not None
-        # the merged tail is the conservative (max) side's estimate
-        assert p99 >= 0.1
-
-    def test_kind_collision_raises(self):
-        a, b = Timeline(), Timeline()
-        a.record_counter("x", {}, 1.0, t=1.0)
-        b.record_gauge("x", {}, 1.0, t=1.0)
-        with pytest.raises(ValueError, match="cannot merge series"):
-            a.merge(b)
-
-    def test_sharded_merge_equals_combined_registry(self):
-        """Per-shard timelines merged == one timeline over the fold."""
-        shard_registries = [MetricsRegistry() for _ in range(3)]
-        for i, registry in enumerate(shard_registries):
-            registry.counter("work.total").inc(10 * (i + 1))
-        shard_timelines = []
-        for i, registry in enumerate(shard_registries):
-            timeline = Timeline()
-            timeline.sample_registry(registry, t=100.0)
-            shard_timelines.append(timeline)
-        merged = shard_timelines[0]
-        for timeline in shard_timelines[1:]:
-            merged = merged.merge(timeline)
-        assert merged.latest_value("work.total") == 60.0
 
 
 class TestJsonRoundTrip:
