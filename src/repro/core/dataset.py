@@ -14,7 +14,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.types import ConfigType, TypedValue
 from repro.mining.entropy import entropy_from_counts
@@ -91,6 +91,12 @@ class AssembledSystem:
             return list(self._multi[attribute])
         typed = self._values.get(attribute)
         return [typed] if typed is not None else []
+
+    @property
+    def cells(self) -> Mapping[str, TypedValue]:
+        """Attribute → first occurrence, without copying: the row's own
+        storage, so read it and never mutate it."""
+        return self._values
 
     def attributes(self) -> List[str]:
         return sorted(self._values)
@@ -240,6 +246,14 @@ class Dataset:
         self._partial = partial
         self._multi_valued: set = set(partial.multi_valued)
         self._augmented: set = set(partial.augmented)
+        #: attribute → presence bitmask: bit *i* is set when ``systems[i]``
+        #: has the attribute.  Rule inference intersects two masks to visit
+        #: only the rows where a candidate pair can apply.
+        self._presence: Dict[str, int] = {}
+        for index, system in enumerate(self.systems):
+            bit = 1 << index
+            for attribute in system.attributes():
+                self._presence[attribute] = self._presence.get(attribute, 0) | bit
         self._stats: Dict[str, AttributeStats] = {}
         for attribute, counts in partial.value_counts.items():
             type_counter = partial.type_counts[attribute]
@@ -326,6 +340,10 @@ class Dataset:
 
     def stats(self, attribute: str) -> Optional[AttributeStats]:
         return self._stats.get(attribute)
+
+    def presence(self, attribute: str) -> int:
+        """Bitmask of the rows holding *attribute* (bit *i* ↔ ``systems[i]``)."""
+        return self._presence.get(attribute, 0)
 
     def type_of(self, attribute: str) -> Optional[ConfigType]:
         stats = self._stats.get(attribute)

@@ -7,7 +7,12 @@ For each template the inferencer:
    and effective way of attribute selection, which is critical to solve
    the scalability problem");
 2. iterates over every (A, B) instantiation and gathers per-system
-   verdicts from the template's validation method;
+   verdicts from the template's validation method — only on the systems
+   that hold both attributes: the dataset keeps one presence bitmask per
+   attribute, and the evaluator walks the set bits of ``presence(A) &
+   presence(B)`` in ascending order, so contributors stay in dataset
+   order.  This applies the type restriction's candidate cut to the
+   per-system loop as well;
 3. computes support / confidence / entropy and runs the filter pipeline.
 
 Type-restricted instantiation is the paper's answer to the attribute
@@ -18,17 +23,21 @@ combinatorics for the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.dataset import Dataset
+from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.rules import ConcreteRule, RuleSet
 from repro.core.templates import RuleTemplate, default_templates
-from repro.core.types import ConfigType
+from repro.core.types import ConfigType, TypedValue
 from repro.mining.entropy import DEFAULT_ENTROPY_THRESHOLD
 from repro.obs.metrics import get_registry
 from repro.obs.model import Provenance
 from repro.obs.tracing import span
+
+#: One training row as the inner loop reads it: the system (for
+#: environment checks), its first-occurrence cells and its image id.
+_Row = Tuple[AssembledSystem, Mapping[str, TypedValue], str]
 
 
 @dataclass
@@ -91,37 +100,41 @@ class RuleInferencer:
     def _pairs(
         self, dataset: Dataset, template: RuleTemplate
     ) -> Iterable[Tuple[str, str]]:
-        left = self.eligible_attributes(dataset, template.type_a)
-        right = self.eligible_attributes(dataset, template.type_b)
         same_type_required = (
-            template.type_a is ConfigType.STRING
+            self.restrict_types
+            and template.type_a is ConfigType.STRING
             and template.type_b is ConfigType.STRING
         )
-        for a in left:
-            for b in right:
+
+        def slot(slot_type: ConfigType, is_b: bool) -> List[Tuple[str, ConfigType, bool]]:
+            """(attribute, type, multi-valued) for each attribute the slot
+            may bind on its own; the pairwise constraints come below."""
+            out = []
+            for attribute in self.eligible_attributes(dataset, slot_type):
+                config_type = dataset.type_of(attribute)
+                augmented = dataset.is_augmented(attribute)
+                multi = dataset.is_multi_valued(attribute)
+                if same_type_required and (config_type is None or config_type.is_trivial):
+                    continue
+                if augmented and not template.allow_augmented:
+                    continue
+                if template.slot_b_augmented_only and augmented is not is_b:
+                    continue
+                if multi and template.multiplicity == "single":
+                    continue
+                out.append((attribute, config_type, multi))
+            return out
+
+        right = slot(template.type_b, is_b=True)
+        for a, type_a, multi_a in slot(template.type_a, is_b=False):
+            for b, type_b, multi_b in right:
                 if a == b:
                     continue
                 if template.symmetric and a > b:
                     continue
-                if same_type_required and self.restrict_types:
-                    type_a, type_b = dataset.type_of(a), dataset.type_of(b)
-                    if type_a is not type_b or type_a is None or type_a.is_trivial:
-                        continue
-                if not template.allow_augmented and (
-                    dataset.is_augmented(a) or dataset.is_augmented(b)
-                ):
+                if same_type_required and type_a is not type_b:
                     continue
-                if template.slot_b_augmented_only and not (
-                    dataset.is_augmented(b) and not dataset.is_augmented(a)
-                ):
-                    continue
-                if template.multiplicity == "multi" and not (
-                    dataset.is_multi_valued(a) or dataset.is_multi_valued(b)
-                ):
-                    continue
-                if template.multiplicity == "single" and (
-                    dataset.is_multi_valued(a) or dataset.is_multi_valued(b)
-                ):
+                if template.multiplicity == "multi" and not (multi_a or multi_b):
                     continue
                 yield a, b
 
@@ -149,6 +162,9 @@ class RuleInferencer:
         audit: Dict[Tuple[str, str, str], Provenance] = {}
         pair_count = 0
         registry = get_registry()
+        # One (row, first-occurrence cells, image id) entry per system, so
+        # the per-row inner loop makes no method calls of its own.
+        rows = [(system, system.cells, system.image_id) for system in dataset]
         with span("infer", templates=len(self.templates)) as infer_span:
             for template in self.templates:
                 # Telemetry is aggregated per template, never per pair:
@@ -159,7 +175,7 @@ class RuleInferencer:
                     for attr_a, attr_b in self._pairs(dataset, template):
                         t_pairs += 1
                         evaluated = self._evaluate_pair(
-                            dataset, template, attr_a, attr_b
+                            dataset, rows, template, attr_a, attr_b
                         )
                         if evaluated is None:
                             continue
@@ -204,27 +220,38 @@ class RuleInferencer:
     def _evaluate_pair(
         self,
         dataset: Dataset,
+        rows: Sequence[_Row],
         template: RuleTemplate,
         attr_a: str,
         attr_b: str,
     ) -> Optional[Tuple[ConcreteRule, Tuple[str, ...]]]:
-        """Gather verdicts for one instantiation across all systems.
+        """Gather verdicts for one instantiation across the systems that
+        hold both attributes.
 
-        Returns the candidate rule plus the ids of the contributing
-        images (the systems where the rule was applicable — the
-        provenance population), in dataset order.
+        Walks the set bits of the two presence masks in ascending order,
+        so the ids of the contributing images (the systems where the rule
+        was applicable — the provenance population) come out in dataset
+        order.  Pairs whose attributes never repeat take one validator
+        call per row; the rest use any-occurrence semantics.
         """
+        validator = template.validator
+        repeats = dataset.is_multi_valued(attr_a) or dataset.is_multi_valued(attr_b)
         valid = 0
         contributors: List[str] = []
-        for system in dataset:
-            values_a = system.values_of(attr_a)
-            values_b = system.values_of(attr_b)
-            if not values_a or not values_b:
-                continue
-            verdict = self._system_verdict(template, values_a, values_b, system)
+        both = dataset.presence(attr_a) & dataset.presence(attr_b)
+        while both:
+            lowest = both & -both
+            both ^= lowest
+            system, cells, image_id = rows[lowest.bit_length() - 1]
+            if repeats:
+                verdict = self._system_verdict(
+                    template, system.values_of(attr_a), system.values_of(attr_b), system
+                )
+            else:
+                verdict = validator(cells[attr_a], cells[attr_b], system)
             if verdict is None:
                 continue
-            contributors.append(system.image_id)
+            contributors.append(image_id)
             if verdict:
                 valid += 1
         if not contributors:

@@ -128,15 +128,18 @@ KNOWN_MIME_TOPLEVEL = frozenset(
 )
 
 
+_SIZE_LITERAL = re.compile(r"^(\d+)([KMGT])?B?$", re.IGNORECASE)
+_SIZE_SHIFT = {"": 0, "K": 10, "M": 20, "G": 30, "T": 40}
+
+
 def parse_size_bytes(value: str) -> Optional[int]:
     """``"64M"`` → 67108864; ``None`` when not a size literal."""
-    match = re.match(r"^(\d+)([KMGT])?B?$", value.strip(), re.IGNORECASE)
+    match = _SIZE_LITERAL.match(value.strip())
     if not match:
         return None
     number = int(match.group(1))
     unit = (match.group(2) or "").upper()
-    shift = {"": 0, "K": 10, "M": 20, "G": 30, "T": 40}[unit]
-    return number << shift
+    return number << _SIZE_SHIFT[unit]
 
 
 def parse_number(value: str) -> Optional[float]:

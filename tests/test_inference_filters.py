@@ -1,12 +1,16 @@
 """Tests for rule inference (paper §5.1) and rule filtering (§5.2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.assembler import DataAssembler
+from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.inference import RuleInferencer
+from repro.core.pipeline import EnCore
 from repro.core.rules import ConcreteRule
 from repro.core.templates import template_by_name
+from repro.core.types import ConfigType
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -146,3 +150,229 @@ class TestRuleInferencer:
         only_ownership = [template_by_name("ownership")]
         result = RuleInferencer(templates=only_ownership).infer(controlled_dataset)
         assert all(r.template_name == "ownership" for r in result.rules)
+
+
+# -- presence-mask evaluation against the per-system loop ----------------------
+
+
+def oracle_pairs(inferencer, dataset, template):
+    """Candidate enumeration as one plain pairwise filter."""
+    string_slots = template.type_a is template.type_b is ConfigType.STRING
+    for a in inferencer.eligible_attributes(dataset, template.type_a):
+        for b in inferencer.eligible_attributes(dataset, template.type_b):
+            aug_a, aug_b = dataset.is_augmented(a), dataset.is_augmented(b)
+            multi = dataset.is_multi_valued(a) or dataset.is_multi_valued(b)
+            type_a = dataset.type_of(a)
+            if a == b or (template.symmetric and a > b):
+                continue
+            if inferencer.restrict_types and string_slots and (
+                type_a is not dataset.type_of(b) or type_a.is_trivial
+            ):
+                continue
+            if not template.allow_augmented and (aug_a or aug_b):
+                continue
+            if template.slot_b_augmented_only and not (aug_b and not aug_a):
+                continue
+            if template.multiplicity == "multi" and not multi:
+                continue
+            if template.multiplicity == "single" and multi:
+                continue
+            yield a, b
+
+
+def oracle_evaluate(dataset, template, a, b):
+    """The per-system loop: visit every row, skip those missing a slot."""
+    valid, contributors = 0, []
+    for system in dataset:
+        verdicts = [
+            template.validate(x, y, system)
+            for x in system.values_of(a)
+            for y in system.values_of(b)
+        ]
+        applicable = [v for v in verdicts if v is not None]
+        if applicable:
+            contributors.append(system.image_id)
+            valid += any(applicable)
+    return len(contributors), valid, tuple(contributors)
+
+
+def permissive(restrict_types=True):
+    """An inferencer whose filters keep every candidate with support, so
+    the audit records the contributors of all of them."""
+    return RuleInferencer(
+        min_support_fraction=0.0, min_confidence=0.0, use_entropy=False,
+        restrict_types=restrict_types,
+    )
+
+
+def expected_evidence(inferencer, dataset):
+    out = []
+    for template in inferencer.templates:
+        for a, b in oracle_pairs(inferencer, dataset, template):
+            support, valid, contributors = oracle_evaluate(dataset, template, a, b)
+            if support:
+                out.append(((template.name, a, b), support, valid, contributors))
+    return out
+
+
+def evidence(result):
+    """(key, support, valid_count, contributors) per candidate, in order."""
+    return [
+        (key, p.support, p.valid_count, p.contributing_images)
+        for key, p in result.audit.items()
+    ]
+
+
+#: Synthetic columns: name → (type, augmented, value pool).  Pools mix
+#: values that validate, violate and make a template inapplicable.
+COLUMNS = {
+    "app:datadir": (ConfigType.FILE_PATH, False, ("/srv/a", "/srv/b", "/srv/none")),
+    "app:logdir": (ConfigType.FILE_PATH, False, ("/srv/a", "/srv/a/log", "/srv/b")),
+    "app:subdir": (ConfigType.PARTIAL_FILE_PATH, False, ("a/log", "srv/b")),
+    "app:user": (ConfigType.USER_NAME, False, ("mysql", "root", "ghost")),
+    "app:group": (ConfigType.GROUP_NAME, False, ("mysql", "root")),
+    "app:port": (ConfigType.PORT_NUMBER, False, ("80", "8080")),
+    "app:alt_port": (ConfigType.PORT_NUMBER, False, ("80", "8080")),
+    "app:low": (ConfigType.NUMBER, False, ("1", "5", "x")),
+    "app:high": (ConfigType.NUMBER, False, ("2", "5")),
+    "app:buffer": (ConfigType.SIZE, False, ("64M", "1G", "12")),
+    "app:cache": (ConfigType.SIZE, False, ("1G", "2K")),
+    "app:bind": (ConfigType.IP_ADDRESS, False, ("10.0.0.5", "10.0.0.0", "192.168.1.0")),
+    "app:net": (ConfigType.IP_ADDRESS, False, ("10.0.0.0", "192.168.0.0")),
+    "app:enabled": (ConfigType.BOOLEAN, False, ("on", "off")),
+    "app:datadir.exists": (ConfigType.BOOLEAN, True, ("true", "false")),
+    "env:Feature": (ConfigType.BOOLEAN, False, ("yes", "no")),
+}
+
+#: A row present in every generated dataset, so each one has an
+#: environment-less system, absent cells and repeated attributes.
+FIXED_ROW = (False, "root", {
+    name: [pool[0], pool[-1]] if index % 2 else []
+    for index, (name, (_, _, pool)) in enumerate(COLUMNS.items())
+})
+
+row_strategy = st.tuples(
+    st.booleans(),
+    st.sampled_from(("mysql", "root")),
+    st.fixed_dictionaries({
+        name: st.lists(st.sampled_from(pool), max_size=2)
+        for name, (_, _, pool) in COLUMNS.items()
+    }),
+)
+
+
+@st.composite
+def small_datasets(draw):
+    rows = draw(st.lists(row_strategy, min_size=1, max_size=6))
+    rows.insert(draw(st.integers(0, len(rows))), FIXED_ROW)
+    systems = []
+    for index, (environment, owner, cells) in enumerate(rows):
+        image = SystemImage(f"h-{index:02d}")
+        image.accounts.ensure_service_account("mysql", 27)
+        image.fs.add_dir("/srv/a", owner=owner, group=owner, mode=0o700)
+        image.fs.add_dir("/srv/a/log", owner="root", group="root", mode=0o755)
+        image.fs.add_dir("/srv/b", owner="mysql", group="mysql", mode=0o750)
+        system = AssembledSystem(image, environment_available=environment)
+        for name, values in cells.items():
+            config_type, augmented, _ = COLUMNS[name]
+            for value in values:
+                system.set(name, value, config_type, augmented=augmented)
+        systems.append(system)
+    return Dataset(systems)
+
+
+class TestPresenceMaskEvaluation:
+    """The presence-mask evaluator gives the per-system loop's evidence."""
+
+    @pytest.mark.parametrize("restrict_types", [True, False])
+    def test_controlled_dataset_matches_oracle(self, controlled_dataset, restrict_types):
+        inferencer = permissive(restrict_types)
+        result = inferencer.infer(controlled_dataset)
+        assert evidence(result) == expected_evidence(inferencer, controlled_dataset)
+        assert set(result.decisions.values()) == {FilterDecision.KEPT}
+
+    @pytest.mark.parametrize("restrict_types", [True, False])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dataset=small_datasets())
+    def test_generated_datasets_match_oracle(self, dataset, restrict_types):
+        assert any(not s.environment_available for s in dataset)
+        assert any(dataset.is_multi_valued(name) for name in COLUMNS)
+        assert any(len(s) < len(COLUMNS) for s in dataset)
+        inferencer = permissive(restrict_types)
+        result = inferencer.infer(dataset)
+        assert evidence(result) == expected_evidence(inferencer, dataset)
+        assert result.candidate_pairs == sum(
+            len(list(oracle_pairs(inferencer, dataset, template)))
+            for template in inferencer.templates
+        )
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(dataset=small_datasets())
+    def test_presence_mask_bits_follow_row_order(self, dataset):
+        for attribute in dataset.attributes():
+            assert dataset.presence(attribute) == sum(
+                1 << i for i, s in enumerate(dataset) if attribute in s
+            )
+        assert dataset.presence("missing:attr") == 0
+
+
+class TestImageOrderInvariance:
+    """Rules are invariant under image-order permutation (metamorphic)."""
+
+    @staticmethod
+    def assert_permutation_invariant(dataset, order):
+        permuted = Dataset([dataset.systems[i] for i in order])
+        position = {s.image_id: i for i, s in enumerate(permuted)}
+        for inferencer in (RuleInferencer(), permissive()):
+            base, moved = inferencer.infer(dataset), inferencer.infer(permuted)
+            assert [r.key for r in moved.rules] == [r.key for r in base.rules]
+            assert [
+                (key, p.support, p.valid_count, p.decision)
+                for key, p in moved.audit.items()
+            ] == [
+                (key, p.support, p.valid_count, p.decision)
+                for key, p in base.audit.items()
+            ]
+            for key, p in moved.audit.items():
+                assert p.contributing_images == tuple(sorted(
+                    base.audit[key].contributing_images, key=position.get
+                ))
+
+    def test_reversed_controlled_dataset(self, controlled_dataset):
+        self.assert_permutation_invariant(
+            controlled_dataset, range(len(controlled_dataset) - 1, -1, -1)
+        )
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_any_permutation(self, data):
+        dataset = data.draw(small_datasets())
+        order = data.draw(st.permutations(range(len(dataset))))
+        self.assert_permutation_invariant(dataset, order)
+
+
+class TestMergedDatasetInference:
+    """Merged datasets carry presence masks for the merged row order."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_merge_equals_concatenation(self, data):
+        systems = data.draw(small_datasets()).systems
+        cut = data.draw(st.integers(1, len(systems) - 1))
+        a, b = Dataset(systems[:cut]), Dataset(systems[cut:])
+        merged, whole = a.merge(b), Dataset(a.systems + b.systems)
+        for attribute in whole.attributes():
+            assert merged.presence(attribute) == whole.presence(attribute)
+        inferencer = permissive()
+        assert evidence(inferencer.infer(merged)) == evidence(inferencer.infer(whole))
+
+    def test_train_more_equals_full_train(self):
+        images = [
+            make_mysql_image(i, port=("3306" if i % 3 else "3307")) for i in range(16)
+        ]
+        encore = EnCore()
+        encore.train(images[:5])
+        incremental = encore.train_more(images[5:])
+        full = EnCore().train(images)
+        assert evidence(incremental.inference) == evidence(full.inference)
+        assert incremental.rules.to_json() == full.rules.to_json()
