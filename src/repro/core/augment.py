@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.types import ConfigType, parse_size_bytes
 from repro.sysmodel.filesystem import FileMeta
@@ -42,16 +42,15 @@ def _bool_str(flag: bool) -> str:
     return "True" if flag else "False"
 
 
-def _contents_digest(image: SystemImage, path: str) -> str:
+def _contents_digest(children: Sequence[FileMeta]) -> str:
     """Stable digest of a directory listing — the paper's ``.contents``.
 
     The paper stores a content descriptor ("dirDes"); a digest of the
     child basenames keeps the column comparable across images without
-    storing listings.
+    storing listings.  *children* is the sorted listing
+    :meth:`~repro.sysmodel.filesystem.FileSystem.children` returns.
     """
-    names = ",".join(
-        child.path.rsplit("/", 1)[-1] for child in image.fs.children(path)
-    )
+    names = ",".join(child.path.rsplit("/", 1)[-1] for child in children)
     return hashlib.sha1(names.encode()).hexdigest()[:12]
 
 
@@ -123,20 +122,22 @@ class Augmenter:
             AugmentedAttribute("permission", meta.octal_mode, ConfigType.PERMISSION),
         ]
         if meta.is_dir:
+            # One directory scan feeds all three listing columns.
+            children = image.fs.children(value)
             out.append(
                 AugmentedAttribute(
-                    "contents", _contents_digest(image, value), ConfigType.STRING
+                    "contents", _contents_digest(children), ConfigType.STRING
                 )
             )
             out.append(
                 AugmentedAttribute(
-                    "hasDir", _bool_str(image.fs.has_subdirectories(value)),
+                    "hasDir", _bool_str(any(c.is_dir for c in children)),
                     ConfigType.BOOLEAN,
                 )
             )
             out.append(
                 AugmentedAttribute(
-                    "hasSymLink", _bool_str(image.fs.has_symlinks(value)),
+                    "hasSymLink", _bool_str(any(c.is_symlink for c in children)),
                     ConfigType.BOOLEAN,
                 )
             )

@@ -14,7 +14,8 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.types import ConfigType, TypedValue
 from repro.mining.entropy import entropy_from_counts
@@ -138,8 +139,12 @@ class AttributeStats:
     def distinct_values(self) -> List[str]:
         return [v for v, _ in self.value_counts]
 
+    @cached_property
+    def _seen_values(self) -> FrozenSet[str]:
+        return frozenset(v for v, _ in self.value_counts)
+
     def seen(self, value: str) -> bool:
-        return any(v == value for v, _ in self.value_counts)
+        return value in self._seen_values
 
     def inverse_change_frequency(self) -> float:
         """1 / cardinality — the ranking heuristic of §6 (check 4)."""

@@ -322,6 +322,14 @@ class DriftMonitor:
 
     # -- accumulation ----------------------------------------------------------
 
+    def _counter(self, attribute: str) -> Counter:
+        """The observed-value counter of *attribute*, created on first use
+        (not ``setdefault``, which would build a throwaway per call)."""
+        counter = self.observed.get(attribute)
+        if counter is None:
+            counter = self.observed[attribute] = Counter()
+        return counter
+
     def observe(self, system) -> None:
         """Fold one checked target (an assembled-system-like row) in."""
         self.targets += 1
@@ -333,7 +341,7 @@ class DriftMonitor:
             value = system.value(attribute)
             if value is None:
                 continue
-            self.observed.setdefault(attribute, Counter())[value] += 1
+            self._counter(attribute)[value] += 1
             counts = self.baseline.get(attribute)
             if counts is None:
                 self.new_attributes[attribute] += 1
@@ -350,7 +358,7 @@ class DriftMonitor:
         """Associative in-place combine of two monitors' observations."""
         self.targets += other.targets
         for attribute, counter in other.observed.items():
-            self.observed.setdefault(attribute, Counter()).update(counter)
+            self._counter(attribute).update(counter)
         self.new_attributes.update(other.new_attributes)
         self.unseen_values.update(other.unseen_values)
         return self
@@ -412,7 +420,7 @@ class DriftMonitor:
         """Fold a :meth:`to_dict` snapshot from a worker shard in."""
         self.targets += int(data.get("targets", 0))
         for attribute, counts in data.get("observed", {}).items():
-            self.observed.setdefault(attribute, Counter()).update(counts)
+            self._counter(attribute).update(counts)
         self.new_attributes.update(data.get("new_attributes", {}))
         self.unseen_values.update(data.get("unseen_values", {}))
         return self

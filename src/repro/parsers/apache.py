@@ -22,6 +22,9 @@ from repro.parsers.base import ConfigEntry, ConfigParseError, ConfigParser, dedu
 
 _SECTION_OPEN = re.compile(r"^<(\w+)(\s+[^>]*)?>$")
 _SECTION_CLOSE = re.compile(r"^</(\w+)>$")
+#: shlex's ``whitespace_split`` separators; enough for lines with no quote
+#: or escape character.
+_WHITESPACE = re.compile(r"[ \t\r\n]+")
 
 #: Directives whose individual arguments become separate columns.
 MULTIARG_DIRECTIVES = frozenset({"LoadModule", "AddType", "Alias", "ScriptAlias", "ErrorDocument"})
@@ -32,7 +35,7 @@ class ApacheParser(ConfigParser):
 
     app = "apache"
 
-    def parse_text(self, text: str) -> List[ConfigEntry]:
+    def parse_text(self, text: str, source_path: str = "") -> List[ConfigEntry]:
         entries: List[ConfigEntry] = []
         stack: List[str] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -57,13 +60,16 @@ class ApacheParser(ConfigParser):
             entries.extend(self._directive(stack, line, lineno))
         if stack:
             raise ConfigParseError(f"unclosed section(s): {'/'.join(stack)}")
-        return dedupe_occurrences(entries)
+        return dedupe_occurrences(entries, source_path)
 
     def _directive(self, stack: List[str], line: str, lineno: int) -> List[ConfigEntry]:
-        try:
-            tokens = shlex.split(line, comments=False, posix=True)
-        except ValueError:
-            tokens = line.split()
+        if '"' in line or "'" in line or "\\" in line:
+            try:
+                tokens = shlex.split(line, comments=False, posix=True)
+            except ValueError:
+                tokens = line.split()
+        else:
+            tokens = [t for t in _WHITESPACE.split(line) if t]
         if not tokens:
             return []
         directive, args = tokens[0], tokens[1:]

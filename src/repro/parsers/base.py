@@ -15,8 +15,10 @@ columns (``LoadModule/arg2``) exactly as the paper's concrete rules show
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import cache
+from typing import List, Optional, Sequence, Tuple
 
 
 class ConfigParseError(ValueError):
@@ -57,10 +59,20 @@ class ConfigEntry:
         )
 
 
+@cache
+def _comment_scan(markers: Tuple[str, ...]) -> re.Pattern[str]:
+    """The compiled comment-scan regex for one marker tuple (see
+    :meth:`ConfigParser.strip_comment`), built on first use."""
+    marker = "|".join(re.escape(m) for m in markers)
+    return re.compile(rf"""(?:(?!{marker})[^"']|"[^"]*"?|'[^']*'?)*""")
+
+
 class ConfigParser:
     """Base class for format-specific parsers (the Augeas 'lens' role).
 
-    Subclasses implement :meth:`parse_text`; :meth:`parse` adds provenance.
+    Subclasses implement :meth:`parse_text`, finishing with
+    :func:`dedupe_occurrences`, which also stamps the provenance path
+    that :meth:`parse` hands down.
     """
 
     #: Application name this parser handles (registry key).
@@ -76,7 +88,7 @@ class ConfigParser:
         like from adversarial input.
         """
         try:
-            entries = self.parse_text(text)
+            return self.parse_text(text, source_path)
         except ConfigParseError:
             raise
         except Exception as exc:
@@ -84,16 +96,8 @@ class ConfigParser:
                 f"unparseable {self.app or 'config'} text: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        if not source_path:
-            return entries
-        return [
-            ConfigEntry(
-                e.app, e.name, e.value, source_path, e.line, e.section, e.occurrence
-            )
-            for e in entries
-        ]
 
-    def parse_text(self, text: str) -> List[ConfigEntry]:
+    def parse_text(self, text: str, source_path: str = "") -> List[ConfigEntry]:
         raise NotImplementedError
 
     # -- shared helpers --------------------------------------------------------
@@ -107,21 +111,14 @@ class ConfigParser:
         full path.  An unterminated quote disarms markers for the rest
         of the line (truncating a value the author clearly opened a
         string for would be worse than keeping a trailing comment).
+
+        One compiled regex per marker tuple does the scan: it consumes
+        runs of non-quote characters that do not start a marker and
+        whole quoted strings (an unterminated one eats the rest of the
+        line), so the match ends at the first live marker or at the end.
         """
-        quote = ""
-        i = 0
-        n = len(line)
-        while i < n:
-            ch = line[i]
-            if quote:
-                if ch == quote:
-                    quote = ""
-            elif ch in "\"'":
-                quote = ch
-            elif any(line.startswith(marker, i) for marker in markers):
-                return line[:i].rstrip()
-            i += 1
-        return line.rstrip()
+        end = _comment_scan(tuple(markers)).match(line).end()
+        return line[:end].rstrip()
 
     @staticmethod
     def unquote(value: str) -> str:
@@ -132,12 +129,16 @@ class ConfigParser:
         return value
 
 
-def dedupe_occurrences(entries: List[ConfigEntry]) -> List[ConfigEntry]:
+def dedupe_occurrences(
+    entries: List[ConfigEntry], source_path: str = ""
+) -> List[ConfigEntry]:
     """Assign 0-based occurrence indices to repeated entry names.
 
     The paper (Table 2) notes that "the mining algorithms treat each
     occurrence of an entry as a different attribute"; keeping explicit
     occurrence numbers lets the assembler reproduce that behaviour.
+    A non-empty *source_path* is stamped in the same pass, so an entry
+    is rebuilt at most once and kept as is when already right.
     """
     seen: dict = {}
     out: List[ConfigEntry] = []
@@ -145,10 +146,11 @@ def dedupe_occurrences(entries: List[ConfigEntry]) -> List[ConfigEntry]:
         key = (entry.app, entry.name)
         occurrence = seen.get(key, 0)
         seen[key] = occurrence + 1
-        out.append(
-            ConfigEntry(
-                entry.app, entry.name, entry.value, entry.source_path,
+        path = source_path or entry.source_path
+        if occurrence != entry.occurrence or path != entry.source_path:
+            entry = ConfigEntry(
+                entry.app, entry.name, entry.value, path,
                 entry.line, entry.section, occurrence,
             )
-        )
+        out.append(entry)
     return out

@@ -20,7 +20,7 @@ class KeyValueParser(ConfigParser):
     def __init__(self, app: str = "generic") -> None:
         self.app = app
 
-    def parse_text(self, text: str) -> List[ConfigEntry]:
+    def parse_text(self, text: str, source_path: str = "") -> List[ConfigEntry]:
         entries: List[ConfigEntry] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = self.strip_comment(raw, markers=("#", ";")).strip()
@@ -40,4 +40,4 @@ class KeyValueParser(ConfigParser):
             entries.append(
                 ConfigEntry(self.app, key, self.unquote(value.strip()), line=lineno)
             )
-        return dedupe_occurrences(entries)
+        return dedupe_occurrences(entries, source_path)

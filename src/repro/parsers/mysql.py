@@ -25,7 +25,7 @@ class MySQLParser(ConfigParser):
 
     app = "mysql"
 
-    def parse_text(self, text: str) -> List[ConfigEntry]:
+    def parse_text(self, text: str, source_path: str = "") -> List[ConfigEntry]:
         entries: List[ConfigEntry] = []
         section: Optional[str] = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -44,7 +44,7 @@ class MySQLParser(ConfigParser):
             if not key:
                 raise ConfigParseError(f"line {lineno}: empty key")
             entries.append(self._entry(section, key, value, lineno))
-        return dedupe_occurrences(entries)
+        return dedupe_occurrences(entries, source_path)
 
     def _entry(self, section: Optional[str], key: str, value: str, lineno: int) -> ConfigEntry:
         key = key.replace("-", "_").lower()

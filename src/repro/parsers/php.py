@@ -22,7 +22,7 @@ class PHPIniParser(ConfigParser):
 
     app = "php"
 
-    def parse_text(self, text: str) -> List[ConfigEntry]:
+    def parse_text(self, text: str, source_path: str = "") -> List[ConfigEntry]:
         entries: List[ConfigEntry] = []
         section: Optional[str] = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,4 +45,4 @@ class PHPIniParser(ConfigParser):
                     line=lineno, section=section,
                 )
             )
-        return dedupe_occurrences(entries)
+        return dedupe_occurrences(entries, source_path)

@@ -19,7 +19,7 @@ class SSHDParser(ConfigParser):
 
     app = "sshd"
 
-    def parse_text(self, text: str) -> List[ConfigEntry]:
+    def parse_text(self, text: str, source_path: str = "") -> List[ConfigEntry]:
         entries: List[ConfigEntry] = []
         in_match: Optional[str] = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -41,7 +41,7 @@ class SSHDParser(ConfigParser):
             entries.append(
                 ConfigEntry(self.app, name, value, line=lineno, section=in_match)
             )
-        return dedupe_occurrences(entries)
+        return dedupe_occurrences(entries, source_path)
 
     @staticmethod
     def _canonical(keyword: str) -> str:

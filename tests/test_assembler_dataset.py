@@ -92,6 +92,14 @@ class TestDataset:
         assert stats.entropy == 0.0
         assert stats.inverse_change_frequency() == 1.0
 
+    def test_seen_matches_value_counts_scan(self, assembler, small_corpus):
+        dataset = assembler.assemble_corpus(small_corpus[:10])
+        for attribute in dataset.attributes():
+            stats = dataset.stats(attribute)
+            present = [v for v, _ in stats.value_counts]
+            for value in present + ["", "never-a-value", present[0] + "x"]:
+                assert stats.seen(value) == any(v == value for v in present)
+
     def test_attributes_of_type(self, assembler, small_corpus):
         dataset = assembler.assemble_corpus(small_corpus[:10])
         users = dataset.attributes_of_type(ConfigType.USER_NAME)

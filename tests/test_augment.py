@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.augment import Augmenter
+from repro.core.augment import Augmenter, _contents_digest
 from repro.core.types import ConfigType
 from repro.sysmodel.hardware import HardwareSpec
 from repro.sysmodel.image import SystemImage
@@ -62,6 +62,22 @@ class TestFilePathAugmentation:
         image.fs.add_file("/var/lib/mysql/new-table")
         after = suffixes(Augmenter().augment("/var/lib/mysql", ConfigType.FILE_PATH, image))
         assert before["contents"].value != after["contents"].value
+
+    @pytest.mark.parametrize("path", [
+        "/srv/empty", "/srv/nested", "/srv/nested/inner", "/srv/links", "/srv",
+    ])
+    def test_listing_columns_match_filesystem_queries(self, path):
+        """One directory scan yields what three separate queries did."""
+        img = SystemImage("listing-img")
+        img.fs.add_dir("/srv/empty")
+        img.fs.add_dir("/srv/nested/inner")
+        img.fs.add_file("/srv/nested/inner/data")
+        img.fs.add_file("/srv/links/target")
+        img.fs.add_symlink("/srv/links/alias", "/srv/links/target")
+        attrs = suffixes(Augmenter().augment(path, ConfigType.FILE_PATH, img))
+        assert attrs["contents"].value == _contents_digest(img.fs.children(path))
+        assert attrs["hasDir"].value == str(img.fs.has_subdirectories(path))
+        assert attrs["hasSymLink"].value == str(img.fs.has_symlinks(path))
 
 
 class TestIPAugmentation:

@@ -64,7 +64,7 @@ class TestFuzzLiteParsers:
         class ExplodingParser(ConfigParser):
             app = "boom"
 
-            def parse_text(self, text):
+            def parse_text(self, text, source_path=""):
                 raise IndexError("tokenizer walked off the end")
 
         with pytest.raises(ConfigParseError, match="IndexError"):

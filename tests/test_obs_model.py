@@ -163,6 +163,24 @@ class TestDriftMonitor:
         assert monitor.unseen_values["app:port"] == 1
         assert monitor.new_attributes["app:extra"] == 1
 
+    def test_observe_round_trips_through_to_dict(self):
+        monitor = DriftMonitor(BASELINE, training_size=10)
+        monitor.observe(_Row({"app:port": "80", "app:user": "www"}))
+        monitor.observe(_Row({"app:port": "443", "app:extra": "x"}))
+        assert monitor.to_dict() == {
+            "targets": 2,
+            "observed": {
+                "app:extra": {"x": 1},
+                "app:port": {"80": 1, "443": 1},
+                "app:user": {"www": 1},
+            },
+            "new_attributes": {"app:extra": 1},
+            "unseen_values": {"app:port": 1},
+        }
+        restored = DriftMonitor(BASELINE, training_size=10)
+        restored.merge_snapshot(monitor.to_dict())
+        assert restored.to_dict() == monitor.to_dict()
+
     def test_merge_matches_serial_observation(self):
         rows = [
             _Row({"app:port": "80", "app:user": "www"}),

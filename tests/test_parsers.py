@@ -1,9 +1,12 @@
 """Tests for the configuration-file parsers."""
 
+import shlex
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.parsers.apache import ApacheParser
-from repro.parsers.base import ConfigEntry, ConfigParseError, dedupe_occurrences
+from repro.parsers.base import ConfigEntry, ConfigParseError, ConfigParser, dedupe_occurrences
 from repro.parsers.keyvalue import KeyValueParser
 from repro.parsers.mysql import MySQLParser
 from repro.parsers.php import PHPIniParser
@@ -36,6 +39,39 @@ class TestConfigEntry:
         ]
         deduped = dedupe_occurrences(entries)
         assert [e.occurrence for e in deduped] == [0, 1, 0]
+
+    def test_dedupe_reuses_entries_already_right(self):
+        entries = [ConfigEntry("a", "X", "1"), ConfigEntry("a", "X", "2")]
+        deduped = dedupe_occurrences(entries)
+        assert deduped[0] is entries[0]
+        assert deduped[1] is not entries[1] and deduped[1].occurrence == 1
+
+    def test_dedupe_stamps_source_path(self):
+        entries = [
+            ConfigEntry("a", "X", "1", line=4, section="s"),
+            ConfigEntry("a", "X", "2", line=5),
+        ]
+        deduped = dedupe_occurrences(entries, "/etc/a.conf")
+        assert deduped == [
+            ConfigEntry("a", "X", "1", "/etc/a.conf", 4, "s", 0),
+            ConfigEntry("a", "X", "2", "/etc/a.conf", 5, None, 1),
+        ]
+
+    @pytest.mark.parametrize("app", ["apache", "mysql", "php", "sshd"])
+    def test_parse_equals_parse_text_plus_path(self, app):
+        """``parse`` differs from ``parse_text`` only by the stamped path."""
+        from repro.testing.faults import valid_config_samples
+
+        parser = default_registry().get(app)
+        text = valid_config_samples()[app]
+        plain = parser.parse_text(text)
+        stamped = parser.parse(text, "/etc/x.conf")
+        assert plain and all(e.source_path == "" for e in plain)
+        assert stamped == [
+            ConfigEntry(e.app, e.name, e.value, "/etc/x.conf", e.line, e.section,
+                        e.occurrence)
+            for e in plain
+        ]
 
 
 class TestApacheParser:
@@ -280,3 +316,90 @@ class TestStripComment:
         )
         values = [e.value for e in by_name(entries, "mysqld/init_connect")]
         assert values == ["SET NAMES utf8; SET autocommit=0"]
+
+
+def _strip_comment_oracle(line, markers=("#",)):
+    """The original per-character scan, kept as the regex's oracle."""
+    quote = ""
+    i = 0
+    n = len(line)
+    while i < n:
+        ch = line[i]
+        if quote:
+            if ch == quote:
+                quote = ""
+        elif ch in "\"'":
+            quote = ch
+        elif any(line.startswith(marker, i) for marker in markers):
+            return line[:i].rstrip()
+        i += 1
+    return line.rstrip()
+
+
+class TestStripCommentOracle:
+    """The compiled-regex scan agrees with the per-character loop."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        line=st.text(alphabet="#;\"'/\t abxy", max_size=40),
+        markers=st.sampled_from([("#",), (";",), ("#", ";"), ("//", "#")]),
+    )
+    def test_matches_oracle(self, line, markers):
+        assert ConfigParser.strip_comment(line, markers) == _strip_comment_oracle(
+            line, markers
+        )
+
+    @pytest.mark.parametrize("line,markers,expected", [
+        ("a // b # c", ("//", "#"), "a"),
+        ("a / b # c", ("//", "#"), "a / b"),
+        ('x "//" // y', ("//", "#"), 'x "//"'),
+        ("x 'half // open", ("//", "#"), "x 'half // open"),
+        ("", ("#",), ""),
+    ])
+    def test_multi_character_markers(self, line, markers, expected):
+        assert ConfigParser.strip_comment(line, markers) == expected
+        assert _strip_comment_oracle(line, markers) == expected
+
+
+class TestApacheTokenising:
+    """Lines without quotes or backslashes skip shlex; the split agrees."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.text(alphabet="ab/.*:-_\t\r\n 09", max_size=40))
+    def test_fast_split_matches_shlex(self, line):
+        parser = ApacheParser()
+        expected = shlex.split(line, comments=False, posix=True)
+        entries = parser._directive([], line, 1)
+        if not expected:
+            assert entries == []
+            return
+        assert entries[0].name == expected[0]
+        assert entries[0].value == " ".join(expected[1:])
+
+    def test_multiarg_columns_from_fast_split(self):
+        entries = ApacheParser().parse_text(
+            "LoadModule\tssl_module \t modules/mod_ssl.so\r\n"
+        )
+        assert [(e.name, e.value) for e in entries] == [
+            ("LoadModule", "ssl_module modules/mod_ssl.so"),
+            ("LoadModule/arg1", "ssl_module"),
+            ("LoadModule/arg2", "modules/mod_ssl.so"),
+        ]
+
+    def test_quoted_line_takes_shlex_path(self, monkeypatch):
+        import repro.parsers.apache as apache
+
+        calls = []
+        real_split = apache.shlex.split
+
+        def spy(line, **kwargs):
+            calls.append(line)
+            return real_split(line, **kwargs)
+
+        monkeypatch.setattr(apache.shlex, "split", spy)
+        entries = ApacheParser().parse_text('CustomLog "/a b#c.log" combined\nTimeout 60\n')
+        assert calls == ['CustomLog "/a b#c.log" combined']
+        assert [(e.name, e.value) for e in entries] == [
+            ("CustomLog", "/a b#c.log combined"),
+            ("Timeout", "60"),
+        ]
