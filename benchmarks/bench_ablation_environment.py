@@ -41,9 +41,11 @@ def test_ablation_environment_integration(benchmark, results_dir):
         f"  without environment integration : {len(without_env)}  {sorted(without_env)}\n"
     )
     archive(results_dir, "ablation_environment", text)
-    # Environment integration must strictly expand detection: the
-    # Env-classified cases (2, 3, 4, 5) are invisible without it, while
-    # pure-Corr value orderings (case 10) survive.
+    # Environment integration must strictly expand detection: turning it
+    # off never adds a detection, the Env-classified cases (2, 3, 4, 5)
+    # are invisible without it, while pure-Corr value orderings (case 10)
+    # survive.
+    assert without_env <= with_env
     assert len(with_env) > len(without_env)
     for env_case in (2, 3, 4, 5):
         assert env_case in with_env

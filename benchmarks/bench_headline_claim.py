@@ -5,7 +5,6 @@ across the three applications and several seeds, reporting the range.
 """
 
 from conftest import TRAINING_IMAGES, archive, run_once
-from export import record_headline
 
 from repro.evaluation.injection import run_injection_experiment
 
@@ -14,7 +13,6 @@ def test_headline_detection_ratio(benchmark, results_dir):
     def run():
         ratios = []
         rows = []
-        runs = []
         for app in ("apache", "mysql", "php"):
             for seed in (17, 23):
                 result = run_injection_experiment(
@@ -26,22 +24,9 @@ def test_headline_detection_ratio(benchmark, results_dir):
                     f"  {app:8s} seed={seed}: baseline={result.baseline:2d} "
                     f"encore={result.encore:2d}  ratio={ratio:.2f}x"
                 )
-                runs.append({
-                    "app": app, "seed": seed,
-                    "training_images": TRAINING_IMAGES[app],
-                    "baseline_detected": result.baseline,
-                    "encore_detected": result.encore,
-                    "ratio": round(ratio, 3),
-                })
-        return ratios, rows, runs
+        return ratios, rows
 
-    ratios, rows, runs = run_once(benchmark, run)
-    record_headline("headline_detection", {
-        "runs": runs,
-        "ratio_min": round(min(ratios), 3),
-        "ratio_max": round(max(ratios), 3),
-        "paper_range": [1.6, 3.5],
-    })
+    ratios, rows = run_once(benchmark, run)
     text = "\n".join(
         ["EnCore / Baseline detection ratios (Table 8 protocol):"]
         + rows

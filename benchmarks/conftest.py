@@ -3,26 +3,22 @@
 Each ``bench_table*.py`` regenerates one table of the paper's evaluation
 at (approximately) paper scale, prints the measured rows next to the
 paper's numbers, and archives the rendering under
-``benchmarks/results/``.  Alongside every ``<name>.txt`` rendering,
-:func:`archive` snapshots the run's :class:`MetricsRegistry` to
-``<name>.metrics.json`` so benchmark trajectories can compare per-stage
-timings and coverage counters, not just end-to-end numbers.
+``benchmarks/results/<name>.txt``.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/ -q --benchmark-disable
 
 Benchmarks assert only *shape* properties (who wins, direction of
 effects), never absolute numbers: the substrate is a synthetic corpus,
-not the authors' EC2 crawl.
+not the authors' EC2 crawl.  Every rendering except Table 3's timings
+is deterministic, so a rerun that changes a results file has changed
+what the reproduction measures.
 """
 
-import json
 from pathlib import Path
 
 import pytest
-
-from repro.obs.metrics import get_registry
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -36,21 +32,10 @@ def results_dir():
     return RESULTS_DIR
 
 
-@pytest.fixture(autouse=True)
-def _fresh_metrics():
-    """Per-bench metrics isolation: each archive snapshots one bench only."""
-    get_registry().reset()
-    yield
-
-
 def archive(results_dir: Path, name: str, text: str) -> None:
-    """Print a rendered table; archive it and the bench's telemetry."""
+    """Print a rendered table and archive it as ``<name>.txt``."""
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}")
     (results_dir / f"{name}.txt").write_text(text + "\n")
-    snapshot = get_registry().to_dict()
-    (results_dir / f"{name}.metrics.json").write_text(
-        json.dumps(snapshot, indent=1) + "\n"
-    )
 
 
 def run_once(benchmark, fn):

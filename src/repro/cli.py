@@ -564,46 +564,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Show the benchmark history or gate the latest run against it."""
-    from repro.obs.bench import (
-        DEFAULT_GATE_METRICS, BenchHistory, GateMetric, gate,
-    )
-
-    history = BenchHistory(args.history)
-    if args.action == "show":
-        records = history.records()[-args.last:]
-        if not records:
-            print(f"bench history {history.path} is empty")
-            return 0
-        for record in records:
-            sha = str(record.get("git_sha", ""))[:12] or "-"
-            payload = record.get("payload", {})
-            detail = ""
-            if isinstance(payload, dict):
-                for key in ("serial_total_seconds", "ratio_min"):
-                    if key in payload:
-                        detail = f" {key}={payload[key]}"
-                        break
-            print(f"{record.get('timestamp', '-'):<21} "
-                  f"{str(record.get('section', '-')):<20} sha={sha}{detail}")
-        return 0
-    # diff: latest record per gated metric vs the baseline window median.
-    try:
-        metrics = (
-            tuple(GateMetric.parse(spec) for spec in args.metric)
-            if args.metric else DEFAULT_GATE_METRICS
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    result = gate(
-        history, window=args.window, threshold_pct=args.threshold,
-        metrics=metrics,
-    )
-    print(result.render())
-    return 0 if result.ok else 1
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the HTTP detection service (see docs/serving.md)."""
     import signal
@@ -1136,30 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10, metavar="N",
                    help="stages to list in the table (default: 10)")
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "bench", help="show or gate the benchmark history"
-    )
-    p.add_argument("action", choices=["show", "diff"],
-                   help="show: list history records; diff: gate the "
-                        "latest run against the baseline window "
-                        "(exit 1 on regression)")
-    p.add_argument("--history", metavar="FILE", default="BENCH_history.jsonl",
-                   help="history file (default: BENCH_history.jsonl)")
-    p.add_argument("--window", type=int, default=5, metavar="N",
-                   help="baseline records to take the median of "
-                        "(default: 5)")
-    p.add_argument("--threshold", type=float, default=50.0, metavar="PCT",
-                   help="regression tolerance in percent over the "
-                        "baseline median (default: 50)")
-    p.add_argument("--metric", action="append", default=[],
-                   metavar="SECTION.PATH[:lower|higher]",
-                   help="gate this metric instead of the defaults "
-                        "(suffix names which direction is better; "
-                        "repeatable)")
-    p.add_argument("--last", type=int, default=10, metavar="N",
-                   help="records to list with 'show' (default: 10)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "serve", help="run the HTTP detection service over a model snapshot"

@@ -3,8 +3,8 @@
 Historically each ``train``/``check_stream`` call built its own
 ``ProcessPoolExecutor``, so every run paid process spawn *and* every
 worker rebuilt its parser registry, type registry and templates from
-the shipped config.  At realistic shard sizes that overhead dominated —
-``BENCH_headline.json`` recorded sharded assembly *slower* than serial.
+the shipped config.  At realistic shard sizes that overhead dominated:
+sharded assembly measured *slower* than serial.
 
 This module keeps one pool per coordinator process (:func:`get_warm_pool`)
 and one pipeline per worker process (:func:`worker_encore`):

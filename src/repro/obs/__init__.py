@@ -20,9 +20,6 @@ Three cooperating layers, all dependency-free:
 * :mod:`repro.obs.ledger` — the append-only run ledger every CLI
   train/check/audit run records into, with :func:`diff_entries` for
   run-over-run regression comparison;
-* :mod:`repro.obs.bench` — the benchmark history store
-  (``BENCH_history.jsonl``) and the median-of-N perf-regression gate
-  behind ``repro bench diff``;
 * :mod:`repro.obs.fileio` — crash-safe output primitives
   (:func:`atomic_write_text`, :func:`append_line`) behind every
   trace / metrics / ledger file the layer writes;

@@ -4,8 +4,8 @@ A :class:`FlightRecorder` is the black box an operator opens *after*
 something went wrong: fixed-capacity ring buffers of the most recent
 spans, structured-log events, errors, and alert-incident transitions.
 It is cheap enough to leave armed permanently (one lock-guarded tuple
-append per event; the budget is gated by ``benchmarks/bench_trace.py``
-at ≤2% on a full check pass) and bounded by construction, so a
+append per event; ``benchmarks/overhead.py`` holds the budget to ≤2%
+on a full check pass) and bounded by construction, so a
 months-long serve daemon holds exactly ``capacity`` entries per ring no
 matter how much traffic it saw.
 

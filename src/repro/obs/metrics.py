@@ -181,9 +181,8 @@ class Histogram:
 
         This is the one quantile implementation in the codebase: the
         serve SLO summary (``/statusz``), the ``repro profile`` shard
-        table, the timeline sampler and ``bench_serve`` all report
-        p50/p99 through it, so a quoted percentile means the same thing
-        everywhere.
+        table and the timeline sampler all report p50/p99 through it,
+        so a quoted percentile means the same thing everywhere.
 
         Edge-case contract:
 

@@ -325,8 +325,8 @@ def _wall_quantiles(walls: List[float]) -> "tuple":
 
     Builds a histogram whose bucket bounds are the observed values and
     asks :meth:`repro.obs.metrics.Histogram.quantile` — the same
-    interpolation the serve SLO summary and ``bench_serve`` report, so
-    every percentile this codebase prints comes from one implementation.
+    interpolation the serve SLO summary reports, so every percentile
+    this codebase prints comes from one implementation.
     """
     from repro.obs.metrics import Histogram
 

@@ -174,7 +174,7 @@ class Timeline:
         #: for series dropped at the cap).  Identity resolution — label
         #: sorting, the ``name{k=v}`` string — runs once per series, not
         #: once per sample, which keeps the per-sample cost linear in
-        #: points appended (see ``benchmarks/bench_timeline.py``).
+        #: points appended (see ``benchmarks/overhead.py``).
         self._by_key: Dict[Tuple[str, LabelSet], Optional[Series]] = {}
         #: Samples of series that arrived after ``max_series`` distinct
         #: series existed — counted so truncation is visible, not silent.

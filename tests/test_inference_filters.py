@@ -11,6 +11,7 @@ from repro.core.pipeline import EnCore
 from repro.core.rules import ConcreteRule
 from repro.core.templates import template_by_name
 from repro.core.types import ConfigType
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -349,6 +350,77 @@ class TestImageOrderInvariance:
         dataset = data.draw(small_datasets())
         order = data.draw(st.permutations(range(len(dataset))))
         self.assert_permutation_invariant(dataset, order)
+
+
+class TestAttributeRenamingInvariance:
+    """Rules are invariant under consistent attribute renaming (metamorphic).
+
+    Every non-``env:`` entry gets a new base name under its own app
+    prefix; augmented columns keep their suffix and augmented flag.  The
+    new names sort in the reverse order of the old ones, so the pair
+    order and the (A, B) orientation of symmetric templates both change.
+    """
+
+    @staticmethod
+    def renamed(dataset):
+        """(renamed dataset, new attribute name → old name)."""
+        def base(system, name):
+            return name.rsplit(".", 1)[0] if system.is_augmented(name) else name
+
+        bases = sorted({
+            base(system, name) for system in dataset for name in system.cells
+            if not name.startswith("env:")
+        })
+        new_base = {
+            old: f"{old.split(':', 1)[0]}:renamed{len(bases) - i:05d}"
+            for i, old in enumerate(bases)
+        }
+        original = {}
+        systems = []
+        for system in dataset:
+            copy = AssembledSystem(system.image, system.environment_available)
+            for name in system.cells:
+                new = name
+                if not name.startswith("env:"):
+                    old_base = base(system, name)
+                    new = new_base[old_base] + name[len(old_base):]
+                original[new] = name
+                augmented = system.is_augmented(name)
+                for typed in system.values_of(name):
+                    copy.set(new, typed.value, typed.type, augmented=augmented)
+            systems.append(copy)
+        return Dataset(systems), original
+
+    @staticmethod
+    def rule_set(rules, original):
+        out = set()
+        for rule in rules:
+            a, b = original[rule.attribute_a], original[rule.attribute_b]
+            if template_by_name(rule.template_name).symmetric:
+                a, b = sorted((a, b))
+            out.add((rule.template_name, a, b, rule.relation,
+                     rule.support, rule.valid_count))
+        return out
+
+    def assert_renaming_invariant(self, dataset):
+        renamed, original = self.renamed(dataset)
+        assert set(renamed.attributes()).isdisjoint(
+            name for name in dataset.attributes() if not name.startswith("env:")
+        )
+        identity = {name: name for name in dataset.attributes()}
+        for inferencer in (RuleInferencer(), permissive()):
+            base, moved = inferencer.infer(dataset).rules, inferencer.infer(renamed).rules
+            assert len(moved) == len(base)
+            assert self.rule_set(moved, original) == self.rule_set(base, identity)
+
+    def test_generated_corpus(self):
+        images = Ec2CorpusGenerator(seed=3).generate(40)
+        self.assert_renaming_invariant(DataAssembler().assemble_corpus(images))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(dataset=small_datasets())
+    def test_generated_datasets(self, dataset):
+        self.assert_renaming_invariant(dataset)
 
 
 class TestMergedDatasetInference:
