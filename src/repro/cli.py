@@ -29,8 +29,9 @@ an auditable record instead of failing the run, up to the
 (including an exceeded error budget or a corrupt model snapshot).
 
 Every subcommand accepts the observability options: ``-v``/``-q`` set
-the structured-log verbosity, ``--trace FILE`` saves a nested-span JSON
-trace of the run, and ``--metrics FILE`` (``-`` for stdout) dumps the
+the structured-log verbosity, ``--profile [FILE]`` saves the run's span
+forest with per-stage and per-shard wall/CPU/RSS tables (render it with
+``repro profile``), and ``--metrics FILE`` (``-`` for stdout) dumps the
 metrics-registry snapshot.  Model-bearing runs append one entry to the
 run ledger (``.encore/ledger.jsonl``; override with ``--ledger FILE``,
 suppress with ``--no-ledger``) recording config/dataset fingerprints,
@@ -42,7 +43,7 @@ Example::
     python -m repro generate --out corpus/ --count 60 --seed 7
     python -m repro train --training corpus/ --rules rules.json
     python -m repro check --training corpus/ --target corpus/ami-070000.json
-    python -m repro stats --training corpus/ --trace trace.json
+    python -m repro stats --training corpus/ --profile profile.json
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -60,7 +60,6 @@ from repro.corpus.generator import Ec2CorpusGenerator
 from repro.corpus.private_cloud import PrivateCloudGenerator
 from repro.obs import configure as configure_logging
 from repro.obs import get_logger, get_registry, render_stats, reset_registry
-from repro.obs.profile import tracing_allocations
 from repro.obs.tracing import Tracer, get_tracer, set_tracer
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import load_image, save_image
@@ -171,7 +170,7 @@ def _record_ledger(
 
     profile_meta: Dict[str, object] = {}
     tracer = get_tracer()
-    if tracer is not None and tracer.resources:
+    if tracer is not None:
         tables = profile_tables(tracer)
         rows = [*tables["stages"].values(), *tables["shards"]]
         if rows:
@@ -906,12 +905,12 @@ def cmd_doctor(args: argparse.Namespace) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
-def _add_obs_options(parser: argparse.ArgumentParser, profile: bool = True,
+def _add_obs_options(parser: argparse.ArgumentParser,
                      alerts: bool = True) -> None:
-    """Observability flags; *profile*/*alerts* only where a run can use them.
+    """Observability flags; *alerts* only where a run can use them.
 
-    ``--profile`` needs pipeline stages to sample and ``--alerts`` an
-    engine fold loop (or the serve daemon) to tick the monitor.
+    ``--alerts`` needs an engine fold loop (or the serve daemon) to tick
+    the monitor.
     """
     group = parser.add_argument_group("observability")
     group.add_argument("-v", "--verbose", action="count", default=0,
@@ -920,18 +919,16 @@ def _add_obs_options(parser: argparse.ArgumentParser, profile: bool = True,
                        help="errors only")
     group.add_argument("--log-json", action="store_true",
                        help="emit logs as JSON lines instead of key=value")
-    group.add_argument("--trace", metavar="FILE",
-                       help="write a nested-span JSON trace of this run")
     group.add_argument("--metrics", metavar="FILE",
                        help="write the metrics snapshot as JSON ('-' for stdout)")
-    if profile:
-        group.add_argument("--profile", metavar="FILE", nargs="?",
-                           const=DEFAULT_PROFILE_PATH,
-                           help="record per-stage wall/CPU/RSS/allocation "
-                                "profiles (including worker shards) and "
-                                "write the profile document here (default: "
-                                f"{DEFAULT_PROFILE_PATH}; render it with "
-                                "'repro profile')")
+    group.add_argument("--profile", metavar="FILE", nargs="?",
+                       const=DEFAULT_PROFILE_PATH,
+                       help="trace this run and write its span forest with "
+                            "per-stage and per-shard wall/CPU/RSS tables "
+                            "here (default: "
+                            f"{DEFAULT_PROFILE_PATH}; render it with "
+                            "'repro profile'; PYTHONTRACEMALLOC=1 adds "
+                            "allocation peaks)")
     group.add_argument("--ledger", metavar="FILE",
                        help="run-ledger path (default: .encore/ledger.jsonl)")
     group.add_argument("--no-ledger", action="store_true",
@@ -1007,7 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic corpus")
-    _add_obs_options(p, profile=False, alerts=False)
+    _add_obs_options(p, alerts=False)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
@@ -1071,7 +1068,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("ledger", help="show or diff the run ledger")
-    _add_obs_options(p, profile=False, alerts=False)
+    _add_obs_options(p, alerts=False)
     p.add_argument("action", choices=["show", "diff"])
     p.add_argument("refs", nargs="*",
                    help="for diff: two entry refs, each an index (0, -1, ...) "
@@ -1100,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run the HTTP detection service over a model snapshot"
     )
-    _add_obs_options(p, profile=False)
+    _add_obs_options(p)
     p.add_argument("--snapshot", required=True,
                    help="model snapshot to serve (from 'train --model')")
     p.add_argument("--host", default="127.0.0.1")
@@ -1141,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "quarantine", help="list images dropped by the error policy"
     )
-    _add_obs_options(p, profile=False, alerts=False)
+    _add_obs_options(p, alerts=False)
     p.add_argument("action", choices=["show"])
     p.add_argument("--all", action="store_true",
                    help="every recorded run, not just the most recent")
@@ -1218,11 +1215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       json_lines=getattr(args, "log_json", False))
     reset_registry()
     profile = getattr(args, "profile", None)
-    tracer: Optional[Tracer] = None
-    if getattr(args, "trace", None) or profile:
-        # A profile is derived from the span forest, so profiling implies
-        # an in-memory tracer (sampling resources) even without --trace.
-        tracer = set_tracer(Tracer(resources=bool(profile)))
+    tracer = set_tracer(Tracer()) if profile else None
     flight = None
     if args.command in FLIGHT_COMMANDS:
         # Always-on black box for pipeline runs: closed spans, log
@@ -1254,8 +1247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.core.resilience import ErrorBudgetExceeded
 
     try:
-        with tracing_allocations() if profile else nullcontext():
-            return args.func(args)
+        return args.func(args)
     except ErrorBudgetExceeded as exc:
         log.error("run.aborted", error="ErrorBudgetExceeded")
         print(f"error: {exc}", file=sys.stderr)
@@ -1276,14 +1268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for incident in firing:
                     print(f"  {incident.describe()}", file=sys.stderr)
         if tracer is not None:
-            set_tracer(None)
-            if getattr(args, "trace", None):
-                tracer.save(args.trace)
-                log.info("trace.saved", path=args.trace,
-                         spans=len(tracer.roots))
-        if profile:
             from repro.obs.profile import profile_document, save_profile
 
+            set_tracer(None)
             doc = profile_document(
                 tracer,
                 command=args.command,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.dataset import AttributeStats
 from repro.core.pipeline import TrainedModel
@@ -229,20 +229,26 @@ def load_model_snapshot(path: Union[str, Path]) -> tuple:
     return snapshot.summary, snapshot.rules
 
 
-def load_snapshot(path: Union[str, Path]) -> ModelSnapshot:
-    """Full snapshot (including training provenance) from a saved file.
+def read_snapshot(
+    path: Union[str, Path]
+) -> Tuple[Dict[str, object], ModelSnapshot]:
+    """The decoded payload of a saved snapshot file, and its snapshot.
 
-    The format is sniffed from the content — codec magic bytes mean the
-    compact binary framing, anything else the historical JSON — so
-    callers never need to know how a snapshot was written.  Raises
-    :class:`SnapshotCorruptError` when the file cannot be decoded or
-    lacks required snapshot fields (truncated writes, manual edits); an
+    The one reader of snapshot files.  The format is sniffed from the
+    content — codec magic bytes mean the compact binary framing,
+    anything else the historical JSON — so callers never need to know
+    how a snapshot was written.  Raises :class:`SnapshotCorruptError`
+    when the file is missing, cannot be decoded or lacks required
+    snapshot fields (truncated writes, manual edits); an
     unsupported-version error propagates unchanged — the file is
     intact, the reader is just too old or too new for it.
     """
     from repro.engine import codec
 
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise SnapshotCorruptError(path, "snapshot file not found") from exc
     if codec.is_encoded(raw):
         try:
             data = codec.decode(raw)
@@ -258,8 +264,14 @@ def load_snapshot(path: Union[str, Path]) -> ModelSnapshot:
             path, f"expected a JSON object, got {type(data).__name__}"
         )
     try:
-        return snapshot_from_dict(data)
+        return data, snapshot_from_dict(data)
     except (KeyError, TypeError) as exc:
         raise SnapshotCorruptError(
             path, f"missing or malformed field ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def load_snapshot(path: Union[str, Path]) -> ModelSnapshot:
+    """Full snapshot (including training provenance) from a saved file
+    (see :func:`read_snapshot`)."""
+    return read_snapshot(path)[1]

@@ -1,6 +1,6 @@
 """Serializable inter-stage artifacts.
 
-Every boundary in the stage graph (``repro.engine.stages``) exchanges a
+Every boundary in the stage graph (``docs/architecture.md``) exchanges a
 value that can leave the process: system images already serialise via
 :mod:`repro.sysmodel.snapshot`, rules and model snapshots via
 :mod:`repro.core.persistence`.  This module fills the remaining gaps —
@@ -241,9 +241,9 @@ class ShardResult:
     #: keep no record — what the coordinator's error budget counts.
     dropped: int = 0
     #: :meth:`repro.obs.tracing.Tracer.snapshot` of the worker's span
-    #: forest; empty unless the payload shipped a trace context.  On a
-    #: profiled run its spans carry resource attributes, and its
-    #: ``{kind}.shard`` root becomes the profile's shard row.
+    #: forest; empty unless the payload shipped a trace context.  Its
+    #: spans carry resource attributes, and its ``{kind}.shard`` root
+    #: becomes the profile's shard row.
     spans: Dict[str, Any] = field(default_factory=dict)
     #: :meth:`repro.obs.model.DriftMonitor.to_dict` snapshot of a check
     #: worker's observations; the coordinator folds it so the drift

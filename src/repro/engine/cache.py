@@ -185,7 +185,3 @@ class ResultCache:
                 "memory_entries": len(self._memory),
                 "memory_capacity": self.memory_entries,
             }
-
-    def clear_memory(self) -> None:
-        with self._lock:
-            self._memory.clear()

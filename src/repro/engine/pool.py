@@ -249,8 +249,7 @@ def worker_tracer(payload: Dict[str, Any], shard_index: int):
     result's ``spans`` field stays empty, keeping wire bytes identical
     to a tracing-off run.  Span ids are seeded with the shard index so
     ids are deterministic given the trace context and never collide
-    with the coordinator's (or a sibling shard's) ids.  A profiled task
-    (``profile`` flag) gets a resource-sampling tracer.
+    with the coordinator's (or a sibling shard's) ids.
     """
     from repro.obs.tracing import TraceContext, Tracer
 
@@ -258,10 +257,7 @@ def worker_tracer(payload: Dict[str, Any], shard_index: int):
     if not context_dict:
         return None
     context = TraceContext.from_dict(context_dict)
-    return Tracer(
-        context=context, seed=f"shard{shard_index}",
-        resources=bool(payload.get("profile")),
-    )
+    return Tracer(context=context, seed=f"shard{shard_index}")
 
 
 def worker_cache(root: str):

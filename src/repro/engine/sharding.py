@@ -102,7 +102,6 @@ from repro.obs.metrics import (
     merge_snapshot,
     use_registry,
 )
-from repro.obs.profile import tracing_allocations
 from repro.obs.tracing import (
     current_context,
     get_tracer,
@@ -227,15 +226,15 @@ def _run_shard(task: bytes) -> bytes:
     records accumulated by the worker's error policy ride back on the
     result.  The pipeline (and, for checks, the installed model) is
     cached per worker process (:mod:`repro.engine.pool`) and reset per
-    shard.  A profiled task samples resources on the worker's spans and
-    traces allocations for the shard's duration.
+    shard.  A traced task records the worker's spans (with their
+    resource attributes) and ships them back on the result.
     """
     payload = codec.decode(task)
     kind, shard_index = payload["kind"], payload["shard_index"]
     tracer = worker_tracer(payload, shard_index)
     with use_registry(MetricsRegistry()), (
         use_tracer(tracer) if tracer is not None else nullcontext()
-    ), (tracing_allocations() if payload.get("profile") else nullcontext()):
+    ):
         encore = worker_encore(payload["config"], payload["config_digest"])
         if kind == "check":
             worker_install_model(encore, payload["model"], payload["model_digest"])
@@ -348,14 +347,10 @@ class _ShardExecutor:
             payload["model"], payload["model_digest"] = self.model_bytes
         if self.fault_plan is not None:
             payload["faults"] = self.fault_plan.to_dict()
-        tracer = get_tracer()
-        if tracer is not None:
+        if get_tracer() is not None:
             # Propagate the coordinator's trace identity: the worker
-            # re-parents its span forest under the span active here,
-            # and samples resources on it when the coordinator does.
+            # re-parents its span forest under the span active here.
             payload["trace"] = current_context().to_dict()
-            if tracer.resources:
-                payload["profile"] = True
         if self.cache is not None and self.cache.root is not None:
             # Assembly workers only store: the coordinator's pre-pass
             # already resolved every hit.  Check workers look up too.

@@ -6,7 +6,8 @@ Three cooperating layers, all dependency-free:
   counters / gauges / histograms; mergeable, JSON- and
   Prometheus-serialisable;
 * :mod:`repro.obs.tracing` — hierarchical :func:`span` timing with an
-  optional :class:`Tracer` retaining the tree for JSON export;
+  optional :class:`Tracer` retaining the tree, each span annotated with
+  its thread's CPU and the peak RSS;
 * :mod:`repro.obs.logging` — structured (key=value or JSON-lines)
   loggers behind one :func:`configure` entry point;
 * :mod:`repro.obs.model` — model observability: :class:`Provenance`
@@ -14,9 +15,9 @@ Three cooperating layers, all dependency-free:
   :class:`DriftMonitor` (checked-fleet vs. training-corpus
   distribution drift, PSI/KL per attribute);
 * :mod:`repro.obs.profile` — per-stage and per-shard resource tables
-  (wall/CPU/RSS/allocation peaks) derived from the spans of a
-  resource-sampling :class:`Tracer`, with JSON, Chrome ``trace_event``
-  and text exports;
+  (wall/CPU/RSS, plus allocation peaks under ``PYTHONTRACEMALLOC``)
+  derived from a :class:`Tracer`'s spans, with JSON, Chrome
+  ``trace_event`` and text exports;
 * :mod:`repro.obs.ledger` — the append-only run ledger every CLI
   train/check/audit run records into, with :func:`diff_entries` for
   run-over-run regression comparison;

@@ -1,10 +1,10 @@
 """Crash-safe file output for observability artifacts.
 
-Traces, metrics snapshots and ledger entries are written mid-run or in
-``finally`` blocks — exactly the moments a crashing process would
+Profiles, metrics snapshots and ledger entries are written mid-run or
+in ``finally`` blocks — exactly the moments a crashing process would
 otherwise leave a truncated JSON file behind, or fail outright because
-``--trace runs/today/trace.json`` names a directory that does not exist
-yet.  :func:`atomic_write_text` closes both holes: parent directories
+``--profile runs/today/profile.json`` names a directory that does not
+exist yet.  :func:`atomic_write_text` closes both holes: parent directories
 are created on demand, and content lands under a temporary name in the
 same directory before an :func:`os.replace` makes it visible — readers
 only ever see the old file or the complete new one.

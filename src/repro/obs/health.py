@@ -129,10 +129,6 @@ class HealthMonitor:
             }
             return data
 
-    def timeline_dict(self) -> dict:
-        with self.lock:
-            return self.timeline.to_dict()
-
     # -- thread ----------------------------------------------------------------
 
     def start(self, name: str = "health-monitor") -> None:

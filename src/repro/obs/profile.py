@@ -3,21 +3,23 @@
 The metrics layer answers *what the pipeline did* (counters, coverage);
 this module answers *where the resources went*.  A profiled run is a
 traced run: the CLI's ``--profile`` installs a
-:class:`~repro.obs.tracing.Tracer` built with ``resources=True``, and
-every span it closes carries three resource attributes beside its wall
-time:
+:class:`~repro.obs.tracing.Tracer`, and every span a tracer closes
+carries resource attributes beside its wall time:
 
-* ``cpu_s`` — CPU seconds (``os.times`` user+system of *this* process
-  only, so worker CPU is never double-counted: it arrives on the
-  workers' own spans);
+* ``cpu_s`` — CPU seconds of the thread that ran the span
+  (:func:`time.thread_time`), so worker CPU is never double-counted (it
+  arrives on the workers' own spans) and concurrent serve requests
+  never absorb each other's CPU;
 * ``max_rss_bytes`` — peak RSS (``resource.getrusage`` high-water mark);
-* ``alloc_peak_bytes`` — ``tracemalloc`` allocation peak over the span
-  (0 unless allocations are traced — see :func:`tracing_allocations`).
+* ``alloc_peak_bytes`` — ``tracemalloc`` allocation peak over the span,
+  present only when the interpreter already traces allocations
+  (``PYTHONTRACEMALLOC=1`` or ``-X tracemalloc``; its table column
+  reads 0 otherwise).
 
-Sharded stages need no side channel.  A worker samples too when its
-task frame asks, its ``{kind}.shard`` root span carries ``shard``,
-``items`` and the resource attributes, and the forest ships back on the
-shard result like any traced run's.  :func:`profile_tables` folds the
+Sharded stages need no side channel.  A worker rebuilds a tracer from
+its task frame's trace context, its ``{kind}.shard`` root span carries
+``shard``, ``items`` and the resource attributes, and the forest ships
+back on the shard result.  :func:`profile_tables` folds the
 coordinator roots plus those remote forests into the two tables every
 surface reads: ``stages`` (per span name: summed wall/CPU/calls,
 maximum peaks) and ``shards`` (one row per worker ``{kind}.shard``
@@ -38,10 +40,8 @@ import hashlib
 import json
 import os
 import sys
-import tracemalloc
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 try:
     import resource as _resource
@@ -59,9 +59,8 @@ SHARD_PID_BASE = 100
 def process_cpu_seconds() -> float:
     """User+system CPU seconds of this process (children excluded).
 
-    Children are deliberately excluded: worker CPU arrives on the
-    workers' own spans, so including it here would double count every
-    sharded stage.
+    The run-level ``train_cpu_seconds``; children are deliberately
+    excluded, since worker CPU arrives on the workers' own spans.
     """
     times = os.times()
     return times.user + times.system
@@ -76,24 +75,11 @@ def max_rss_bytes() -> int:
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
 
 
-@contextmanager
-def tracing_allocations() -> Iterator[None]:
-    """Trace allocations for the body; stop only if this call started it."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        yield
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 # -- the profile tables --------------------------------------------------------
 
 
 def profile_tables(tracer) -> Dict[str, object]:
-    """Fold a sampling tracer's span forest into ``stages`` and ``shards``.
+    """Fold a tracer's span forest into ``stages`` and ``shards``.
 
     Every span — coordinator roots and adopted worker forests alike —
     adds its wall time, CPU and one call to its name's ``stages`` row,
@@ -154,23 +140,17 @@ def profile_digest(tables: Mapping) -> str:
 def profile_document(tracer, **meta: object) -> dict:
     """The JSON profile document ``--profile`` writes.
 
-    Bundles the :func:`profile_tables` with the span forest (raw clock
-    timestamps, the tracer's epoch↔clock ``anchor``) and the adopted
-    worker forests under ``remote_spans``, each with its own anchor, so
-    one file feeds all three export surfaces.
+    Bundles the :func:`profile_tables` with the tracer's
+    :meth:`~repro.obs.tracing.Tracer.snapshot` — the span forest (raw
+    clock timestamps, the epoch↔clock ``anchor``, ``trace_id``) and the
+    adopted worker forests under ``remote_spans``, each with its own
+    anchor — so one file feeds all three export surfaces.
     """
-    local = tracer.snapshot()
-    doc: Dict[str, object] = {
+    return {
         "meta": {"pid": os.getpid(), **meta},
-        "anchor": local["anchor"],
-        "spans": local["spans"],
+        **tracer.snapshot(),
         **profile_tables(tracer),
     }
-    if tracer.trace_id:
-        doc["trace_id"] = tracer.trace_id
-    if tracer.remote:
-        doc["remote_spans"] = [dict(snapshot) for snapshot in tracer.remote]
-    return doc
 
 
 def save_profile(doc: Mapping, path: Union[str, Path]) -> Path:

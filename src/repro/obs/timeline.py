@@ -29,7 +29,6 @@ against; see ``docs/observability.md`` ("Monitoring & alerting").
 
 from __future__ import annotations
 
-import math
 import time
 from typing import (
     Callable,
@@ -509,8 +508,3 @@ class TimelineSampler:
             return False
         self.sample(now=now)
         return True
-
-
-def is_nan(value: object) -> bool:
-    """True for float NaN (tolerates None and non-floats)."""
-    return isinstance(value, float) and math.isnan(value)

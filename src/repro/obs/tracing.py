@@ -9,7 +9,7 @@ child spans.  Instrumented code opens spans through the module-level
   :mod:`repro.obs.metrics` registry — stage timings cost two clock reads
   even with tracing off;
 * the span *tree* is only retained when a :class:`Tracer` is installed
-  via :func:`set_tracer` (the CLI's ``--trace FILE`` does this), keeping
+  via :func:`set_tracer` (the CLI's ``--profile`` does this), keeping
   memory flat for long-lived processes.
 
 Every tracer carries a :class:`TraceContext` — ``trace_id`` /
@@ -24,28 +24,31 @@ Chrome-trace exporter (:mod:`repro.obs.profile`) then renders one
 causally-linked tree at any ``--workers N``.
 
 Tracers take an injectable clock (any ``() -> float`` callable) so tests
-can assert on exact durations deterministically; trace trees serialise
-to nested JSON via :meth:`Tracer.to_dict` / :meth:`Tracer.save`.  A
-tracer built with ``resources=True`` (the CLI's ``--profile``) also
-annotates every span it closes with ``cpu_s``, ``max_rss_bytes`` and
-``alloc_peak_bytes``; :mod:`repro.obs.profile` derives the per-stage
-and per-shard profile tables from those spans.
+can assert on exact durations deterministically; :meth:`Tracer.snapshot`
+is the one serialisation of a span forest (:func:`span_to_wire` per
+tree).  Every tracer annotates each span it closes with ``cpu_s`` (the
+closing thread's CPU over the span, from :func:`time.thread_time`, so
+concurrent requests never absorb each other's CPU) and
+``max_rss_bytes``.  ``alloc_peak_bytes`` is added only when the
+interpreter already traces allocations (``PYTHONTRACEMALLOC=1`` or
+``-X tracemalloc``); nothing here starts ``tracemalloc``.
+:mod:`repro.obs.profile` derives the per-stage and per-shard profile
+tables from those spans.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from time import thread_time
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import get_registry
-from repro.obs.profile import max_rss_bytes, process_cpu_seconds
+from repro.obs.profile import max_rss_bytes
 
 
 def _derive_id(*parts: object) -> str:
@@ -129,8 +132,8 @@ class Span:
         #: ("" for bare spans opened without one).
         self.span_id: str = ""
         self.parent_id: str = ""
-        # ``opened_at`` stays unset unless a resource-sampling tracer
-        # opened the span: ``(cpu seconds, traced bytes)`` at open.
+        # ``opened_at`` stays unset unless a tracer opened the span:
+        # ``(thread CPU seconds, traced bytes or -1)`` at open.
 
     @property
     def duration(self) -> float:
@@ -142,25 +145,13 @@ class Span:
         self.attributes.update(fields)
         return self
 
-    def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "duration_s": round(self.duration, 9)}
-        if self.span_id:
-            out["span_id"] = self.span_id
-        if self.parent_id:
-            out["parent_id"] = self.parent_id
-        if self.attributes:
-            out["attributes"] = {k: v for k, v in sorted(self.attributes.items())}
-        if self.children:
-            out["children"] = [child.to_dict() for child in self.children]
-        return out
-
 
 def span_to_wire(item: Span) -> dict:
     """Wire form of a span tree with absolute (tracer-clock) timestamps.
 
-    Unlike :meth:`Span.to_dict` this keeps ``ts`` so a snapshot shipped
-    across a process boundary can be re-anchored onto the coordinator's
-    clock line (see ``chrome_trace`` in :mod:`repro.obs.profile`).
+    ``ts`` lets a snapshot shipped across a process boundary be
+    re-anchored onto the coordinator's clock line (see ``chrome_trace``
+    in :mod:`repro.obs.profile`).
     """
     out: dict = {
         "name": item.name,
@@ -181,8 +172,8 @@ def span_to_wire(item: Span) -> dict:
 class Tracer:
     """Collects a forest of spans with a deterministic-friendly clock.
 
-    With *resources* on, every span also records the CPU seconds, peak
-    RSS and ``tracemalloc`` allocation peak of its region as
+    Every span also records the thread CPU seconds and peak RSS of its
+    region (plus the allocation peak under ``tracemalloc``) as
     attributes.
     """
 
@@ -191,10 +182,8 @@ class Tracer:
         clock: Callable[[], float] = time.perf_counter,
         context: Optional[TraceContext] = None,
         seed: str = "",
-        resources: bool = False,
     ) -> None:
         self.clock = clock
-        self.resources = resources
         #: Trace identity; a fresh deterministic root when none is given.
         self.context = (context if context is not None
                         else TraceContext.root(new_trace_id(clock)))
@@ -243,16 +232,14 @@ class Tracer:
             # shipped this tracer's context across a process boundary.
             opened.parent_id = self.context.span_id
             self.roots.append(opened)
-        if self.resources:
-            opened.opened_at = _resources_at_open(len(stack))
+        opened.opened_at = _resources_at_open(len(stack))
         stack.append(opened)
         opened.start = self.clock()
         return opened
 
     def close_span(self, closing: Span) -> None:
         closing.end = self.clock()
-        if self.resources:
-            closing.annotate(**_resources_since(closing.opened_at))
+        _annotate_resources(closing)
         stack = self._stack()
         if stack and stack[-1] is closing:
             stack.pop()
@@ -285,11 +272,13 @@ class Tracer:
     # -- distributed propagation -----------------------------------------------
 
     def snapshot(self, **meta: object) -> dict:
-        """Everything a coordinator needs to adopt this tracer's spans.
+        """This tracer's span forest: the one serialised span form.
 
-        Shipped back on ``ShardResult``: the span forest
-        in wire form (absolute local timestamps), this process' epoch↔
-        clock anchor, and the remote parent the forest re-parents under.
+        Shipped back on ``ShardResult``, kept as a ``/tracez`` exemplar
+        and embedded in the profile document: the span forest in wire
+        form (absolute local timestamps), this process' epoch↔clock
+        anchor, the remote parent the forest re-parents under, and any
+        adopted worker forests under ``remote_spans``.
         """
         out: dict = {
             "trace_id": self.context.trace_id,
@@ -297,6 +286,8 @@ class Tracer:
             "anchor": dict(self.anchor),
             "spans": [span_to_wire(root) for root in self.roots],
         }
+        if self.remote:
+            out["remote_spans"] = [dict(snapshot) for snapshot in self.remote]
         out.update(meta)
         return out
 
@@ -305,28 +296,6 @@ class Tracer:
         if snapshot and snapshot.get("spans"):
             self.remote.append(snapshot)
 
-    # -- export ----------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "trace_id": self.context.trace_id,
-            "spans": [root.to_dict() for root in self.roots],
-        }
-        if self.remote:
-            out["remote"] = [dict(snapshot) for snapshot in self.remote]
-        return out
-
-    def to_json(self, indent: Optional[int] = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the trace atomically (parents created, tmp + replace):
-        a crash mid-save leaves the previous file, never a truncated
-        JSON document."""
-        from repro.obs.fileio import atomic_write_text
-
-        return atomic_write_text(path, self.to_json() + "\n")
-
     def reset(self) -> None:
         self.roots.clear()
         self.remote.clear()
@@ -334,27 +303,26 @@ class Tracer:
 
 
 def _resources_at_open(depth: int) -> Tuple[float, int]:
-    """CPU seconds and traced bytes as a span opens at stack *depth*."""
+    """Thread CPU seconds and traced bytes (-1: untraced) as a span opens
+    at stack *depth*."""
     if not tracemalloc.is_tracing():
-        return process_cpu_seconds(), -1
+        return thread_time(), -1
     if depth == 0:
         # Only a thread's outermost span resets the peak, so a nested
         # span never erases the high-water mark its parent is measuring.
         tracemalloc.reset_peak()
-    return process_cpu_seconds(), tracemalloc.get_traced_memory()[0]
+    return thread_time(), tracemalloc.get_traced_memory()[0]
 
 
-def _resources_since(opened_at: Tuple[float, int]) -> Dict[str, object]:
-    """The resource attributes of a span that opened at *opened_at*."""
-    cpu0, traced0 = opened_at
-    alloc = 0
+def _annotate_resources(closing: Span) -> None:
+    """Record the resources of *closing*'s region as its attributes."""
+    cpu0, traced0 = closing.opened_at
+    closing.attributes["cpu_s"] = round(thread_time() - cpu0, 9)
+    closing.attributes["max_rss_bytes"] = max_rss_bytes()
     if traced0 >= 0 and tracemalloc.is_tracing():
-        alloc = max(0, tracemalloc.get_traced_memory()[1] - traced0)
-    return {
-        "cpu_s": round(process_cpu_seconds() - cpu0, 9),
-        "max_rss_bytes": max_rss_bytes(),
-        "alloc_peak_bytes": alloc,
-    }
+        closing.attributes["alloc_peak_bytes"] = max(
+            0, tracemalloc.get_traced_memory()[1] - traced0
+        )
 
 
 class TraceExemplars:

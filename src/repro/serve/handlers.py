@@ -303,7 +303,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 trace_id=tracer.trace_id,
             )
         server.exemplars.offer(
-            tracer.to_dict(), seconds=elapsed, route=route,
+            tracer.snapshot(), seconds=elapsed, route=route,
             status=status, request_id=request_id,
         )
         self._send_json(status, payload, request_id,

@@ -32,7 +32,6 @@ failed reload keeps the old model serving.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 import uuid
@@ -42,6 +41,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 from contextlib import contextmanager
 
+from repro.core.persistence import ModelSnapshot, read_snapshot
 from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.obs import get_logger
 from repro.obs.ledger import (
@@ -131,7 +131,7 @@ class ModelPool:
     """
 
     def __init__(self, config: EnCoreConfig, payload: Dict[str, object],
-                 size: int, cache=None) -> None:
+                 snapshot: ModelSnapshot, size: int, cache=None) -> None:
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.size = size
@@ -145,7 +145,7 @@ class ModelPool:
         self._generation = 0
         self._payload: Dict[str, object] = {}
         self.info: Dict[str, object] = {}
-        self.swap(payload)
+        self.swap(payload, snapshot)
 
     def _build(self) -> EnCore:
         encore = EnCore(replace(self._config))
@@ -154,12 +154,15 @@ class ModelPool:
             encore.set_cache(self._cache)
         return encore
 
-    def swap(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Install a new model payload (validates it by building once)."""
+    def swap(self, payload: Dict[str, object],
+             snapshot: ModelSnapshot) -> Dict[str, object]:
+        """Install a new model (*payload* and the *snapshot* it decodes
+        to, from :func:`~repro.core.persistence.read_snapshot`); later
+        replicas are built from *payload*."""
         with self._cond:
             candidate_config = replace(self._config)
         probe = EnCore(candidate_config)
-        probe.load_model_data(payload)  # raises before anything is swapped
+        probe._install_snapshot(snapshot)
         if self._cache is not None:
             probe.set_cache(self._cache)
         assert probe.model is not None
@@ -236,13 +239,13 @@ class DetectionServer(ThreadingHTTPServer):
         self.started_monotonic = time.monotonic()
         self.started_epoch = time.time()
         snapshot_path = Path(config.snapshot)
-        payload = self._read_snapshot(snapshot_path)
+        payload, snapshot = read_snapshot(snapshot_path)
         self.cache = None
         if config.cache_dir is not None:
             from repro.engine.cache import ResultCache
 
             self.cache = ResultCache(config.cache_dir)
-        self.pool = ModelPool(config.encore, payload,
+        self.pool = ModelPool(config.encore, payload, snapshot,
                               size=config.max_inflight, cache=self.cache)
         self.snapshot_loaded_at = time.time()
         self.reloads = 0
@@ -294,37 +297,6 @@ class DetectionServer(ThreadingHTTPServer):
                  max_inflight=config.max_inflight)
 
     # -- lifecycle -------------------------------------------------------------
-
-    @staticmethod
-    def _read_snapshot(path: Path) -> Dict[str, object]:
-        """The raw snapshot payload (validated by the pool's probe build).
-
-        Sniffs the format like :func:`repro.core.persistence.load_snapshot`:
-        codec magic bytes mean the compact ``.encb`` binary framing,
-        anything else the historical JSON.
-        """
-        from repro.core.persistence import SnapshotCorruptError
-        from repro.engine import codec
-
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            raise SnapshotCorruptError(path, "snapshot file not found")
-        if codec.is_encoded(raw):
-            try:
-                data = codec.decode(raw)
-            except codec.CodecError as exc:
-                raise SnapshotCorruptError(path, f"invalid codec frame ({exc})")
-        else:
-            try:
-                data = json.loads(raw.decode("utf-8", errors="replace"))
-            except json.JSONDecodeError as exc:
-                raise SnapshotCorruptError(path, f"invalid JSON ({exc})")
-        if not isinstance(data, dict):
-            raise SnapshotCorruptError(
-                path, f"expected a JSON object, got {type(data).__name__}"
-            )
-        return data
 
     def _build_monitor(self):
         """The daemon's health monitor (timeline + alert engine).
@@ -581,8 +553,7 @@ class DetectionServer(ThreadingHTTPServer):
         """Swap in the snapshot file's current content; True on success."""
         path = Path(self.config.snapshot)
         try:
-            payload = self._read_snapshot(path)
-            info = self.pool.swap(payload)
+            info = self.pool.swap(*read_snapshot(path))
         except Exception as exc:
             self.reload_failures += 1
             with self.metrics_lock:

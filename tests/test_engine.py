@@ -14,7 +14,6 @@ from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.engine import (
     BatchChecker,
     ShardedAssembler,
-    StageEngine,
     assembled_system_from_dict,
     assembled_system_to_dict,
     chunked,
@@ -22,8 +21,6 @@ from repro.engine import (
     partial_from_dict,
     partial_to_dict,
     report_from_dict,
-    render_stage_graph,
-    stage_graph,
 )
 from repro.engine import codec
 from repro.engine.artifacts import ShardResult
@@ -320,42 +317,3 @@ class TestArtifacts:
         for mine, theirs in zip(restored.warnings, report.warnings):
             assert mine.score == pytest.approx(theirs.score, abs=1e-4)
             assert (mine.rule is None) == (theirs.rule is None)
-
-
-class TestStageGraph:
-    def test_figure2_order(self):
-        names = [spec.name for spec in stage_graph()]
-        assert names == ["parse", "type", "augment", "assemble", "infer", "detect"]
-
-    def test_every_boundary_names_artifacts(self):
-        for spec in stage_graph():
-            assert spec.consumes and spec.produces
-            assert spec.parallelism in {"shardable", "per-image", "global"}
-
-    def test_render_mentions_all_stages(self):
-        rendered = render_stage_graph()
-        for spec in stage_graph():
-            assert spec.name in rendered
-
-
-class TestStageEngine:
-    def test_assemble_then_infer_matches_facade(self, small_corpus, serial_model):
-        _, baseline = serial_model
-        engine = StageEngine(workers=2)
-        dataset = engine.assemble(small_corpus)
-        assert dataset.fingerprint() == baseline.dataset.fingerprint()
-        result = engine.infer(dataset)
-        assert result.rules.to_json() == baseline.rules.to_json()
-
-    def test_train_and_detect(self, small_corpus):
-        engine = StageEngine(workers=2)
-        model = engine.train(small_corpus[:20])
-        assert model.rule_count > 0
-        reports = list(engine.detect(small_corpus[:4]))
-        assert [r.image_id for r in reports] == [
-            i.image_id for i in small_corpus[:4]
-        ]
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            StageEngine(workers=0)

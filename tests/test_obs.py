@@ -14,6 +14,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     set_registry,
 )
+from repro.obs.profile import profile_document, save_profile
 from repro.obs.tracing import Tracer, set_tracer, span
 
 
@@ -197,13 +198,16 @@ class TestTracing:
             with tracer.span("train.infer") as infer_span:
                 infer_span.annotate(rules=7)
         assert train_span.duration == 5.0  # reads at t=0 and t=5
-        tree = tracer.to_dict()["spans"]
+        tree = tracer.snapshot()["spans"]
         assert len(tree) == 1
         root = tree[0]
         assert root["name"] == "train"
         children = [c["name"] for c in root["children"]]
         assert children == ["train.assemble", "train.infer"]
-        assert root["children"][1]["attributes"] == {"rules": 7}
+        # Every tracer adds the sampled resources beside the annotations.
+        sampled = {"cpu_s", "max_rss_bytes", "alloc_peak_bytes"}
+        attributes = root["children"][1]["attributes"]
+        assert {k: v for k, v in attributes.items() if k not in sampled} == {"rules": 7}
 
     def test_global_span_records_metric_without_tracer(self):
         registry = set_registry(MetricsRegistry())
@@ -235,7 +239,7 @@ class TestTracing:
         tracer = Tracer(clock=FakeClock())
         with tracer.span("a"):
             pass
-        path = tracer.save(tmp_path / "trace.json")
+        path = save_profile(profile_document(tracer), tmp_path / "trace.json")
         data = json.loads(path.read_text())
         assert data["spans"][0]["name"] == "a"
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -19,7 +21,6 @@ from repro.obs.profile import (
     profile_tables,
     render_profile,
     save_profile,
-    tracing_allocations,
 )
 from repro.obs.tracing import (
     Tracer,
@@ -52,19 +53,18 @@ def _no_global_tracer():
 
 @pytest.fixture
 def fake_resources(monkeypatch):
-    """CPU advances 0.25 s per reading; RSS reads a fixed 1 KiB."""
-    monkeypatch.setattr("repro.obs.tracing.process_cpu_seconds", FakeClock(0.25))
+    """Thread CPU advances 0.25 s per reading; RSS reads a fixed 1 KiB."""
+    monkeypatch.setattr("repro.obs.tracing.thread_time", FakeClock(0.25))
     monkeypatch.setattr("repro.obs.tracing.max_rss_bytes", lambda: 1024)
 
 
 def sampled_tracer(step=1.0):
-    return Tracer(clock=FakeClock(step), resources=True)
+    return Tracer(clock=FakeClock(step))
 
 
 def worker_forest(kind, shard, items, inner=(), parent=None):
     """A worker's ``{kind}.shard`` snapshot, as ``_run_shard`` ships it."""
-    tracer = Tracer(clock=FakeClock(), context=parent, seed=f"shard{shard}",
-                    resources=True)
+    tracer = Tracer(clock=FakeClock(), context=parent, seed=f"shard{shard}")
     with tracer.span(f"{kind}.shard", shard=shard, items=items):
         for name in inner:
             with tracer.span(name):
@@ -138,12 +138,9 @@ class TestStageProfile:
         assert doc["meta"]["command"] == "train"
 
     def test_from_dict_tolerates_missing_fields(self):
-        # A tracer without resource sampling (plain --trace) still folds:
-        # wall time and calls count, CPU and peaks read as zero.
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("detect"):
-            pass
-        assert profile_tables(tracer)["stages"]["detect"] == {
+        # A span without resource attributes still folds: wall time and
+        # calls count, CPU and peaks read as zero.
+        assert profile_tables(adopt([wire_span("detect", 1.0)]))["stages"]["detect"] == {
             "wall_s": 1.0, "cpu_s": 0.0, "calls": 1,
             "max_rss_bytes": 0, "alloc_peak_bytes": 0,
         }
@@ -223,22 +220,65 @@ class TestStageProfiler:
         assert profile_digest(profile_tables(a)) != profile_digest(profile_tables(b))
 
     def test_tracemalloc_peak_recorded(self):
-        was_tracing = tracemalloc.is_tracing()
-        tracer = Tracer(resources=True)
-        with tracing_allocations():
+        # Peaks need allocations traced already (PYTHONTRACEMALLOC=1 in
+        # a real run); the tracer itself never starts tracemalloc.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracer = Tracer()
             with tracer.span("alloc"):
                 blob = [bytes(64 * 1024) for _ in range(16)]  # ~1 MB
+        finally:
+            if started:
+                tracemalloc.stop()
         assert blob
         assert profile_tables(tracer)["stages"]["alloc"]["alloc_peak_bytes"] > 256 * 1024
-        # Stopped again only because this block started it.
-        assert tracemalloc.is_tracing() == was_tracing
+
+    def test_plain_tracer_samples_cpu_and_rss(self):
+        if tracemalloc.is_tracing():
+            pytest.skip("the interpreter traces allocations")
+        tracer = Tracer()
+        with tracer.span("work"):
+            blob = [bytes(64 * 1024) for _ in range(16)]
+            sum(range(100_000))
+        assert blob
+        (root,) = tracer.roots
+        assert root.attributes["cpu_s"] > 0
+        assert root.attributes["max_rss_bytes"] > 0
+        # Allocation peaks only when the interpreter already traces them.
+        assert "alloc_peak_bytes" not in root.attributes
+        assert profile_tables(tracer)["stages"]["work"]["alloc_peak_bytes"] == 0
+        assert not tracemalloc.is_tracing()
+
+    def test_cpu_is_the_span_threads_own(self):
+        """A sleeping span is not charged another thread's spinning CPU."""
+        stop = threading.Event()
+
+        def spin():
+            while not stop.is_set():
+                pass
+
+        spinner = threading.Thread(target=spin)
+        spinner.start()
+        try:
+            tracer = Tracer()
+            with tracer.span("sleep"):
+                time.sleep(0.3)
+        finally:
+            stop.set()
+            spinner.join(timeout=5)
+        assert not spinner.is_alive()
+        (root,) = tracer.roots
+        assert root.duration >= 0.3
+        assert root.attributes["cpu_s"] < 0.05
 
     def test_installed_profiler_taps_span_boundary(self, fake_resources):
         tracer = set_tracer(sampled_tracer())
         with span("infer"):
             pass
         (root,) = tracer.roots
-        assert {"cpu_s", "max_rss_bytes", "alloc_peak_bytes"} <= set(root.attributes)
+        assert {"cpu_s", "max_rss_bytes"} <= set(root.attributes)
         stage = profile_tables(tracer)["stages"]["infer"]
         assert stage["calls"] == 1
         assert stage["wall_s"] == pytest.approx(1.0)
@@ -275,7 +315,7 @@ class TestTrainProfileParity:
         return Ec2CorpusGenerator(seed=53).generate(20)
 
     def profiled_train(self, images, workers):
-        tracer = set_tracer(Tracer(resources=True))
+        tracer = set_tracer(Tracer())
         try:
             model = EnCore().train(images, workers=workers)
         finally:
@@ -496,11 +536,30 @@ class TestProfileCli:
         assert "assemble: 2 shard(s), 8 item(s)" in table
         assert main(["profile", str(path), "--format", "chrome"]) == 0
 
-    def test_profile_flag_only_on_pipeline_commands(self, tmp_path):
+    def test_trace_flag_is_gone(self, profile_corpus, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["generate", "--out", str(tmp_path / "corpus"),
-                  "--profile", str(tmp_path / "profile.json")])
+            main(["train", "--training", str(profile_corpus),
+                  "--trace", str(tmp_path / "trace.json")])
         assert excinfo.value.code == 2
+
+    def test_profile_offered_on_every_obs_command(self, tmp_path):
+        profile_path = tmp_path / "profile.json"
+        assert main(["generate", "--out", str(tmp_path / "corpus"),
+                     "--count", "2", "--profile", str(profile_path)]) == 0
+        assert load_profile(profile_path)["meta"]["command"] == "generate"
+
+    def test_profiled_train_never_starts_tracemalloc(self, profile_corpus,
+                                                     tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tracemalloc.start called")
+
+        monkeypatch.setattr(tracemalloc, "start", refuse)
+        rc = main([
+            "train", "--training", str(profile_corpus),
+            "--model", str(tmp_path / "model.json"),
+            "--profile", str(tmp_path / "profile.json"), "--no-ledger",
+        ])
+        assert rc == 0
 
     def test_ledger_records_profile_digest(self, profile_corpus, tmp_path):
         ledger_path = tmp_path / "ledger.jsonl"

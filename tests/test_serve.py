@@ -488,6 +488,29 @@ class TestReload:
         status, text = get(reload_ctx.base, "/metrics")
         assert 'serve_reload_total{outcome="failed"} 1' in text
 
+    def test_reload_of_fieldless_snapshot_fails_and_keeps_model(
+        self, reload_ctx, held_out_image
+    ):
+        digest_before = json.loads(
+            get(reload_ctx.base, "/statusz")[1]
+        )["snapshot"]["ruleset_digest"]
+        # The daemon's registry is the process one, shared with earlier
+        # tests: count the failed reloads this test adds.
+        failed = reload_ctx.server.registry.counter(
+            "serve.reload.total", outcome="failed"
+        )
+        failed_before = failed.value
+        # Decodes fine but lacks every snapshot field.
+        reload_ctx.snapshot.write_text(json.dumps({"version": 3}))
+        assert not reload_ctx.server.reload(trigger="test")
+        statusz = json.loads(get(reload_ctx.base, "/statusz")[1])
+        assert statusz["snapshot"]["ruleset_digest"] == digest_before
+        assert statusz["snapshot"]["reload_failures"] == 1
+        status, _, _ = post(reload_ctx.base, "/v1/check",
+                            {"image": image_to_dict(held_out_image)})
+        assert status == 200
+        assert failed.value == failed_before + 1
+
     def test_watcher_mtime_poll_triggers_reload(self, tmp_path,
                                                 trained_encore):
         snapshot = tmp_path / "model.json"
@@ -532,6 +555,20 @@ class TestServeCli:
         rc = main(["serve", "--snapshot", str(tmp_path / "absent.json"),
                    "--port", "0", "--no-ledger"])
         assert rc == 1
+
+    def test_fieldless_snapshot_exits_cleanly(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core.persistence import SnapshotCorruptError
+
+        snapshot = tmp_path / "model.json"
+        snapshot.write_text(json.dumps({"version": 3}))
+        with pytest.raises(SnapshotCorruptError, match="missing or malformed"):
+            DetectionServer(ServeConfig(snapshot=snapshot, port=0,
+                                        no_ledger=True))
+        rc = main(["serve", "--snapshot", str(snapshot), "--port", "0",
+                   "--no-ledger"])
+        assert rc == 1
+        assert "corrupt model snapshot" in capsys.readouterr().err
 
 
 # -- distributed tracing over HTTP (tracez / flightz / ledger) ------------------

@@ -170,6 +170,20 @@ class TestLivePropagation:
                 assert root["span_id"] not in local_ids
         assert shards == {0, 1}
 
+    def test_worker_spans_carry_resources(self, trained_encore, small_corpus):
+        tracer = set_tracer(Tracer())
+        try:
+            list(trained_encore.check_stream(
+                list(small_corpus[:6]), workers=2, chunk_size=3,
+            ))
+        finally:
+            set_tracer(None)
+        assert tracer.remote, "worker span snapshots should fold back"
+        for snapshot in tracer.remote:
+            for root in snapshot["spans"]:
+                assert root["attributes"]["cpu_s"] >= 0
+                assert root["attributes"]["max_rss_bytes"] > 0
+
     def test_rules_identical_tracing_on_off_any_workers(self, small_corpus):
         images = list(small_corpus[:20])
 
