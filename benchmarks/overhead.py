@@ -7,9 +7,9 @@ time:
   the span tree plus a :class:`~repro.obs.flight.FlightRecorder` fed by
   every closed span: exactly what a traced ``repro check`` or a serve
   request pays per target;
-* ``timeline`` — a :class:`~repro.obs.timeline.TimelineSampler`
-  sampling the live registry after *every* checked target (interval
-  ≈ 0, the worst case; the serve daemon samples every 5 s).
+* ``timeline`` — a :class:`~repro.obs.health.HealthMonitor` sampling
+  the live registry into its timeline after *every* checked target
+  (interval ≈ 0, the worst case; the serve daemon samples every 5 s).
 
 For each instrument the script trains a small corpus, then alternates
 bare and instrumented check passes over the same targets.  Both sides
@@ -49,10 +49,10 @@ def _traced() -> Iterator[None]:
 
 @contextmanager
 def _sampled() -> Iterator[Callable[[], object]]:
+    from repro.obs.health import HealthMonitor
     from repro.obs.metrics import get_registry
-    from repro.obs.timeline import TimelineSampler
 
-    yield TimelineSampler(get_registry(), interval_s=1e-9).maybe_sample
+    yield HealthMonitor(registry=get_registry(), interval_s=1e-9).maybe_tick
 
 
 #: name -> (context yielding an optional per-target hook, corpus seed,

@@ -62,7 +62,7 @@ from repro.obs import configure as configure_logging
 from repro.obs import get_logger, get_registry, render_stats, reset_registry
 from repro.obs.tracing import Tracer, get_tracer, set_tracer
 from repro.sysmodel.image import SystemImage
-from repro.sysmodel.snapshot import load_image, save_image
+from repro.sysmodel.snapshot import ImageCorruptError, load_image, save_image
 
 log = get_logger("cli")
 
@@ -1229,12 +1229,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # serve builds its own monitor (sampling under its fold lock);
         # here the monitor follows the process registry and is ticked
         # by the engine fold loops (sharded assembly, batch checking).
-        from repro.obs.alerts import AlertConfigError
-        from repro.obs.health import build_monitor, set_monitor
+        from repro.obs.alerts import AlertConfigError, load_rules
+        from repro.obs.health import HealthMonitor, set_monitor
 
         try:
-            monitor = build_monitor(
-                rules_path=args.alerts,
+            monitor = HealthMonitor(
+                rules=load_rules(args.alerts),
                 interval_s=getattr(args, "alerts_interval", 5.0),
             )
         except AlertConfigError as exc:
@@ -1252,8 +1252,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         log.error("run.aborted", error="ErrorBudgetExceeded")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SnapshotCorruptError as exc:
-        log.error("run.aborted", error="SnapshotCorruptError")
+    except (SnapshotCorruptError, ImageCorruptError) as exc:
+        log.error("run.aborted", error=type(exc).__name__)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -323,13 +323,7 @@ class EnCore:
     def _sharded_assembler(self, workers: int, chunk_size: Optional[int]):
         from repro.engine.sharding import ShardedAssembler
 
-        return ShardedAssembler(
-            self.worker_config(), self.assembler,
-            workers=workers, chunk_size=chunk_size,
-            retry=self.retry_policy, shard_timeout=self.shard_timeout,
-            fault_plan=self.fault_plan,
-            config_payload=self.worker_payload(),
-        )
+        return ShardedAssembler(self, workers, chunk_size)
 
     # -- training --------------------------------------------------------------------
 
@@ -486,17 +480,7 @@ class EnCore:
         self._require_forkable(workers)
         from repro.engine.sharding import BatchChecker
 
-        checker = BatchChecker(
-            self.worker_config(),
-            workers=workers, chunk_size=chunk_size, drift=self.drift,
-            quarantine=self.quarantine, fault_plan=self.fault_plan,
-            config_payload=self.worker_payload(),
-            model_bytes=self.model_payload(),
-            cache=self._cache, cache_salt=self.assembler.cache_salt,
-            retry=self.retry_policy, shard_timeout=self.shard_timeout,
-            encore=self,
-        )
-        yield from checker.stream(images)
+        yield from BatchChecker(self, workers, chunk_size).stream(images)
 
     def _check_guarded(self, image: SystemImage):
         """One target under the error policy; ``None`` when quarantined.

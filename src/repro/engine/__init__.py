@@ -5,7 +5,11 @@
 boundaries (:mod:`~repro.engine.artifacts`) and one fault-tolerant
 shard executor over a process pool (:mod:`~repro.engine.sharding`) that
 runs both sharded corpus assembly (:class:`ShardedAssembler`) and
-streamed batch checking (:class:`BatchChecker`).
+streamed batch checking (:class:`BatchChecker`).  Both executors are
+built from the :class:`~repro.core.pipeline.EnCore` they serve, and
+each shard's worker telemetry crosses back as one envelope
+(:func:`~repro.engine.artifacts.capture_telemetry` /
+:func:`~repro.engine.artifacts.fold_telemetry`).
 
 The contract throughout: executing a stage with ``workers=N`` for any N
 (and any chunk size) produces results identical to the serial run.

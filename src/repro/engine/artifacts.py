@@ -8,6 +8,12 @@ assembled systems, partial datasets and the shard result envelope — so
 any stage's output can be pickled to a worker process, written to
 disk, or shipped to another host and resumed there.
 
+The shard result carries one worker-telemetry envelope: the worker
+captures it (:func:`capture_telemetry`) and the coordinator folds it
+(:func:`fold_telemetry`), so the knowledge of what crosses back —
+metrics, quarantine, drift and, when traced, spans — lives here, next
+to the wire format.
+
 JSON round-trips are lossless except for report warning scores, which
 :meth:`repro.core.report.Report.to_dict` rounds to 4 decimals (ranking
 is preserved).  Inter-process shard transfer uses the compact binary
@@ -31,16 +37,20 @@ cache key (:mod:`repro.engine.cache`).
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.dataset import AssembledSystem, PartialDataset
 from repro.core.detector import Explanation, Warning, WarningKind
 from repro.core.report import Report
+from repro.core.resilience import Quarantine
 from repro.core.rules import ConcreteRule
 from repro.core.types import ConfigType
 from repro.engine import codec
 from repro.engine.codec import CodecError
+from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.tracing import get_tracer
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import image_from_dict, image_to_dict
 
@@ -224,38 +234,18 @@ class ShardResult:
     :class:`~repro.core.dataset.AssembledSystem` rows, shipped
     image-elided (:meth:`from_bytes` re-attaches the coordinator's own
     images); ``check`` items are :class:`~repro.core.report.Report`
-    objects in the full-precision wire form.  ``metrics`` is a
-    :meth:`repro.obs.metrics.MetricsRegistry.to_dict` snapshot of the
-    worker's process-local registry; the coordinator folds it into its
-    own registry so sharded runs report the same totals as serial ones.
+    objects in the full-precision wire form.  ``telemetry`` is the
+    worker's :func:`capture_telemetry` envelope, which the coordinator
+    folds with :func:`fold_telemetry`; results run in-process leave it
+    empty, because their signals already landed in the coordinator.
     """
 
     kind: str
     items: List[Any]
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    shard_index: int = 0
-    #: Serialised :class:`~repro.core.resilience.QuarantineRecord` dicts
-    #: for images this shard dropped under a non-strict error policy.
-    quarantine: List[Dict[str, Any]] = field(default_factory=list)
-    #: Total images dropped, including silent ``skip``-policy drops that
-    #: keep no record — what the coordinator's error budget counts.
-    dropped: int = 0
-    #: :meth:`repro.obs.tracing.Tracer.snapshot` of the worker's span
-    #: forest; empty unless the payload shipped a trace context.  Its
-    #: spans carry resource attributes, and its ``{kind}.shard`` root
-    #: becomes the profile's shard row.
-    spans: Dict[str, Any] = field(default_factory=dict)
-    #: :meth:`repro.obs.model.DriftMonitor.to_dict` snapshot of a check
-    #: worker's observations; the coordinator folds it so the drift
-    #: summary is identical for any worker count.
-    drift: Dict[str, Any] = field(default_factory=dict)
+    telemetry: Dict[str, Any] = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
-        """Compact binary wire form for the worker→coordinator hop.
-
-        Empty ``spans`` and ``drift`` are elided, so wire bytes are
-        unchanged when tracing is off.
-        """
+        """Compact binary wire form for the worker→coordinator hop."""
         if self.kind == "check":
             items = [report_to_wire(report) for report in self.items]
         else:
@@ -263,19 +253,9 @@ class ShardResult:
                 assembled_system_to_dict(system, include_image=False)
                 for system in self.items
             ]
-        out = {
-            "kind": self.kind,
-            "items": items,
-            "metrics": self.metrics,
-            "shard_index": self.shard_index,
-            "quarantine": list(self.quarantine),
-            "dropped": self.dropped,
-        }
-        if self.spans:
-            out["spans"] = dict(self.spans)
-        if self.drift:
-            out["drift"] = dict(self.drift)
-        return codec.encode(out)
+        return codec.encode(
+            {"kind": self.kind, "items": items, "telemetry": self.telemetry}
+        )
 
     @classmethod
     def from_bytes(
@@ -294,13 +274,55 @@ class ShardResult:
                 )
                 for row in decoded["items"]
             ]
-        return cls(
-            kind=kind,
-            items=items,
-            metrics=dict(decoded.get("metrics", {})),
-            shard_index=int(decoded.get("shard_index", 0)),
-            quarantine=[dict(r) for r in decoded.get("quarantine", ())],
-            dropped=int(decoded.get("dropped", 0)),
-            spans=dict(decoded.get("spans", {})),
-            drift=dict(decoded.get("drift", {})),
-        )
+        return cls(kind=kind, items=items, telemetry=dict(decoded["telemetry"]))
+
+
+# -- worker telemetry ------------------------------------------------------------
+
+
+def capture_telemetry(
+    quarantine: Quarantine, drift, tracer, shard: int
+) -> Dict[str, Any]:
+    """Worker side: one shard's telemetry envelope, ready to ship.
+
+    Call it inside the shard's own metrics registry (the worker pushes
+    a fresh one per shard).  The envelope holds that registry's
+    :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot, the
+    quarantine records plus the total dropped (silent ``skip`` drops
+    keep no record but count against the error budget), the
+    *drift* monitor's observations (``None`` for assembly shards), and
+    — only when the task shipped a trace context — the *tracer*'s span
+    forest, whose ``{kind}.shard`` root becomes the profile's shard
+    row.
+    """
+    telemetry: Dict[str, Any] = {
+        "metrics": get_registry().to_dict(),
+        "quarantine": quarantine.to_dicts(),
+        "dropped": quarantine.dropped,
+    }
+    if drift is not None:
+        telemetry["drift"] = drift.to_dict()
+    if tracer is not None:
+        telemetry["spans"] = tracer.snapshot(shard=shard, pid=os.getpid())
+    return telemetry
+
+
+def fold_telemetry(
+    telemetry: Dict[str, Any], quarantine: Quarantine, drift=None
+) -> None:
+    """Coordinator side: fold a :func:`capture_telemetry` envelope in.
+
+    Metrics merge into the active registry, spans into the active
+    tracer (dropped when none is active), drift observations into
+    *drift* and quarantine records into *quarantine*.  Every merge is
+    associative, so sharded totals match a serial run exactly.
+    """
+    if not telemetry:
+        return
+    get_registry().merge(MetricsRegistry.from_dict(telemetry["metrics"]))
+    tracer = get_tracer()
+    if tracer is not None and "spans" in telemetry:
+        tracer.merge_remote(telemetry["spans"])
+    if drift is not None and "drift" in telemetry:
+        drift.merge_snapshot(telemetry["drift"])
+    quarantine.extend_dicts(telemetry["quarantine"], dropped=telemetry["dropped"])

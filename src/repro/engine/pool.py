@@ -241,25 +241,6 @@ def worker_install_model(encore, model_payload: bytes, model_digest: str) -> Non
         encore._rebuild_drift_monitor()
 
 
-def worker_tracer(payload: Dict[str, Any], shard_index: int):
-    """A worker-side tracer rebuilt from the task frame's trace context.
-
-    Returns ``None`` when the coordinator was not tracing (no ``trace``
-    key in the payload) — the shard then records no spans and the
-    result's ``spans`` field stays empty, keeping wire bytes identical
-    to a tracing-off run.  Span ids are seeded with the shard index so
-    ids are deterministic given the trace context and never collide
-    with the coordinator's (or a sibling shard's) ids.
-    """
-    from repro.obs.tracing import TraceContext, Tracer
-
-    context_dict = payload.get("trace")
-    if not context_dict:
-        return None
-    context = TraceContext.from_dict(context_dict)
-    return Tracer(context=context, seed=f"shard{shard_index}")
-
-
 def worker_cache(root: str):
     """The worker's handle on the shared disk cache at *root*.
 

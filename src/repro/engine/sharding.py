@@ -20,6 +20,9 @@ input order:
 
 The data plane (see ``docs/architecture.md``, "Data plane"):
 
+* Both executors are built from the :class:`~repro.core.pipeline.EnCore`
+  they serve, and read its config, assembler, quarantine, drift
+  monitor, result cache, recovery knobs and hoisted payloads from it.
 * Tasks and results cross the process boundary as codec bytes, not
   pickles: the config and model payloads are encoded **once per pool
   lifetime** (hoisted by :meth:`EnCore.worker_payload` /
@@ -59,14 +62,16 @@ Failure handling is one policy for both jobs (see ``docs/robustness.md``):
    pipeline, for checks).
 
 Workers record into a fresh process-local metrics registry per shard
-and return its snapshot; the coordinator merges those snapshots so
-sharded runs report the same telemetry totals as serial ones.
+and ship one telemetry envelope back (metrics, quarantine, drift and,
+when traced, spans; :func:`~repro.engine.artifacts.capture_telemetry`).
+The coordinator folds it with
+:func:`~repro.engine.artifacts.fold_telemetry`, so sharded runs report
+the same telemetry totals as serial ones.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -77,35 +82,33 @@ from repro.core.dataset import Dataset, PartialDataset
 from repro.core.report import Report
 from repro.core.resilience import (
     ErrorPolicy,
-    Quarantine,
     QuarantineRecord,
     RetryPolicy,
     enforce_error_budget,
     record_from_exception,
 )
 from repro.engine import codec
-from repro.engine.artifacts import ShardResult, image_payload
+from repro.engine.artifacts import (
+    ShardResult,
+    capture_telemetry,
+    fold_telemetry,
+    image_payload,
+)
 from repro.engine.codec import CodecError
 from repro.engine.pool import (
-    WarmPool,
     get_warm_pool,
     worker_cache,
     worker_encore,
     worker_install_model,
-    worker_tracer,
 )
 from repro.obs import get_logger
 from repro.obs.health import maybe_tick as health_tick
-from repro.obs.metrics import (
-    MetricsRegistry,
-    get_registry,
-    merge_snapshot,
-    use_registry,
-)
+from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
 from repro.obs.tracing import (
+    TraceContext,
+    Tracer,
     current_context,
     get_tracer,
-    merge_remote_spans,
     span,
     use_tracer,
 )
@@ -222,19 +225,22 @@ def _run_shard(task: bytes) -> bytes:
     override, not a default swap, because a warm-pool worker may have
     been forked while its parent thread held a request-scoped override
     (the serve daemon) and that fork-copy would otherwise shadow a
-    plain ``set_registry`` and leak counts across shards.  Quarantine
-    records accumulated by the worker's error policy ride back on the
-    result.  The pipeline (and, for checks, the installed model) is
-    cached per worker process (:mod:`repro.engine.pool`) and reset per
-    shard.  A traced task records the worker's spans (with their
-    resource attributes) and ships them back on the result.
+    plain ``set_registry`` and leak counts across shards.  The pipeline
+    (and, for checks, the installed model) is cached per worker process
+    (:mod:`repro.engine.pool`) and reset per shard.  A task that ships a
+    trace context records the shard's spans under a tracer whose span
+    ids are seeded with the shard index, so they are deterministic and
+    never collide with the coordinator's or a sibling shard's.  The
+    result carries the shard's :func:`capture_telemetry` envelope.
     """
     payload = codec.decode(task)
     kind, shard_index = payload["kind"], payload["shard_index"]
-    tracer = worker_tracer(payload, shard_index)
-    with use_registry(MetricsRegistry()), (
-        use_tracer(tracer) if tracer is not None else nullcontext()
-    ):
+    trace = payload.get("trace")
+    tracer = (
+        Tracer(context=TraceContext.from_dict(trace), seed=f"shard{shard_index}")
+        if trace else None
+    )
+    with use_registry(MetricsRegistry()), use_tracer(tracer):
         encore = worker_encore(payload["config"], payload["config_digest"])
         if kind == "check":
             worker_install_model(encore, payload["model"], payload["model_digest"])
@@ -263,31 +269,24 @@ def _run_shard(task: bytes) -> bytes:
                 items = encore.assembler.assemble_partial(
                     images, shard_index=shard_index
                 ).systems
-        drift = encore.drift if kind == "check" else None
-        return ShardResult(
-            kind=kind,
-            items=items,
-            metrics=get_registry().to_dict(),
-            shard_index=shard_index,
-            quarantine=encore.quarantine.to_dicts(),
-            dropped=encore.quarantine.dropped,
-            spans=(
-                tracer.snapshot(shard=shard_index, pid=os.getpid())
-                if tracer is not None else {}
-            ),
-            drift=drift.to_dict() if drift is not None else {},
-        ).to_bytes()
+        telemetry = capture_telemetry(
+            encore.quarantine, encore.drift if kind == "check" else None,
+            tracer, shard_index,
+        )
+    return ShardResult(kind, items, telemetry).to_bytes()
 
 
 class _ShardExecutor:
     """The coordinator side shared by both jobs.
 
+    Built from the :class:`~repro.core.pipeline.EnCore` it serves: the
+    pipeline's assembler runs chunks inline, its quarantine (and, for
+    checks, drift monitor) receive the folded worker telemetry, and its
+    result cache, recovery knobs (``retry_policy``, ``shard_timeout``),
+    ``fault_plan`` and hoisted config payload shape every task.
     Frames tasks, dispatches them through the warm pool, folds results
     and runs the retry → bisect → inline recovery policy.  Subclasses
-    name their ``kind``, provide the coordinator objects results fold
-    into (``assembler``, ``quarantine``, ``drift``, ``cache`` /
-    ``cache_salt``, ``model_bytes``) and run a chunk inline
-    (``_inline_items``).
+    name their ``kind`` and run a chunk inline (``_inline_items``).
     """
 
     #: Task kind — also names the worker's ``{kind}.shard`` span (a
@@ -298,39 +297,29 @@ class _ShardExecutor:
     drift = None
     model_bytes: Optional[Tuple[bytes, str]] = None
 
-    def __init__(
-        self,
-        config,
-        workers: int,
-        chunk_size: Optional[int],
-        retry: Optional[RetryPolicy],
-        shard_timeout: Optional[float],
-        fault_plan,
-        config_payload: Optional[Tuple[bytes, str]],
-        pool: Optional[WarmPool],
-    ) -> None:
+    def __init__(self, encore, workers: int, chunk_size: Optional[int]) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.config = config
+        self.encore = encore
         self.workers = workers
         self.chunk_size = chunk_size
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.shard_timeout = shard_timeout
-        self.fault_plan = fault_plan
-        self.config_payload = (
-            config_payload if config_payload is not None
-            else encode_config_payload(config)
+        self.assembler = encore.assembler
+        self.quarantine = encore.quarantine
+        self.config_payload = encore.worker_payload()
+        self.retry = (
+            encore.retry_policy if encore.retry_policy is not None
+            else RetryPolicy()
         )
-        self.pool = pool
 
     @property
     def _policy(self) -> ErrorPolicy:
-        return ErrorPolicy.parse(getattr(self.config, "error_policy", "strict"))
+        return ErrorPolicy.parse(self.encore.config.error_policy)
 
     def _install_inline_faults(self) -> None:
         """Arm the fault plan on the coordinator (in-process mode)."""
-        if self.fault_plan is not None and self.assembler.fault_hook is None:
-            self.assembler.fault_hook = self.fault_plan.hook
+        fault_plan = self.encore.fault_plan
+        if fault_plan is not None and self.assembler.fault_hook is None:
+            self.assembler.fault_hook = fault_plan.hook
 
     # -- one task frame, one decode, one fold ----------------------------------
 
@@ -345,18 +334,19 @@ class _ShardExecutor:
         }
         if self.model_bytes is not None:
             payload["model"], payload["model_digest"] = self.model_bytes
-        if self.fault_plan is not None:
-            payload["faults"] = self.fault_plan.to_dict()
+        if self.encore.fault_plan is not None:
+            payload["faults"] = self.encore.fault_plan.to_dict()
         if get_tracer() is not None:
             # Propagate the coordinator's trace identity: the worker
             # re-parents its span forest under the span active here.
             payload["trace"] = current_context().to_dict()
-        if self.cache is not None and self.cache.root is not None:
+        cache = self.encore.cache
+        if cache is not None and cache.root is not None:
             # Assembly workers only store: the coordinator's pre-pass
             # already resolved every hit.  Check workers look up too.
             payload["cache"] = {
-                "root": str(self.cache.root),
-                "salt": self.cache_salt,
+                "root": str(cache.root),
+                "salt": self.assembler.cache_salt,
                 "store_only": self.kind == "assemble",
             }
         return codec.encode(payload)
@@ -368,20 +358,13 @@ class _ShardExecutor:
         )
 
     def _fold(self, result: ShardResult, shard: bool = True) -> None:
-        """Fold one result's telemetry and quarantine into the coordinator.
+        """Fold one result's telemetry into the coordinator.
 
-        Shard merges are associative, so totals (metrics, spans, drift)
-        match a serial run exactly.  ``shard=False`` is for bisection
-        sub-runs: their telemetry folds as they finish, but the chunk is
-        counted once, when its joined result folds.
+        ``shard=False`` is for bisection sub-runs: their telemetry folds
+        as they finish, but the chunk is counted once, when its joined
+        result folds.
         """
-        if result.metrics:
-            merge_snapshot(result.metrics)
-        if result.spans:
-            merge_remote_spans(result.spans)
-        if self.drift is not None and result.drift:
-            self.drift.merge_snapshot(result.drift)
-        self.quarantine.extend_dicts(result.quarantine, dropped=result.dropped)
+        fold_telemetry(result.telemetry, self.quarantine, self.drift)
         if shard:
             get_registry().counter(f"{self.kind}.shards.total").inc()
             # Long runs tick the health monitor between shard folds
@@ -400,7 +383,7 @@ class _ShardExecutor:
         yielded, so callers fold (or stream) strictly in input order.
         """
         registry = get_registry()
-        pool = self.pool if self.pool is not None else get_warm_pool(self.workers)
+        pool = get_warm_pool(self.workers)
         try:
             executor = pool.executor()
         except POOL_UNAVAILABLE as exc:
@@ -425,7 +408,7 @@ class _ShardExecutor:
             raw = None
             if future is not None:
                 try:
-                    raw = future.result(timeout=self.shard_timeout)
+                    raw = future.result(timeout=self.encore.shard_timeout)
                 except RECOVERABLE as exc:
                     future.cancel()
                     pool.poison()
@@ -469,7 +452,7 @@ class _ShardExecutor:
             error=type(last_exc).__name__,
         )
         items = self._bisect(chunk, index, last_exc)
-        return ShardResult(kind=self.kind, items=items, shard_index=index)
+        return ShardResult(self.kind, items)
 
     def _bisect(
         self, chunk: List[SystemImage], index: int, exc: BaseException
@@ -527,7 +510,7 @@ class _ShardExecutor:
             return self._inline(chunk, index)
         try:
             raw = executor.submit(_run_shard, task).result(
-                timeout=self.shard_timeout
+                timeout=self.encore.shard_timeout
             )
             return self._decode(raw, chunk)
         finally:
@@ -539,66 +522,27 @@ class _ShardExecutor:
         Records (and, for checks, drift observations) go straight into
         the coordinator's own objects, so the result carries only items.
         """
-        return ShardResult(
-            kind=self.kind, items=self._inline_items(chunk, index),
-            shard_index=index,
-        )
+        return ShardResult(self.kind, self._inline_items(chunk, index))
 
     def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
         raise NotImplementedError
 
 
 class ShardedAssembler(_ShardExecutor):
-    """Assemble a corpus across *workers* processes, surviving failures.
+    """Assemble a corpus for *encore* across *workers* processes.
 
-    ``workers <= 1`` runs serially through *assembler* (the caller's own
-    instance, preserving programmatic customization exactly); ``workers
-    > 1`` ships codec-framed chunk tasks to the shared warm pool, whose
-    workers rebuild (once) from *config*.  When a process pool cannot be
-    created (restricted sandboxes), assembly runs inline through
-    *assembler* with a warning — results are identical either way.
-
-    *retry* tunes the crash/timeout recovery backoff (injectable sleeper
-    for tests), *shard_timeout* bounds one shard's wall time in seconds
-    (``None`` = unbounded), *fault_plan* is the test-only injection
-    hook from :mod:`repro.testing.faults`, shipped to workers inside the
-    shard payload, *config_payload* is the hoisted ``(bytes, digest)``
-    config encoding (computed here, once, when not supplied), and *pool*
-    overrides the shared warm pool (tests).
+    ``workers <= 1`` runs serially through the pipeline's own assembler
+    (preserving programmatic customization exactly); ``workers > 1``
+    ships codec-framed chunk tasks to the shared warm pool, whose
+    workers rebuild (once) from the pipeline's worker config.  When a
+    process pool cannot be created (restricted sandboxes), assembly runs
+    inline through the pipeline's assembler with a warning — results are
+    identical either way.  *chunk_size* defaults to
+    :func:`default_chunk_size`.
     """
 
     kind = "assemble"
     quarantine_counter = "quarantine.images.total"
-
-    def __init__(
-        self,
-        config,
-        assembler,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        fault_plan=None,
-        config_payload: Optional[Tuple[bytes, str]] = None,
-        pool: Optional[WarmPool] = None,
-    ) -> None:
-        super().__init__(
-            config, workers, chunk_size, retry, shard_timeout, fault_plan,
-            config_payload, pool,
-        )
-        self.assembler = assembler
-
-    @property
-    def quarantine(self) -> Quarantine:
-        return self.assembler.quarantine
-
-    @property
-    def cache(self):
-        return getattr(self.assembler, "cache", None)
-
-    @property
-    def cache_salt(self) -> str:
-        return self.assembler.cache_salt
 
     def assemble(self, images: Iterable[SystemImage]) -> Dataset:
         images = list(images)
@@ -618,12 +562,12 @@ class ShardedAssembler(_ShardExecutor):
 
     def _assemble_sharded(self, images: List[SystemImage]) -> Dataset:
         with span("assemble.corpus") as s:
-            dropped_before = self.assembler.quarantine.dropped
+            dropped_before = self.quarantine.dropped
             dataset = self._sharded_partial(images).finalize()
             enforce_error_budget(
-                self.assembler.quarantine.dropped - dropped_before,
+                self.quarantine.dropped - dropped_before,
                 len(images),
-                getattr(self.config, "max_error_rate", 1.0),
+                self.encore.config.max_error_rate,
                 self._policy,
             )
             s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
@@ -643,7 +587,7 @@ class ShardedAssembler(_ShardExecutor):
         """
         order: List[Tuple[str, Any]] = []
         misses = 0
-        if self.cache is not None:
+        if self.encore.cache is not None:
             for image in images:
                 system = self.assembler.cached_assembled(image)
                 if system is not None:
@@ -703,58 +647,21 @@ class ShardedAssembler(_ShardExecutor):
 
 
 class BatchChecker(_ShardExecutor):
-    """Stream reports for a fleet of targets across worker processes.
+    """Stream *encore*'s reports for a fleet of targets across workers.
 
-    *model_payload* is the :func:`repro.core.persistence.model_to_dict`
-    snapshot (or its hoisted ``(bytes, digest)`` encoding via
-    *model_bytes* — preferred, computed once per model by
-    :meth:`EnCore.model_payload`); *drift* is the coordinator's
-    :class:`~repro.obs.model.DriftMonitor` that worker observation
-    snapshots fold into; *quarantine* is the coordinator's
-    :class:`~repro.core.resilience.Quarantine` that worker-side drop
-    records fold into; *cache*/*cache_salt* arm the workers' result
-    cache; *encore* is the coordinator pipeline chunks run on inline
-    when no worker process can be created at all.  *retry*,
-    *shard_timeout*, *fault_plan*, *config_payload* and *pool* are as
-    for :class:`ShardedAssembler`.
+    Workers install the pipeline's hoisted model payload; their drift
+    observations fold into the pipeline's drift monitor and their drop
+    records into its quarantine.  Chunks run inline on the pipeline
+    itself when no worker process can be created at all.
     """
 
     kind = "check"
     quarantine_counter = "quarantine.targets.total"
 
-    def __init__(
-        self,
-        config,
-        model_payload: Optional[Dict[str, Any]] = None,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        drift=None,
-        quarantine=None,
-        fault_plan=None,
-        config_payload: Optional[Tuple[bytes, str]] = None,
-        model_bytes: Optional[Tuple[bytes, str]] = None,
-        pool: Optional[WarmPool] = None,
-        cache=None,
-        cache_salt: str = "",
-        retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        encore=None,
-    ) -> None:
-        super().__init__(
-            config, workers, chunk_size, retry, shard_timeout, fault_plan,
-            config_payload, pool,
-        )
-        if model_bytes is None:
-            if model_payload is None:
-                raise ValueError("model_payload or model_bytes is required")
-            model_bytes = encode_model_payload(model_payload)
-        self.model_bytes = model_bytes
-        self.drift = drift
-        self.quarantine = quarantine if quarantine is not None else Quarantine()
-        self.cache = cache
-        self.cache_salt = cache_salt
-        self.encore = encore
-        self.assembler = encore.assembler if encore is not None else None
+    def __init__(self, encore, workers: int, chunk_size: Optional[int]) -> None:
+        super().__init__(encore, workers, chunk_size)
+        self.model_bytes = encore.model_payload()
+        self.drift = encore.drift
 
     def stream(self, images: Iterable[SystemImage]) -> Iterator[Report]:
         """Yield one report per surviving target, in input order."""
@@ -770,11 +677,6 @@ class BatchChecker(_ShardExecutor):
                 yield from result.items
 
     def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
-        if self.encore is None:
-            raise RuntimeError(
-                "no worker process can be created and no coordinator "
-                "pipeline is attached to check inline"
-            )
         self._install_inline_faults()
         return [
             report for report in map(self.encore._check_guarded, chunk)

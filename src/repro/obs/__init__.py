@@ -25,15 +25,17 @@ Three cooperating layers, all dependency-free:
   (:func:`atomic_write_text`, :func:`append_line`) behind every
   trace / metrics / ledger file the layer writes;
 * :mod:`repro.obs.timeline` — bounded ring-buffer time-series of
-  registry samples (:class:`Timeline` + :class:`TimelineSampler`),
-  with windowed rate / delta / percentile queries;
+  registry samples (:class:`Timeline`), with windowed rate / delta /
+  percentile queries;
 * :mod:`repro.obs.alerts` — declarative alert rules
   (``.encore/alerts.toml``) evaluated against the timeline by
   :class:`AlertEngine`, producing :class:`Incident` records with a
   firing→resolved lifecycle;
-* :mod:`repro.obs.health` — :class:`HealthMonitor`, the background
-  sampler+evaluator thread the serve daemon and long CLI runs share
-  (process-global hook: :func:`get_monitor` / :func:`set_monitor`);
+* :mod:`repro.obs.health` — :class:`HealthMonitor`, which samples a
+  registry into its timeline and evaluates the alert rules, on a
+  background thread (the serve daemon) or between shard folds (long
+  CLI runs; process-global hook: :func:`get_monitor` /
+  :func:`set_monitor`);
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, always-on bounded
   rings of recent spans / logs / errors / incidents (process-global
   hook: :func:`get_flight` / :func:`set_flight`), the black box
@@ -43,9 +45,9 @@ Three cooperating layers, all dependency-free:
 
 Tracing is *distributed*: :class:`TraceContext` (:func:`current_context`)
 crosses process boundaries inside ENCB task frames, worker span forests
-ship back on shard results, and :func:`merge_remote_spans` re-parents
-them under the coordinator span — one causally-linked tree at any
-``--workers N``.
+ship back in the shard results' telemetry envelope, and
+:meth:`Tracer.merge_remote` re-parents them under the coordinator span
+— one causally-linked tree at any ``--workers N``.
 
 Every pipeline stage records into the active registry by default, so any
 ``train()`` + ``check()`` run can be inspected after the fact::
@@ -70,12 +72,7 @@ from repro.obs.console import render_stats
 from repro.obs.doctor import DoctorError, build_bundle, check_bundle
 from repro.obs.fileio import atomic_write_text, append_line
 from repro.obs.flight import FlightRecorder, get_flight, set_flight
-from repro.obs.health import (
-    HealthMonitor,
-    build_monitor,
-    get_monitor,
-    set_monitor,
-)
+from repro.obs.health import HealthMonitor, get_monitor, set_monitor
 from repro.obs.ledger import Ledger, LedgerEntry, diff_entries
 from repro.obs.logging import StructuredLogger, configure, get_logger
 from repro.obs.model import DriftMonitor, DriftSummary, Provenance
@@ -86,12 +83,11 @@ from repro.obs.metrics import (
     MetricKindError,
     MetricsRegistry,
     get_registry,
-    merge_snapshot,
     reset_registry,
     set_registry,
     use_registry,
 )
-from repro.obs.timeline import Timeline, TimelineSampler
+from repro.obs.timeline import Timeline
 from repro.obs.profile import (
     chrome_trace,
     profile_document,
@@ -105,7 +101,6 @@ from repro.obs.tracing import (
     Tracer,
     current_context,
     get_tracer,
-    merge_remote_spans,
     set_tracer,
     span,
     use_tracer,
@@ -132,14 +127,12 @@ __all__ = [
     "Span",
     "StructuredLogger",
     "Timeline",
-    "TimelineSampler",
     "TraceContext",
     "TraceExemplars",
     "Tracer",
     "append_line",
     "atomic_write_text",
     "build_bundle",
-    "build_monitor",
     "check_bundle",
     "chrome_trace",
     "configure",
@@ -152,8 +145,6 @@ __all__ = [
     "get_tracer",
     "load_rules",
     "parse_rules",
-    "merge_remote_spans",
-    "merge_snapshot",
     "profile_document",
     "profile_tables",
     "render_profile",

@@ -319,9 +319,10 @@ Transition = Tuple[str, Incident]
 class AlertEngine:
     """Evaluates rules against a timeline and tracks incident state.
 
-    Single-writer by design: one evaluator (the sampler thread, or a
-    CLI loop) calls :meth:`evaluate`; readers take :meth:`snapshot`
-    under the same lock the caller already holds for the timeline.
+    Single-writer by design: one evaluator (the health monitor's
+    thread, or a CLI loop) calls :meth:`evaluate`; readers take
+    :meth:`snapshot` under the same lock the caller already holds for
+    the timeline.
     """
 
     RESOLVED_HISTORY = 64

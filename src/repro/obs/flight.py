@@ -29,10 +29,9 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Union
-
-from repro.obs.timeline import Ring
+from typing import Callable, Deque, Dict, Mapping, Optional, Union
 
 #: Entries kept per ring; sized so a dump stays a few hundred KB even
 #: with verbose field payloads.
@@ -55,7 +54,9 @@ class FlightRecorder:
         self.capacity = capacity
         self.clock = clock
         self._lock = threading.Lock()
-        self._rings: Dict[str, Ring] = {name: Ring(capacity) for name in RING_NAMES}
+        self._rings: Dict[str, Deque[dict]] = {
+            name: deque(maxlen=capacity) for name in RING_NAMES
+        }
         #: Lifetime event counts per ring (rings overwrite; totals don't).
         self._totals: Dict[str, int] = {name: 0 for name in RING_NAMES}
 
@@ -63,7 +64,7 @@ class FlightRecorder:
 
     def _append(self, ring: str, entry: dict) -> None:
         with self._lock:
-            self._rings[ring].append((entry.get("t", 0.0), entry))
+            self._rings[ring].append(entry)
             self._totals[ring] += 1
 
     def record_span(self, closed, trace_id: str = "") -> None:
@@ -138,7 +139,7 @@ class FlightRecorder:
                 "totals": dict(self._totals),
             }
             for name, ring in self._rings.items():
-                out[name] = [dict(entry) for _, entry in ring]
+                out[name] = [dict(entry) for entry in ring]
         return out
 
     def save(self, path: Union[str, Path]) -> Path:

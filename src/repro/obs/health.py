@@ -1,6 +1,7 @@
 """HealthMonitor: one object that samples, evaluates, and remembers.
 
-Glues the three timeline pieces together for every execution mode:
+It samples a metrics registry into a :class:`~repro.obs.timeline.Timeline`
+and evaluates the alert rules against it, in every execution mode:
 
 * the serve daemon owns a monitor and runs :meth:`HealthMonitor.run`
   on a background thread (sampling under ``metrics_lock``);
@@ -27,8 +28,8 @@ import time
 from typing import Callable, List, Optional, Sequence
 
 from repro.obs.alerts import AlertEngine, AlertRule, Incident, Transition
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeline import Timeline, TimelineSampler
+from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.timeline import Timeline
 
 log = logging.getLogger("repro.obs.health")
 
@@ -38,10 +39,11 @@ TransitionListener = Callable[[str, Incident], None]
 class HealthMonitor:
     """Periodic registry sampling + alert evaluation with one clock.
 
-    *registry* follows the :class:`TimelineSampler` contract (instance,
-    callable, or ``None`` for the process registry); *lock* is held
-    around each sample **and** evaluation so readers get consistent
-    state; *clock* is injectable for deterministic tests.
+    *registry* is the registry sampled (``None`` follows the calling
+    thread's active registry, so a CLI run that swaps registries keeps
+    sampling the live one); *lock* is held around each sample **and**
+    evaluation so readers get consistent state; *clock* is injectable
+    for deterministic tests.
     """
 
     def __init__(
@@ -49,23 +51,19 @@ class HealthMonitor:
         rules: Sequence[AlertRule] = (),
         interval_s: float = 5.0,
         capacity: int = 360,
-        max_series: int = 512,
-        registry=None,
+        registry: Optional[MetricsRegistry] = None,
         lock: Optional[threading.Lock] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
+        if interval_s <= 0:
+            raise ValueError("sample interval must be > 0")
         self.lock = lock if lock is not None else threading.Lock()
-        self.timeline = Timeline(capacity=capacity, max_series=max_series)
-        self.sampler = TimelineSampler(
-            registry=registry,
-            timeline=self.timeline,
-            interval_s=interval_s,
-            clock=clock,
-            lock=None,  # self.lock wraps sample+evaluate together
-        )
+        self.timeline = Timeline(capacity=capacity)
+        self.registry = registry
         self.engine = AlertEngine(rules)
         self.clock = clock
         self.interval_s = interval_s
+        self.last_sample_at: Optional[float] = None
         self._listeners: List[TransitionListener] = []
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -91,10 +89,11 @@ class HealthMonitor:
     def tick(self, now: Optional[float] = None) -> List[Transition]:
         """Sample the registry and evaluate every rule once."""
         now = self.clock() if now is None else now
+        registry = self.registry if self.registry is not None else get_registry()
         with self.lock:
-            self.sampler.sample(now=now)
+            self.last_sample_at = now
+            self.timeline.sample_registry(registry, t=now)
             transitions = self.engine.evaluate(self.timeline, now)
-            registry = self.sampler.registry()
             registry.gauge("alerts.rules").set(len(self.engine.rules))
             registry.gauge("alerts.firing").set(len(self.engine.firing))
         self._notify(transitions)
@@ -103,7 +102,7 @@ class HealthMonitor:
     def maybe_tick(self, now: Optional[float] = None) -> bool:
         """Tick iff the sampling interval elapsed; cheap otherwise."""
         now = self.clock() if now is None else now
-        last = self.sampler.last_sample_at
+        last = self.last_sample_at
         if last is not None and now - last < self.interval_s:
             return False
         self.tick(now=now)
@@ -184,26 +183,3 @@ def maybe_tick() -> bool:
         return False
     return monitor.maybe_tick()
 
-
-def build_monitor(
-    rules_path=None,
-    interval_s: float = 5.0,
-    capacity: int = 360,
-    registry: Optional[MetricsRegistry] = None,
-    lock: Optional[threading.Lock] = None,
-    clock: Callable[[], float] = time.time,
-) -> HealthMonitor:
-    """Construct a monitor from a rule-file path (``None`` → no rules)."""
-    from repro.obs.alerts import load_rules
-
-    rules: Sequence[AlertRule] = ()
-    if rules_path is not None:
-        rules = load_rules(rules_path)
-    return HealthMonitor(
-        rules=rules,
-        interval_s=interval_s,
-        capacity=capacity,
-        registry=registry,
-        lock=lock,
-        clock=clock,
-    )

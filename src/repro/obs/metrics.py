@@ -46,7 +46,7 @@ class MetricKindError(ValueError):
     """A metric name is bound to one kind and was used as another.
 
     Raised by the registry accessors and — critically — by
-    :meth:`MetricsRegistry.merge` / :func:`merge_snapshot` when a worker
+    :meth:`MetricsRegistry.merge` when a worker
     snapshot disagrees with the coordinator about a metric's kind
     (counter vs gauge vs histogram).  Folding such a snapshot silently
     would corrupt the colliding series, so the merge fails loudly,
@@ -181,7 +181,7 @@ class Histogram:
 
         This is the one quantile implementation in the codebase: the
         serve SLO summary (``/statusz``), the ``repro profile`` shard
-        table and the timeline sampler all report p50/p99 through it,
+        table and the timeline all report p50/p99 through it,
         so a quoted percentile means the same thing everywhere.
 
         Edge-case contract:
@@ -459,13 +459,3 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
     finally:
         _thread_override.registry = previous
 
-
-def merge_snapshot(data: Mapping) -> MetricsRegistry:
-    """Fold a serialised registry snapshot into the process-local registry.
-
-    Worker processes (sharded assembly, batch checking) record into their
-    own registries and return :meth:`MetricsRegistry.to_dict` snapshots;
-    the coordinator calls this per shard so parallel runs expose the same
-    counter totals and histogram populations as a serial run.
-    """
-    return get_registry().merge(MetricsRegistry.from_dict(data))

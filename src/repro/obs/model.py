@@ -267,10 +267,10 @@ class DriftMonitor:
     The baseline is the per-attribute value histogram the model snapshot
     already carries (``AttributeStats.value_counts``); the monitor adds
     the *observed* side, one :meth:`observe` call per checked target.
-    State is three counter families, so :meth:`merge` is associative and
-    order-insensitive — worker shards each observe their chunk and the
-    coordinator folds the snapshots, yielding the same summary as a
-    serial pass.
+    State is three counter families, so :meth:`merge_snapshot` is
+    associative and order-insensitive — worker shards each observe their
+    chunk and the coordinator folds the snapshots, yielding the same
+    summary as a serial pass.
 
     Live telemetry lands in the active metrics registry at observe time
     (``drift.targets.total``, ``drift.attributes.new``,
@@ -353,15 +353,6 @@ class DriftMonitor:
             registry.counter("drift.attributes.new").inc(new_attributes)
         if unseen:
             registry.counter("drift.values.unseen").inc(unseen)
-
-    def merge(self, other: "DriftMonitor") -> "DriftMonitor":
-        """Associative in-place combine of two monitors' observations."""
-        self.targets += other.targets
-        for attribute, counter in other.observed.items():
-            self._counter(attribute).update(counter)
-        self.new_attributes.update(other.new_attributes)
-        self.unseen_values.update(other.unseen_values)
-        return self
 
     # -- roll-up ---------------------------------------------------------------
 

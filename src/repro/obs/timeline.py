@@ -6,20 +6,19 @@ snapshot — a metrics registry holds *current* totals, ``/statusz`` a
 "has p99 been above the objective for the last minute?", or "did drift
 start before or after the reload?".  The timeline closes that gap:
 
-* :class:`TimelineSampler` periodically snapshots any
-  :class:`~repro.obs.metrics.MetricsRegistry` into a :class:`Timeline`
-  of fixed-size **ring buffers**, one per metric series (name + label
-  set).  Counters keep their cumulative value plus an instantaneous
-  rate; gauges are sampled; histograms are reduced to
-  count/sum/p50/p99 through the one canonical
+* :meth:`Timeline.sample_registry` snapshots any
+  :class:`~repro.obs.metrics.MetricsRegistry` into fixed-size **ring
+  buffers** (``collections.deque`` with ``maxlen``), one per metric
+  series (name + label set); :class:`~repro.obs.health.HealthMonitor`
+  calls it on its sampling interval.  Counters keep their cumulative
+  value plus an instantaneous rate; gauges are sampled; histograms are
+  reduced to count/sum/p50/p99 through the one canonical
   :meth:`~repro.obs.metrics.Histogram.quantile` estimator.
 * Memory is **bounded regardless of run length**: each ring holds at
   most ``capacity`` points, and the timeline holds at most
   ``max_series`` series (excess series are counted, not stored) — a
   week-long daemon and a 100k-image streamed check cost the same RSS
   as a one-minute run.
-* :meth:`Timeline.to_dict` / :meth:`Timeline.from_dict` round-trip
-  through JSON for export (``/alertz``, ``repro watch``, tests).
 
 Window queries (:meth:`Timeline.counter_delta`, :meth:`Timeline.rate`,
 :meth:`Timeline.histogram_window`, :meth:`Timeline.latest_value`) are
@@ -30,23 +29,10 @@ against; see ``docs/observability.md`` ("Monitoring & alerting").
 from __future__ import annotations
 
 import time
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from collections import deque
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.metrics import (
-    Histogram,
-    LabelSet,
-    MetricsRegistry,
-    get_registry,
-)
+from repro.obs.metrics import Histogram, LabelSet, MetricsRegistry
 
 #: Default points kept per series: at the serve daemon's 5 s sampling
 #: interval this is 30 minutes of history in ~10 KB per series.
@@ -63,60 +49,6 @@ def series_id(name: str, labelset: LabelSet = ()) -> str:
         return name
     label_str = ",".join(f"{k}={v}" for k, v in labelset)
     return f"{name}{{{label_str}}}"
-
-
-def _split_series_id(sid: str) -> Tuple[str, Dict[str, str]]:
-    """Inverse of :func:`series_id` (labels as a plain dict)."""
-    name, brace, rest = sid.partition("{")
-    if not brace:
-        return sid, {}
-    labels: Dict[str, str] = {}
-    for pair in rest.rstrip("}").split(","):
-        if pair:
-            key, _, value = pair.partition("=")
-            labels[key] = value
-    return name, labels
-
-
-class Ring:
-    """A fixed-capacity ring buffer of sample tuples (oldest first)."""
-
-    __slots__ = ("capacity", "_items", "_next", "_full")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self._items: List[tuple] = []
-        self._next = 0
-        self._full = False
-
-    def append(self, item: tuple) -> None:
-        if self._full:
-            self._items[self._next] = item
-            self._next = (self._next + 1) % self.capacity
-        else:
-            self._items.append(item)
-            if len(self._items) == self.capacity:
-                self._full = True
-                self._next = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[tuple]:
-        if not self._full:
-            yield from self._items
-        else:
-            yield from self._items[self._next:]
-            yield from self._items[:self._next]
-
-    def last(self) -> Optional[tuple]:
-        if not self._items:
-            return None
-        if not self._full:
-            return self._items[-1]
-        return self._items[self._next - 1]
 
 
 #: Per-kind point layout (the tuple fields each ring stores, in order).
@@ -137,27 +69,22 @@ class Series:
         self.name = name
         self.labels = dict(labels)
         self.kind = kind
-        self.ring = Ring(capacity)
+        self.ring: Deque[tuple] = deque(maxlen=capacity)
 
     def points(self) -> List[tuple]:
         return list(self.ring)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "labels": dict(self.labels),
-            "kind": self.kind,
-            "fields": list(POINT_FIELDS[self.kind]),
-            "points": [list(point) for point in self.ring],
-        }
+    def last(self) -> Optional[tuple]:
+        return self.ring[-1] if self.ring else None
 
 
 class Timeline:
     """Bounded per-series history of registry samples.
 
-    Not thread-safe by itself — the :class:`TimelineSampler` (or the
-    serve daemon's ``metrics_lock``) serialises writers; readers that
-    race a sampler thread must hold the same lock.
+    Not thread-safe by itself — the
+    :class:`~repro.obs.health.HealthMonitor` lock (the serve daemon's
+    ``metrics_lock``) serialises writers; readers that race a sampling
+    thread must hold the same lock.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
@@ -212,7 +139,7 @@ class Timeline:
 
     @staticmethod
     def _append_counter(series: Series, value: float, t: float) -> None:
-        last = series.ring.last()
+        last = series.last()
         rate = 0.0
         if last is not None:
             dt = t - last[0]
@@ -313,7 +240,7 @@ class Timeline:
         total: Optional[float] = None
         for sid in self.select(name, labels):
             series = self.series[sid]
-            last = series.ring.last()
+            last = series.last()
             if last is None:
                 continue
             fields = POINT_FIELDS[series.kind]
@@ -414,97 +341,3 @@ class Timeline:
             "p50": p50,
             "p99": p99,
         }
-
-    # -- serialisation ---------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "capacity": self.capacity,
-            "max_series": self.max_series,
-            "samples": self.samples,
-            "dropped_series": self.dropped_series,
-            "series": {
-                sid: self.series[sid].to_dict()
-                for sid in sorted(self.series)
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Timeline":
-        timeline = cls(
-            capacity=int(data.get("capacity", DEFAULT_CAPACITY)),
-            max_series=int(data.get("max_series", DEFAULT_MAX_SERIES)),
-        )
-        timeline.samples = int(data.get("samples", 0))
-        timeline.dropped_series = int(data.get("dropped_series", 0))
-        for sid, entry in data.get("series", {}).items():
-            name, labels = _split_series_id(sid)
-            series = Series(
-                str(entry.get("name", name)),
-                dict(entry.get("labels", labels)),
-                str(entry["kind"]),
-                timeline.capacity,
-            )
-            for point in entry.get("points", ()):
-                series.ring.append(tuple(point))
-            timeline.series[sid] = series
-        return timeline
-
-
-class TimelineSampler:
-    """Periodically snapshots a registry into a :class:`Timeline`.
-
-    *registry* may be a :class:`MetricsRegistry` or a zero-argument
-    callable returning one (the default follows the process-local
-    registry, so a CLI run that swaps registries keeps sampling the
-    live one).  *lock* (optional) is held around each sample — the
-    serve daemon passes its ``metrics_lock`` so samples are consistent
-    cuts of the folded process registry.  *clock* is injectable for
-    deterministic tests.
-    """
-
-    def __init__(
-        self,
-        registry: Union[MetricsRegistry, Callable[[], MetricsRegistry], None] = None,
-        timeline: Optional[Timeline] = None,
-        interval_s: float = 5.0,
-        clock: Callable[[], float] = time.time,
-        lock=None,
-    ) -> None:
-        if interval_s <= 0:
-            raise ValueError("sample interval must be > 0")
-        self._registry = registry
-        self.timeline = timeline if timeline is not None else Timeline()
-        self.interval_s = interval_s
-        self.clock = clock
-        self.lock = lock
-        self.last_sample_at: Optional[float] = None
-
-    def registry(self) -> MetricsRegistry:
-        if self._registry is None:
-            return get_registry()
-        if callable(self._registry):
-            return self._registry()
-        return self._registry
-
-    def sample(self, now: Optional[float] = None) -> int:
-        """Take one sample immediately; returns series sampled."""
-        now = self.clock() if now is None else now
-        self.last_sample_at = now
-        if self.lock is not None:
-            with self.lock:
-                return self.timeline.sample_registry(self.registry(), t=now)
-        return self.timeline.sample_registry(self.registry(), t=now)
-
-    def maybe_sample(self, now: Optional[float] = None) -> bool:
-        """Sample iff at least ``interval_s`` elapsed since the last one.
-
-        The cheap hook long-running loops call per unit of work
-        (per shard fold, per checked target) — a no-op between ticks.
-        """
-        now = self.clock() if now is None else now
-        if (self.last_sample_at is not None
-                and now - self.last_sample_at < self.interval_s):
-            return False
-        self.sample(now=now)
-        return True

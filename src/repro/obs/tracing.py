@@ -19,7 +19,7 @@ derived from the trace id and a per-tracer sequence counter (never from
 The coordinator serialises :func:`current_context` into ENCB task
 frames; worker processes rebuild a tracer seeded with their shard index
 and ship their span forest back as a :func:`Tracer.snapshot`, which
-:func:`merge_remote_spans` re-parents under the coordinator span.  The
+:meth:`Tracer.merge_remote` re-parents under the coordinator span.  The
 Chrome-trace exporter (:mod:`repro.obs.profile`) then renders one
 causally-linked tree at any ``--workers N``.
 
@@ -438,16 +438,6 @@ def current_context() -> Optional[TraceContext]:
     active = tracer.current_span()
     span_id = active.span_id if active is not None else tracer.context.span_id
     return TraceContext(tracer.context.trace_id, span_id=span_id)
-
-
-def merge_remote_spans(snapshot: dict) -> None:
-    """Fold a worker span snapshot into the active tracer (no-op without
-    one) — the span analogue of ``merge_snapshot`` for metrics."""
-    if not snapshot:
-        return
-    tracer = get_tracer()
-    if tracer is not None:
-        tracer.merge_remote(snapshot)
 
 
 @contextmanager

@@ -274,7 +274,7 @@ class DetectionServer(ThreadingHTTPServer):
         set_flight(self.flight)
         #: Tail-based exemplar store behind ``GET /tracez``.
         self.exemplars = TraceExemplars()
-        self.monitor = self._build_monitor()
+        self.monitor = self._health_monitor()
         self.monitor.on_transition(self.flight.incident_listener)
         self.watcher = SnapshotWatcher(
             self, poll_interval_s=config.reload_poll_s
@@ -298,7 +298,7 @@ class DetectionServer(ThreadingHTTPServer):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _build_monitor(self):
+    def _health_monitor(self):
         """The daemon's health monitor (timeline + alert engine).
 
         Rules come from ``config.alerts_path``; when unset, the default

@@ -22,6 +22,21 @@ from repro.sysmodel.services import Service, ServiceRegistry
 SNAPSHOT_VERSION = 1
 
 
+class ImageCorruptError(ValueError):
+    """An image snapshot file cannot be read or decoded.
+
+    Raised by :func:`load_image` for an unreadable path (a directory, a
+    missing file), bytes that are not JSON, and JSON that is not a
+    version-:data:`SNAPSHOT_VERSION` image (missing keys, wrong types).
+    Names the path so the CLI can fail with one line, not a traceback.
+    """
+
+    def __init__(self, path: Union[str, Path], reason: str) -> None:
+        self.path = str(path)
+        self.reason = reason
+        super().__init__(f"corrupt image snapshot {self.path}: {reason}")
+
+
 def image_to_dict(image: SystemImage) -> Dict[str, Any]:
     """Serialise an image into a plain JSON-ready dict."""
     return {
@@ -134,5 +149,22 @@ def save_image(image: SystemImage, path: Union[str, Path]) -> Path:
 
 
 def load_image(path: Union[str, Path]) -> SystemImage:
-    """Load one image previously saved with :func:`save_image`."""
-    return image_from_dict(json.loads(Path(path).read_text()))
+    """Load one image previously saved with :func:`save_image`.
+
+    Raises :class:`ImageCorruptError` when *path* cannot be read or
+    does not hold an image snapshot.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ImageCorruptError(path, f"cannot read ({exc})") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ImageCorruptError(path, f"invalid JSON ({exc})") from exc
+    try:
+        return image_from_dict(data)
+    except KeyError as exc:
+        raise ImageCorruptError(path, f"missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ImageCorruptError(path, str(exc)) from exc

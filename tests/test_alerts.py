@@ -33,7 +33,6 @@ from repro.obs.alerts import (
 )
 from repro.obs.health import (
     HealthMonitor,
-    build_monitor,
     get_monitor,
     maybe_tick,
     set_monitor,
@@ -471,14 +470,14 @@ class TestHealthMonitor:
         set_monitor(None)
         assert maybe_tick() is False
 
-    def test_build_monitor_loads_rules(self, tmp_path):
+    def test_monitor_loads_rules(self, tmp_path):
         path = tmp_path / "alerts.toml"
         path.write_text(RULES_TOML)
-        monitor = build_monitor(rules_path=path, interval_s=1.0)
+        monitor = HealthMonitor(rules=load_rules(path), interval_s=1.0)
         assert [r.name for r in monitor.engine.rules] == [
             "error-burn", "drift", "quarantine",
         ]
-        assert build_monitor().engine.rules == []
+        assert HealthMonitor().engine.rules == []
 
 
 # -- serve integration ----------------------------------------------------------

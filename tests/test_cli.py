@@ -119,6 +119,27 @@ class TestTrainCheck:
         assert rc == 1
         assert "datadir" in out
 
+    @pytest.mark.parametrize("case", ["directory", "not-json", "no-version"])
+    def test_bad_target_exits_cleanly(self, corpus_dir, tmp_path, capsys, case):
+        model = tmp_path / "model.json"
+        assert main([
+            "train", "--training", str(corpus_dir), "--model", str(model),
+        ]) == 0
+        target = tmp_path / "target.json"
+        if case == "directory":
+            target.mkdir()
+        else:
+            target.write_text(
+                "not json" if case == "not-json" else '{"image_id": "x"}'
+            )
+        capsys.readouterr()
+        rc = main(["check", "--model", str(model), "--target", str(target)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("error: ") == 1
+        assert f"corrupt image snapshot {target}" in err
+        assert "Traceback" not in err
+
     def test_missing_training_dir(self, tmp_path):
         with pytest.raises(SystemExit):
             main([

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.dataset import Dataset, PartialDataset
 from repro.core.pipeline import EnCore, EnCoreConfig
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.engine import (
     BatchChecker,
     ShardedAssembler,
@@ -24,7 +25,31 @@ from repro.engine import (
 )
 from repro.engine import codec
 from repro.engine.artifacts import ShardResult
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.metrics import MetricsRegistry, use_registry
+
+#: Metric families only the shard executor records: they count pools,
+#: payload encodes, shards and batches, not pipeline work, so a serial
+#: run has none of them.
+EXECUTOR_FAMILIES = (
+    "pool.", "codec.", "assemble.shards", "check.shards.total",
+    "check.batch.seconds",
+)
+
+
+def _work_totals(registry):
+    """Every counter value and histogram count outside the executor."""
+    totals = {}
+    for entry in registry.to_dict()["metrics"]:
+        if entry["name"].startswith(EXECUTOR_FAMILIES):
+            continue
+        if entry["kind"] == "counter":
+            value = entry["value"]
+        elif entry["kind"] == "histogram":
+            value = entry["count"]
+        else:
+            continue
+        totals[(entry["name"], tuple(sorted(entry["labels"].items())))] = value
+    return totals
 
 
 def _root_owned_datadir(image, image_id):
@@ -125,36 +150,32 @@ class TestShardedAssembly:
         assert model.dataset.fingerprint() == baseline.dataset.fingerprint()
         assert model.rules.to_json() == baseline.rules.to_json()
 
-    def test_worker_metrics_fold_into_coordinator(self, small_corpus):
-        parent = get_registry()
-        try:
-            set_registry(MetricsRegistry())
-            EnCore().train(small_corpus)
-            serial_totals = (
-                get_registry().total("assemble.systems.total"),
-                get_registry().total("assemble.attributes.original"),
-            )
-            set_registry(MetricsRegistry())
-            EnCore().train(small_corpus, workers=4)
-            sharded = get_registry()
-            assert sharded.total("assemble.systems.total") == serial_totals[0]
-            assert sharded.total("assemble.attributes.original") == serial_totals[1]
-            assert sharded.total("assemble.shards.total") >= 1
-        finally:
-            set_registry(parent)
+    def test_worker_metrics_fold_into_coordinator(self):
+        """Every worker-recorded count folds back: train + check parity."""
+        corpus = Ec2CorpusGenerator(seed=7).generate(30)
+        targets = Ec2CorpusGenerator(seed=33).generate(12)
+        registries = []
+        for workers, chunk_size in ((1, None), (2, 3)):
+            with use_registry(MetricsRegistry()) as registry:
+                encore = EnCore()
+                encore.train(corpus, workers=workers, chunk_size=chunk_size)
+                encore.check_many(targets, workers=workers, chunk_size=chunk_size)
+            registries.append(registry)
+        serial, sharded = registries
+        assert sharded.total("assemble.shards.total") == 10
+        assert sharded.total("check.shards.total") == 4
+        assert _work_totals(serial)["check.seconds", ()] == len(targets)
+        assert _work_totals(sharded) == _work_totals(serial)
 
     def test_single_image_stays_serial(self, small_corpus):
         encore = EnCore()
-        assembler = ShardedAssembler(
-            encore.worker_config(), encore.assembler, workers=8
-        )
-        dataset = assembler.assemble(small_corpus[:1])
+        dataset = ShardedAssembler(encore, 8, None).assemble(small_corpus[:1])
         assert len(dataset) == 1
 
     def test_rejects_bad_worker_count(self, serial_model):
         encore, _ = serial_model
         with pytest.raises(ValueError):
-            ShardedAssembler(encore.worker_config(), encore.assembler, workers=0)
+            ShardedAssembler(encore, 0, None)
 
 
 class TestBatchChecking:
@@ -193,7 +214,7 @@ class TestBatchChecking:
     def test_rejects_bad_worker_count(self, serial_model):
         encore, _ = serial_model
         with pytest.raises(ValueError):
-            BatchChecker(encore.worker_config(), {}, workers=0)
+            BatchChecker(encore, 0, None)
 
 
 class TestIncrementalTraining:
@@ -280,15 +301,14 @@ class TestArtifacts:
                                      held_out_image):
         """Both envelope kinds survive the worker→coordinator wire form."""
         rows = assembled[:3]
-        wire = ShardResult(
-            "assemble", rows, metrics={"metrics": []}, shard_index=2,
-        ).to_bytes()
-        # A tracing-off envelope carries no spans key at all.
-        assert "spans" not in codec.decode(wire)
+        telemetry = {"metrics": {"metrics": []}, "quarantine": [], "dropped": 0}
+        wire = ShardResult("assemble", rows, telemetry).to_bytes()
+        # Exactly three fields cross the wire.
+        assert set(codec.decode(wire)) == {"kind", "items", "telemetry"}
         restored = ShardResult.from_bytes(
             wire, {system.image_id: system.image for system in rows}
         )
-        assert restored.shard_index == 2
+        assert restored.telemetry == telemetry
         assert PartialDataset.from_systems(restored.items) == (
             PartialDataset.from_systems(rows)
         )

@@ -10,7 +10,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.pipeline import EnCore
+from repro.core.resilience import Quarantine
 from repro.corpus.generator import Ec2CorpusGenerator
+from repro.engine.artifacts import fold_telemetry
 from repro.obs.profile import (
     COORDINATOR_PID,
     SHARD_PID_BASE,
@@ -26,7 +28,6 @@ from repro.obs.tracing import (
     Tracer,
     current_context,
     get_tracer,
-    merge_remote_spans,
     set_tracer,
     span,
 )
@@ -294,14 +295,23 @@ class TestStageProfiler:
         assert root.attributes["cpu_s"] == pytest.approx(0.25)
         assert profile_tables(tracer)["stages"]["detect"]["calls"] == 1
 
+    @staticmethod
+    def fold_spans(spans):
+        """Fold a worker envelope that carries only *spans* of telemetry."""
+        fold_telemetry(
+            {"metrics": {"metrics": []}, "quarantine": [], "dropped": 0,
+             "spans": spans},
+            Quarantine(),
+        )
+
     def test_merge_snapshot_noop_without_active_profiler(self):
         assert get_tracer() is None
-        merge_remote_spans(worker_forest("check", 0, 1))  # dropped, no error
+        self.fold_spans(worker_forest("check", 0, 1))  # dropped, no error
         assert get_tracer() is None
 
     def test_merge_snapshot_folds_into_active(self, fake_resources):
         coordinator = set_tracer(sampled_tracer())
-        merge_remote_spans(worker_forest("check", 0, 4, inner=["detect"]))
+        self.fold_spans(worker_forest("check", 0, 4, inner=["detect"]))
         tables = profile_tables(coordinator)
         assert tables["stages"]["detect"]["calls"] == 1
         assert [(row["stage"], row["items"]) for row in tables["shards"]] == [("check", 4)]
@@ -347,7 +357,7 @@ class TestChromeTrace:
             with span("train.assemble", images=4):
                 context = current_context()
                 for shard in (0, 1):
-                    merge_remote_spans(
+                    tracer.merge_remote(
                         worker_forest("assemble", shard, 2, parent=context)
                     )
             with span("train.infer"):

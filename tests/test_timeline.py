@@ -1,4 +1,4 @@
-"""Timeline ring buffers, window queries, JSON round-trip, and sampling.
+"""Timeline ring buffers, window queries, and sampling.
 
 Covers the PR's tentpole invariants:
 
@@ -11,46 +11,47 @@ Covers the PR's tentpole invariants:
 * the typed ``MetricKindError`` on merge collisions (satellite).
 """
 
-import json
 import threading
 import tracemalloc
 
 import pytest
 
+from repro.core.resilience import Quarantine
+from repro.engine.artifacts import fold_telemetry
+from repro.obs.health import HealthMonitor
 from repro.obs.metrics import (
     Histogram,
     MetricKindError,
     MetricsRegistry,
-    merge_snapshot,
     use_registry,
 )
-from repro.obs.timeline import (
-    Ring,
-    Timeline,
-    TimelineSampler,
-    series_id,
-)
+from repro.obs.timeline import Timeline, series_id
 
 
 class TestRing:
+    """Each series keeps its points in a ring of the timeline's capacity."""
+
+    @staticmethod
+    def gauge_points(capacity, count):
+        timeline = Timeline(capacity=capacity)
+        for i in range(count):
+            timeline.record_gauge("g", {}, float(i), t=float(i))
+        return timeline.series["g"]
+
     def test_keeps_insertion_order_until_full(self):
-        ring = Ring(4)
-        for i in range(3):
-            ring.append((i,))
-        assert list(ring) == [(0,), (1,), (2,)]
-        assert ring.last() == (2,)
+        series = self.gauge_points(4, 3)
+        assert [value for _, value in series.points()] == [0.0, 1.0, 2.0]
+        assert series.last() == (2.0, 2.0)
 
     def test_overwrites_oldest_when_full(self):
-        ring = Ring(3)
-        for i in range(7):
-            ring.append((i,))
-        assert len(ring) == 3
-        assert list(ring) == [(4,), (5,), (6,)]
-        assert ring.last() == (6,)
+        series = self.gauge_points(3, 7)
+        assert len(series.ring) == 3
+        assert [value for _, value in series.points()] == [4.0, 5.0, 6.0]
+        assert series.last() == (6.0, 6.0)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            Ring(0)
+            Timeline(capacity=0)
 
 
 class TestSeriesId:
@@ -175,46 +176,42 @@ class TestWindowQueries:
         assert timeline.latest_value("lat", stat="p99") is not None
 
 
-class TestJsonRoundTrip:
-    def test_round_trips_through_json(self):
-        registry = MetricsRegistry()
-        registry.counter("c", route="/a").inc(3)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h", buckets=(0.1,)).observe(0.05)
-        timeline = Timeline(capacity=4)
-        timeline.sample_registry(registry, t=1.0)
-        timeline.sample_registry(registry, t=2.0)
-        blob = json.dumps(timeline.to_dict(), sort_keys=True)
-        restored = Timeline.from_dict(json.loads(blob))
-        assert restored.to_dict() == timeline.to_dict()
-        assert restored.capacity == 4
-
-
 class TestSampler:
+    """The health monitor samples its registry into its timeline."""
+
     def test_maybe_sample_respects_interval(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
         clock = iter([100.0, 101.0, 106.0]).__next__
-        sampler = TimelineSampler(registry, interval_s=5.0, clock=clock)
-        assert sampler.sample() == 1              # t=100
-        assert sampler.maybe_sample() is False    # t=101: too soon
-        assert sampler.maybe_sample() is True     # t=106: due
-        assert sampler.timeline.samples == 2
+        monitor = HealthMonitor(interval_s=5.0, registry=registry, clock=clock)
+        monitor.tick()                            # t=100
+        assert monitor.timeline.latest_value("c") == 1.0
+        assert monitor.maybe_tick() is False      # t=101: too soon
+        assert monitor.maybe_tick() is True       # t=106: due
+        assert monitor.timeline.samples == 2
 
     def test_follows_process_registry_when_unbound(self):
-        sampler = TimelineSampler(interval_s=1.0)
+        monitor = HealthMonitor(interval_s=1.0)
         private = MetricsRegistry()
         private.counter("mine").inc(9)
         with use_registry(private):
-            sampler.sample(now=1.0)
-        assert sampler.timeline.latest_value("mine") == 9.0
+            monitor.tick(now=1.0)
+        assert monitor.timeline.latest_value("mine") == 9.0
 
     def test_sample_under_lock(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
         lock = threading.Lock()
-        sampler = TimelineSampler(registry, interval_s=1.0, lock=lock)
-        assert sampler.sample(now=1.0) == 1
+        monitor = HealthMonitor(registry=registry, lock=lock)
+        with lock:
+            # A tick waits for the caller's lock: samples are consistent cuts.
+            ticker = threading.Thread(target=monitor.tick, kwargs={"now": 1.0})
+            ticker.start()
+            ticker.join(timeout=0.05)
+            assert monitor.timeline.samples == 0
+        ticker.join()
+        assert monitor.timeline.samples == 1
+        assert monitor.timeline.latest_value("c") == 1.0
 
 
 class TestConcurrentSampling:
@@ -226,11 +223,10 @@ class TestConcurrentSampling:
     def test_no_lost_or_double_counted_increments(self):
         process_registry = MetricsRegistry()
         fold_lock = threading.Lock()
-        timeline = Timeline(capacity=4096)
-        sampler = TimelineSampler(
-            process_registry, timeline=timeline,
-            interval_s=1e-9, lock=fold_lock,
+        monitor = HealthMonitor(
+            capacity=4096, registry=process_registry, lock=fold_lock,
         )
+        timeline = monitor.timeline
         stop = threading.Event()
 
         def worker(index: int) -> None:
@@ -250,7 +246,7 @@ class TestConcurrentSampling:
             t = 0.0
             while not stop.is_set():
                 t += 1.0
-                sampler.sample(now=t)
+                monitor.tick(now=t)
 
         threads = [
             threading.Thread(target=worker, args=(i,))
@@ -264,10 +260,8 @@ class TestConcurrentSampling:
             thread.join()
         stop.set()
         sampler_thread.join()
-        last_ts = [
-            series.ring.last()[0] for series in timeline.series.values()
-        ]
-        sampler.sample(now=(max(last_ts) if last_ts else 0.0) + 1.0)
+        last_ts = [series.last()[0] for series in timeline.series.values()]
+        monitor.tick(now=(max(last_ts) if last_ts else 0.0) + 1.0)
 
         expected = self.THREADS * self.ITERATIONS
         # The final sample's totals equal the registry's ground truth:
@@ -291,14 +285,13 @@ class TestFlatMemory:
             registry.counter("req.total", route=route).inc()
         registry.histogram("lat", buckets=(0.01, 0.1)).observe(0.05)
         timeline = Timeline(capacity=64)
-        sampler = TimelineSampler(registry, timeline=timeline, interval_s=1.0)
 
         for i in range(2000):
-            sampler.sample(now=float(i))
+            timeline.sample_registry(registry, t=float(i))
         tracemalloc.start()
         baseline, _ = tracemalloc.get_traced_memory()
         for i in range(2000, 10000):
-            sampler.sample(now=float(i))
+            timeline.sample_registry(registry, t=float(i))
         current, _ = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
@@ -329,9 +322,10 @@ class TestMetricKindErrorSatellite:
         ours.counter("shared.metric").inc()
         theirs = MetricsRegistry()
         theirs.gauge("shared.metric").set(5)
+        envelope = {"metrics": theirs.to_dict(), "quarantine": [], "dropped": 0}
         with use_registry(ours):
             with pytest.raises(MetricKindError) as excinfo:
-                merge_snapshot(theirs.to_dict())
+                fold_telemetry(envelope, Quarantine())
         assert excinfo.value.metric == "shared.metric"
 
     def test_registry_merge_collision_histogram_vs_counter(self):

@@ -18,7 +18,6 @@ from repro.obs.tracing import (
     TraceExemplars,
     Tracer,
     current_context,
-    merge_remote_spans,
     set_tracer,
     use_tracer,
 )
@@ -126,7 +125,7 @@ class TestRemoteMerge:
                 )
                 with worker.span("check.shard", shard=0):
                     pass
-                merge_remote_spans(worker.snapshot(shard=0))
+                coordinator.merge_remote(worker.snapshot(shard=0))
         assert len(coordinator.remote) == 1
         snapshot = coordinator.remote[0]
         assert snapshot["trace_id"] == "merge-trace"
@@ -138,8 +137,8 @@ class TestRemoteMerge:
     def test_empty_worker_snapshot_is_dropped(self):
         coordinator = Tracer(context=TraceContext.root("quiet"))
         with use_tracer(coordinator):
-            merge_remote_spans({"trace_id": "quiet", "spans": []})
-            merge_remote_spans({})
+            coordinator.merge_remote({"trace_id": "quiet", "spans": []})
+            coordinator.merge_remote({})
         assert coordinator.remote == []
 
 
