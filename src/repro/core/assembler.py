@@ -172,7 +172,7 @@ class DataAssembler:
         # Augment it as a FilePath so the ``.type = missing`` column
         # carries that fact to the detectors.
         augment_type = config_type
-        if config_type.is_trivial or config_type is ConfigType.STRING:
+        if config_type.is_trivial and self.inferencer.may_be_file_path(entry.value):
             syntactic = self.inferencer.infer_syntactic_only(entry.value)
             if syntactic is ConfigType.FILE_PATH:
                 augment_type = syntactic

@@ -51,6 +51,8 @@ class AssembledSystem:
         #: columns) rather than parsed from a config file.  PHP entry names
         #: legitimately contain dots, so this is tracked explicitly.
         self._augmented: set = set()
+        #: ``attributes()`` result, sorted once and dropped by ``set``.
+        self._sorted: Optional[List[str]] = None
 
     @property
     def image_id(self) -> str:
@@ -72,6 +74,7 @@ class AssembledSystem:
             self._multi.setdefault(attribute, [self._values[attribute]]).append(typed)
         else:
             self._values[attribute] = typed
+            self._sorted = None
         if augmented:
             self._augmented.add(attribute)
 
@@ -100,7 +103,11 @@ class AssembledSystem:
         return self._values
 
     def attributes(self) -> List[str]:
-        return sorted(self._values)
+        """Attribute names, sorted.  The list is cached and shared between
+        callers: iterate it, never mutate it."""
+        if self._sorted is None:
+            self._sorted = sorted(self._values)
+        return self._sorted
 
     def as_row(self) -> Dict[str, str]:
         """Plain attribute → raw value dict (one csv row)."""

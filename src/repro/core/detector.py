@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dataset import AssembledSystem, Dataset
+from repro.core.dataset import AssembledSystem, AttributeStats, Dataset
 from repro.core.rules import ConcreteRule, RuleSet
 from repro.core.templates import RuleTemplate, default_templates
-from repro.core.types import TypeInferencer
+from repro.core.types import ConfigType, TypeInferencer
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 
@@ -148,7 +148,23 @@ class AnomalyDetector:
             t.name: t for t in (templates if templates is not None else default_templates())
         }
         self.misspelling_cutoff = misspelling_cutoff
+        #: Check 3's columns: a type ``verify`` can reject (not trivial,
+        #: not Enum) that the training data agrees on.  Ambiguous columns
+        #: (0/1 Boolean-vs-Number and friends, Table 11) would otherwise
+        #: flood the report with false type violations.
+        self._enforced_types: Dict[str, AttributeStats] = {}
+        for attribute in dataset.attributes():
+            stats = dataset.stats(attribute)
+            if stats is None or stats.type.is_trivial or stats.type is ConfigType.ENUM:
+                continue
+            if stats.type_agreement >= 0.9:
+                self._enforced_types[attribute] = stats
+        #: App → sorted entry names (difflib's candidates) and the same
+        #: names as a set (the membership test).
         self._known_names = dataset.entry_names()
+        self._known_sets = {
+            app: frozenset(names) for app, names in self._known_names.items()
+        }
 
     # -- public API ---------------------------------------------------------------
 
@@ -199,9 +215,10 @@ class AnomalyDetector:
             if attribute.startswith("env:") or target.is_augmented(attribute):
                 continue  # augmented columns are machine-generated
             app, _, name = attribute.partition(":")
-            known = self._known_names.get(app)
-            if known is None or name in known:
+            known_set = self._known_sets.get(app)
+            if known_set is None or name in known_set:
                 continue
+            known = self._known_names[app]
             base_name = name
             suggestions = difflib.get_close_matches(
                 base_name, known, n=1, cutoff=self.misspelling_cutoff
@@ -291,20 +308,25 @@ class AnomalyDetector:
     def check_types(self, target: AssembledSystem) -> List[Warning]:
         """Verify target values against the types learned in training."""
         out: List[Warning] = []
+        enforced = self._enforced_types
+        cells = target.cells
+        # Assembly typed each parsed cell with this inferencer against
+        # this image, and on a predefined registry a value inferred as T
+        # verifies as T.  Augmented cells (.owner, .group, .permission)
+        # were never inferred, and a custom type may shadow the
+        # predefined definition verify would use, so those still verify.
+        trust_assembly = self.inferencer.registry.predefined_only
+        # In no-environment mode (the plain baseline) semantic
+        # verification has no system to consult.
+        context = target.image if target.environment_available else None
         for attribute in target.attributes():
-            stats = self.dataset.stats(attribute)
-            if stats is None or stats.type.is_trivial:
+            stats = enforced.get(attribute)
+            if stats is None:
                 continue
-            # Only enforce types the training data agrees on; ambiguous
-            # columns (0/1 Boolean-vs-Number and friends, Table 11) would
-            # otherwise flood the report with false type violations.
-            if stats.type_agreement < 0.9:
+            typed = cells[attribute]
+            if (trust_assembly and typed.type is stats.type
+                    and not target.is_augmented(attribute)):
                 continue
-            typed = target.get(attribute)
-            assert typed is not None
-            # In no-environment mode (the plain baseline) semantic
-            # verification has no system to consult.
-            context = target.image if target.environment_available else None
             if self.inferencer.verify(typed.value, stats.type, context):
                 continue
             # Violations of a perfectly-stable column (cardinality 1 in
@@ -341,12 +363,12 @@ class AnomalyDetector:
     def check_suspicious_values(self, target: AssembledSystem) -> List[Warning]:
         """Unseen values, ranked by Inverse Change Frequency (§6 check 4)."""
         out: List[Warning] = []
+        cells = target.cells
         for attribute in target.attributes():
             stats = self.dataset.stats(attribute)
             if stats is None:
                 continue  # unknown attributes are check 1's business
-            typed = target.get(attribute)
-            assert typed is not None
+            typed = cells[attribute]
             if stats.seen(typed.value):
                 continue
             # Free-varying columns (paths, host names, digests) take a new

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Callable, Optional, Sequence
 
 from repro.core.dataset import AssembledSystem
-from repro.core.types import ConfigType, TypedValue, parse_number, parse_size_bytes
+from repro.core.types import ConfigType, TypedValue
 
 #: Validator signature: (value_a, value_b, system) -> holds / violated / n.a.
 Validator = Callable[[TypedValue, TypedValue, AssembledSystem], Optional[bool]]
@@ -181,14 +181,14 @@ def _v_owns(a: TypedValue, b: TypedValue, system: AssembledSystem) -> Optional[b
 def _v_less_number(
     a: TypedValue, b: TypedValue, system: AssembledSystem
 ) -> Optional[bool]:
-    left, right = parse_number(a.value), parse_number(b.value)
+    left, right = a.number, b.number
     if left is None or right is None:
         return None
     return left < right
 
 
 def _v_less_size(a: TypedValue, b: TypedValue, system: AssembledSystem) -> Optional[bool]:
-    left, right = parse_size_bytes(a.value), parse_size_bytes(b.value)
+    left, right = a.size_bytes, b.size_bytes
     if left is None or right is None:
         return None
     return left <= right

@@ -1,4 +1,4 @@
-"""EnCore's semantic type system (paper Table 4 and §4.2).
+r"""EnCore's semantic type system (paper Table 4 and §4.2).
 
 Type inference is a two-step process:
 
@@ -13,6 +13,26 @@ guarantees accuracy.  Types are tried in a fixed priority order; user
 customization (:mod:`repro.core.customization`) prepends new types, which
 "have priority over predefined ones" (§5.3.1).
 
+The first step is one pass per value.  :meth:`TypeInferencer.infer`
+strips the value once and picks a precomputed candidate tuple by its
+first character (ASCII ``/``, ASCII digit, ASCII letter, or anything
+else) and by whether it contains a ``/``.  Each tuple lists, in
+priority order, only the predefined types whose pattern can match such
+a value: ``10.0.0.1`` tries IPAddress, Size, Boolean, Port, Number and
+FileName, never FilePath or UserName.  The "anything else" bucket keeps
+the full list, because ``\d`` and ``\w`` match non-ASCII characters.  No
+predefined pattern admits a space, so a value holding one is a String
+at once.  :meth:`~TypeInferencer.infer_syntactic_only` uses the same
+tables.  A registry holding anything but the predefined definitions (a
+registered custom type, or a registry built from other definitions)
+falls back to trying every definition in order, since a custom matcher
+can accept anything.
+
+The detector's check 3 builds on this: on a predefined registry, a
+value that :meth:`~TypeInferencer.infer` typed as *T* passes
+:meth:`~TypeInferencer.verify` as *T* against the same image, so the
+detector does not verify it again.
+
 Note on fidelity: the paper deliberately keeps some imprecision — integer
 ``0``/``1`` values match the ``Boolean`` pattern, which is exactly the
 false-inference source reported for PHP in Table 11.  We reproduce that
@@ -22,9 +42,11 @@ behaviour rather than "fix" it.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, Optional, Sequence
+from operator import methodcaller
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sysmodel.image import SystemImage
 
@@ -54,18 +76,52 @@ class ConfigType(str, Enum):
     @property
     def is_trivial(self) -> bool:
         """Trivial types carry no checkable semantics (Table 11 wording)."""
-        return self in (ConfigType.STRING, ConfigType.NUMBER)
+        return self in _TRIVIAL
+
+
+_TRIVIAL = frozenset({ConfigType.STRING, ConfigType.NUMBER})
+#: Types whose values :meth:`TypeInferencer.verify` never rejects.
+_ALWAYS_VERIFIES = _TRIVIAL | {ConfigType.ENUM}
 
 
 @dataclass(frozen=True)
 class TypedValue:
-    """A raw string value paired with its inferred type."""
+    """A raw string value paired with its inferred type.
+
+    The ordering templates compare one cell against many others, in
+    training and in check 2, so its Size and Number readings are parsed
+    on first use and kept.
+    """
+
+    # Slots keep a row's cells small; the two parsed readings stay unset
+    # until first read.
+    __slots__ = ("value", "type", "_size_bytes", "_number")
 
     value: str
     type: ConfigType
 
     def __str__(self) -> str:
         return f"{self.value}:{self.type.value}"
+
+    @property
+    def size_bytes(self) -> Optional[int]:
+        """:func:`parse_size_bytes` of :attr:`value`."""
+        try:
+            return self._size_bytes
+        except AttributeError:
+            parsed = parse_size_bytes(self.value)
+            object.__setattr__(self, "_size_bytes", parsed)
+            return parsed
+
+    @property
+    def number(self) -> Optional[float]:
+        """:func:`parse_number` of :attr:`value`."""
+        try:
+            return self._number
+        except AttributeError:
+            parsed = parse_number(self.value)
+            object.__setattr__(self, "_number", parsed)
+            return parsed
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +185,7 @@ KNOWN_MIME_TOPLEVEL = frozenset(
 
 
 _SIZE_LITERAL = re.compile(r"^(\d+)([KMGT])?B?$", re.IGNORECASE)
-_SIZE_SHIFT = {"": 0, "K": 10, "M": 20, "G": 30, "T": 40}
+_SIZE_SHIFT = {"": 0, "k": 10, "m": 20, "g": 30, "t": 40}
 
 
 def parse_size_bytes(value: str) -> Optional[int]:
@@ -138,7 +194,9 @@ def parse_size_bytes(value: str) -> Optional[int]:
     if not match:
         return None
     number = int(match.group(1))
-    unit = (match.group(2) or "").upper()
+    # Lower-cased: the case-blind [KMGT] also admits the Kelvin sign,
+    # whose upper case is itself but whose lower case is "k".
+    unit = (match.group(2) or "").lower()
     return number << _SIZE_SHIFT[unit]
 
 
@@ -165,15 +223,17 @@ def _verify_file_path(value: str, image: Optional[SystemImage]) -> bool:
 def _verify_partial_path(value: str, image: Optional[SystemImage]) -> bool:
     if image is None:
         return True
-    suffix = "/" + value.strip("/")
-    return any(path.endswith(suffix) for path in image.fs.file_list())
+    return _some_path_ends_with(image, "/" + value.strip("/"))
 
 
 def _verify_file_name(value: str, image: Optional[SystemImage]) -> bool:
     if image is None:
         return True
-    needle = "/" + value
-    return any(path.endswith(needle) for path in image.fs.file_list())
+    return _some_path_ends_with(image, "/" + value)
+
+
+def _some_path_ends_with(image: SystemImage, suffix: str) -> bool:
+    return any(map(methodcaller("endswith", suffix), image.fs.paths()))
 
 
 def _verify_user(value: str, image: Optional[SystemImage]) -> bool:
@@ -221,14 +281,6 @@ def _verify_language(value: str, image: Optional[SystemImage]) -> bool:
     return value.split("-", 1)[0].lower() in KNOWN_LANGUAGES
 
 
-def _verify_boolean(value: str, image: Optional[SystemImage]) -> bool:
-    return value.lower() in BOOLEAN_VALUES
-
-
-def _verify_size(value: str, image: Optional[SystemImage]) -> bool:
-    return parse_size_bytes(value) is not None
-
-
 def _always(value: str, image: Optional[SystemImage]) -> bool:
     return True
 
@@ -265,6 +317,7 @@ def _boolean_matcher(value: str) -> bool:
 #: deliberate: Boolean before Number reproduces the paper's PHP 0/1
 #: misclassification; Size before Number so "64M" is a Size; URL before
 #: FilePath is irrelevant (disjoint patterns) but kept early for clarity.
+#: Size and Boolean need no environment: their pattern is the whole check.
 _PREDEFINED: Sequence[TypeDefinition] = (
     TypeDefinition(ConfigType.URL, _rx_matcher(ConfigType.URL),
                    description="scheme://... resource locator"),
@@ -278,9 +331,9 @@ _PREDEFINED: Sequence[TypeDefinition] = (
                    _rx_matcher(ConfigType.PARTIAL_FILE_PATH),
                    _verify_partial_path, "relative path fragment"),
     TypeDefinition(ConfigType.SIZE, _rx_matcher(ConfigType.SIZE),
-                   _verify_size, "byte size with K/M/G/T suffix"),
-    TypeDefinition(ConfigType.BOOLEAN, _boolean_matcher, _verify_boolean,
-                   "boolean flag value"),
+                   description="byte size with K/M/G/T suffix"),
+    TypeDefinition(ConfigType.BOOLEAN, _boolean_matcher,
+                   description="boolean flag value"),
     TypeDefinition(ConfigType.PORT_NUMBER, _rx_matcher(ConfigType.PORT_NUMBER),
                    _verify_port, "TCP/UDP port"),
     TypeDefinition(ConfigType.NUMBER, _rx_matcher(ConfigType.NUMBER),
@@ -298,6 +351,70 @@ _PREDEFINED: Sequence[TypeDefinition] = (
 )
 
 
+#: What each predefined type's pattern admits, for the first-character
+#: dispatch: the ASCII first characters it can start with, and whether
+#: its values always (True) or never (False) contain a ``/``.  Values
+#: starting with any other character try every type.
+_LETTERS, _DIGITS = string.ascii_letters, string.digits
+_SHAPES: Dict[ConfigType, Tuple[str, bool]] = {
+    ConfigType.URL: (_LETTERS, True),
+    ConfigType.FILE_PATH: ("/", True),
+    ConfigType.IP_ADDRESS: (_DIGITS + _LETTERS, False),
+    ConfigType.MIME_TYPE: (_DIGITS + _LETTERS, True),
+    ConfigType.PARTIAL_FILE_PATH: (_DIGITS + _LETTERS, True),
+    ConfigType.SIZE: (_DIGITS, False),
+    ConfigType.BOOLEAN: (_DIGITS + _LETTERS, False),
+    ConfigType.PORT_NUMBER: (_DIGITS, False),
+    ConfigType.NUMBER: (_DIGITS, False),
+    ConfigType.FILE_NAME: (_DIGITS + _LETTERS, False),
+    ConfigType.LANGUAGE: (_LETTERS, False),
+    ConfigType.CHARSET: (_LETTERS, False),
+    ConfigType.USER_NAME: (_LETTERS, False),
+    ConfigType.GROUP_NAME: (_LETTERS, False),
+}
+
+#: One predefined type as the dispatch runs it: the type, its syntactic
+#: test on an already stripped value, and its semantic check (``None``
+#: when it accepts everything).
+_Candidate = Tuple[
+    ConfigType,
+    Callable[[str], object],
+    Optional[Callable[[str, Optional[SystemImage]], bool]],
+]
+
+
+def _candidate(definition: TypeDefinition) -> _Candidate:
+    rx = _RX.get(definition.type)
+    match = rx.match if rx is not None else definition.syntactic
+    semantic = None if definition.semantic is _always else definition.semantic
+    return (definition.type, match, semantic)
+
+
+_ALL_CANDIDATES: Tuple[_Candidate, ...] = tuple(_candidate(d) for d in _PREDEFINED)
+
+#: First ASCII character → (candidates without a ``/``, with a ``/``),
+#: each in ``_PREDEFINED`` priority order.
+_DISPATCH: Dict[str, Tuple[Tuple[_Candidate, ...], Tuple[_Candidate, ...]]] = {
+    first: tuple(
+        tuple(
+            candidate for candidate in _ALL_CANDIDATES
+            if first in _SHAPES[candidate[0]][0]
+            and _SHAPES[candidate[0]][1] is slash
+        )
+        for slash in (False, True)
+    )
+    for first in "/" + _DIGITS + _LETTERS
+}
+
+
+def _candidates(value: str) -> Tuple[_Candidate, ...]:
+    """The predefined types a stripped, non-empty *value* may have."""
+    if " " in value:
+        return ()  # no predefined pattern admits a space
+    pair = _DISPATCH.get(value[0])
+    return _ALL_CANDIDATES if pair is None else pair["/" in value]
+
+
 class TypeRegistry:
     """Ordered collection of type definitions; customs take priority."""
 
@@ -306,20 +423,27 @@ class TypeRegistry:
         self._predefined: List[TypeDefinition] = list(
             definitions if definitions is not None else _PREDEFINED
         )
+        self._reindex()
 
     def register(self, definition: TypeDefinition) -> None:
         """Add a user-defined type; later registrations rank after earlier
         ones, but all customs rank before predefined types (§5.3.1)."""
         self._custom.append(definition)
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._by_type: Dict[ConfigType, TypeDefinition] = {}
+        for definition in self.definitions():
+            self._by_type.setdefault(definition.type, definition)
+        #: True while the registry holds exactly the predefined
+        #: definitions, so the inferencer may use the dispatch tables.
+        self.predefined_only = not self._custom and self._predefined == list(_PREDEFINED)
 
     def definitions(self) -> List[TypeDefinition]:
         return self._custom + self._predefined
 
     def definition_for(self, config_type: ConfigType) -> Optional[TypeDefinition]:
-        for definition in self.definitions():
-            if definition.type is config_type:
-                return definition
-        return None
+        return self._by_type.get(config_type)
 
 
 def default_type_registry() -> TypeRegistry:
@@ -342,6 +466,12 @@ class TypeInferencer:
         value = value.strip()
         if not value:
             return ConfigType.STRING
+        if self.registry.predefined_only:
+            # Number accepts every numeric, so nothing falls through.
+            for config_type, match, semantic in _candidates(value):
+                if match(value) and (semantic is None or semantic(value, image)):
+                    return config_type
+            return ConfigType.STRING
         for definition in self.registry.definitions():
             if definition.syntactic(value) and definition.semantic(value, image):
                 return definition.type
@@ -354,25 +484,37 @@ class TypeInferencer:
         value = value.strip()
         if not value:
             return ConfigType.STRING
+        if self.registry.predefined_only:
+            for config_type, match, _ in _candidates(value):
+                if match(value):
+                    return config_type
+            return ConfigType.STRING
         for definition in self.registry.definitions():
             if definition.syntactic(value):
                 return definition.type
         return ConfigType.STRING
+
+    def may_be_file_path(self, value: str) -> bool:
+        """False only when :meth:`infer_syntactic_only` cannot say FilePath.
+
+        Predefined FilePath values start with ``/``; a custom type may
+        claim the FilePath carrier for anything.
+        """
+        return not self.registry.predefined_only or value.lstrip().startswith("/")
 
     def verify(self, value: str, config_type: ConfigType,
                image: Optional[SystemImage] = None) -> bool:
         """Does *value* satisfy *config_type* in the context of *image*?
 
         Used by the detector's data-type-violation check (§6, check 3).
-        Trivial types always verify.
+        Trivial and Enum types always verify.
         """
-        if config_type.is_trivial:
+        if config_type in _ALWAYS_VERIFIES:
             return True
-        if config_type is ConfigType.ENUM:
-            return True
+        value = value.strip()
         if config_type is ConfigType.PERMISSION:
-            return bool(_RX[ConfigType.PERMISSION].match(value.strip()))
+            return bool(_RX[ConfigType.PERMISSION].match(value))
         definition = self.registry.definition_for(config_type)
         if definition is None:
             return True
-        return definition.matches(value.strip(), image)
+        return definition.matches(value, image)

@@ -113,7 +113,7 @@ from repro.obs.tracing import (
     use_tracer,
 )
 from repro.sysmodel.image import SystemImage
-from repro.sysmodel.snapshot import image_from_dict
+from repro.sysmodel.snapshot import ImageCorruptError, image_from_dict
 
 T = TypeVar("T")
 
@@ -197,7 +197,7 @@ def decode_task_images(
     for image_id, raw in zip(payload["image_ids"], payload["images"]):
         try:
             images.append(image_from_dict(codec.decode(raw)))
-        except CodecError as exc:
+        except (CodecError, ImageCorruptError) as exc:
             if assembler.error_policy is ErrorPolicy.STRICT:
                 raise
             record = record_from_exception(

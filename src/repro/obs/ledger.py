@@ -205,13 +205,20 @@ class Ledger:
 
     def __init__(self, path: Union[str, Path] = DEFAULT_LEDGER_PATH) -> None:
         self.path = Path(path)
+        #: Lines the last :meth:`entries` read skipped as unreadable.
+        self.skipped = 0
 
     def append(self, entry: LedgerEntry) -> LedgerEntry:
         append_line(self.path, json.dumps(entry.to_dict(), sort_keys=True))
         return entry
 
     def entries(self) -> List[LedgerEntry]:
-        """All parseable entries, oldest first (truncated lines skipped)."""
+        """All parseable entries, oldest first.
+
+        A line that is not a JSON object of entry fields (a crash-truncated
+        tail, a stray ``[1]``) is skipped and counted in :attr:`skipped`.
+        """
+        self.skipped = 0
         if not self.path.exists():
             return []
         out: List[LedgerEntry] = []
@@ -220,9 +227,12 @@ class Ledger:
             if not line:
                 continue
             try:
-                out.append(LedgerEntry.from_dict(json.loads(line)))
-            except (ValueError, TypeError):
-                continue  # crash-truncated tail line
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise TypeError(f"not an object: {type(data).__name__}")
+                out.append(LedgerEntry.from_dict(data))
+            except (ValueError, TypeError, AttributeError):
+                self.skipped += 1
         return out
 
     def last(self, n: int = 10) -> List[LedgerEntry]:
@@ -233,17 +243,19 @@ class Ledger:
         entries = self.entries()
         if not entries:
             raise LookupError(f"ledger {self.path} is empty")
+        index_error = None
         try:
             return entries[int(ref)]
         except ValueError:
             pass
         except IndexError:
-            raise LookupError(
+            # An all-digit run-id prefix ("123456") parses as an index too.
+            index_error = (
                 f"ledger index {ref} out of range ({len(entries)} entries)"
             )
         matches = [e for e in entries if e.run_id.startswith(ref)]
         if not matches:
-            raise LookupError(f"no ledger entry matches {ref!r}")
+            raise LookupError(index_error or f"no ledger entry matches {ref!r}")
         if len(matches) > 1:
             raise LookupError(f"ambiguous ledger ref {ref!r}")
         return matches[0]

@@ -58,7 +58,7 @@ from repro.serve.server import (
     new_request_id,
 )
 from repro.sysmodel.image import SystemImage
-from repro.sysmodel.snapshot import image_from_dict
+from repro.sysmodel.snapshot import ImageCorruptError, image_from_dict
 
 access_log = get_logger("serve.access")
 log = get_logger("serve.handler")
@@ -90,8 +90,8 @@ def _parse_image(data: object, key: str = "image") -> SystemImage:
         raise ApiError(400, f"{key!r} must be a snapshot object")
     try:
         return image_from_dict(data)
-    except Exception as exc:
-        raise ApiError(400, f"invalid {key!r} snapshot: {exc}")
+    except ImageCorruptError as exc:
+        raise ApiError(400, f"invalid {key!r} snapshot: {exc.reason}")
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -99,6 +99,9 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # Responses go out as a header write and a body write; with Nagle's
+    # algorithm on, the body waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 
 class FileKind(str, Enum):
@@ -184,6 +184,9 @@ class FileSystem:
 
     def get(self, path: str) -> Optional[FileMeta]:
         """Metadata for *path*, or ``None`` when absent."""
+        meta = self._entries.get(path)
+        if meta is not None:
+            return meta  # keys are normalized paths, so *path* is one too
         try:
             return self._entries.get(normalize_path(path))
         except ValueError:
@@ -247,6 +250,10 @@ class FileSystem:
     def file_list(self) -> List[str]:
         """All paths, sorted — the paper's ``FS.FileList`` (Table 7)."""
         return sorted(self._entries)
+
+    def paths(self) -> Iterable[str]:
+        """All paths in insertion order, without sorting or copying."""
+        return self._entries.keys()
 
     def meta_map(self) -> Dict[str, FileMeta]:
         """Path → metadata map — the paper's ``FS.FileMetaMap`` (Table 7)."""

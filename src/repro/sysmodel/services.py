@@ -54,6 +54,7 @@ class ServiceRegistry:
 
     def __init__(self, services: Iterable[Service] = DEFAULT_SERVICES) -> None:
         self._services: List[Service] = list(services)
+        self._ports = {s.port for s in self._services}
 
     def __len__(self) -> int:
         return len(self._services)
@@ -63,6 +64,7 @@ class ServiceRegistry:
 
     def add(self, service: Service) -> Service:
         self._services.append(service)
+        self._ports.add(service.port)
         return service
 
     def ports(self) -> List[int]:
@@ -79,7 +81,7 @@ class ServiceRegistry:
         return out
 
     def is_registered(self, port: int) -> bool:
-        return any(s.port == port for s in self._services)
+        return port in self._ports
 
     def lookup(self, port: int) -> Optional[str]:
         """First service name registered on *port*, or ``None``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.sysmodel.accounts import AccountDatabase, Group, User
 from repro.sysmodel.filesystem import FileKind, FileMeta, FileSystem
@@ -23,18 +23,20 @@ SNAPSHOT_VERSION = 1
 
 
 class ImageCorruptError(ValueError):
-    """An image snapshot file cannot be read or decoded.
+    """An image snapshot cannot be read or decoded.
 
-    Raised by :func:`load_image` for an unreadable path (a directory, a
-    missing file), bytes that are not JSON, and JSON that is not a
-    version-:data:`SNAPSHOT_VERSION` image (missing keys, wrong types).
-    Names the path so the CLI can fail with one line, not a traceback.
+    Raised by :func:`image_from_dict` for a dict that is not a
+    version-:data:`SNAPSHOT_VERSION` image (missing keys, wrong types),
+    and by :func:`load_image` also for an unreadable path (a directory, a
+    missing file) and bytes that are not JSON.  Names the path, when
+    there is one, so the CLI can fail with one line, not a traceback.
     """
 
-    def __init__(self, path: Union[str, Path], reason: str) -> None:
-        self.path = str(path)
+    def __init__(self, path: Optional[Union[str, Path]], reason: str) -> None:
+        self.path = None if path is None else str(path)
         self.reason = reason
-        super().__init__(f"corrupt image snapshot {self.path}: {reason}")
+        where = "" if path is None else f" {self.path}"
+        super().__init__(f"corrupt image snapshot{where}: {reason}")
 
 
 def image_to_dict(image: SystemImage) -> Dict[str, Any]:
@@ -94,7 +96,19 @@ def image_to_dict(image: SystemImage) -> Dict[str, Any]:
 
 
 def image_from_dict(data: Dict[str, Any]) -> SystemImage:
-    """Rebuild a :class:`SystemImage` from :func:`image_to_dict` output."""
+    """Rebuild a :class:`SystemImage` from :func:`image_to_dict` output.
+
+    Raises :class:`ImageCorruptError` when *data* is not an image dict.
+    """
+    try:
+        return _image_from_dict(data)
+    except KeyError as exc:
+        raise ImageCorruptError(None, f"missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ImageCorruptError(None, str(exc)) from exc
+
+
+def _image_from_dict(data: Dict[str, Any]) -> SystemImage:
     version = data.get("version", 0)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version: {version}")
@@ -164,7 +178,5 @@ def load_image(path: Union[str, Path]) -> SystemImage:
         raise ImageCorruptError(path, f"invalid JSON ({exc})") from exc
     try:
         return image_from_dict(data)
-    except KeyError as exc:
-        raise ImageCorruptError(path, f"missing field {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ImageCorruptError(path, str(exc)) from exc
+    except ImageCorruptError as exc:
+        raise ImageCorruptError(path, exc.reason) from exc

@@ -225,6 +225,18 @@ class TestCodecQuarantineRouting:
         assert record.shard_index == 3
         assert registry.total("quarantine.images.total") == 1
 
+    def test_codec_valid_non_image_quarantines_exactly_itself(self, registry):
+        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
+        good = Ec2CorpusGenerator(seed=5).generate_one(1)
+        payload = self._payload(good)
+        payload["images"][1] = codec.encode({"version": 1, "image_id": "x"})
+        images = decode_task_images(payload, encore.assembler, shard_index=3)
+        assert [image.image_id for image in images] == [good.image_id]
+        (record,) = encore.assembler.quarantine.records
+        assert record.image_id == "poisoned-img"
+        assert record.stage == "codec"
+        assert record.error == "ImageCorruptError"
+
     def test_strict_policy_propagates_codec_error(self, registry):
         encore = EnCore(EnCoreConfig(error_policy="strict"))
         good = Ec2CorpusGenerator(seed=5).generate_one(1)

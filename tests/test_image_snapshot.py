@@ -1,9 +1,18 @@
 """Tests for SystemImage and JSON snapshots."""
 
+import copy
+
 import pytest
 
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.image import ConfigFile, SystemImage
-from repro.sysmodel.snapshot import image_from_dict, image_to_dict, load_image, save_image
+from repro.sysmodel.snapshot import (
+    ImageCorruptError,
+    image_from_dict,
+    image_to_dict,
+    load_image,
+    save_image,
+)
 
 
 class TestConfigFile:
@@ -88,3 +97,66 @@ class TestSnapshot:
         image = small_corpus[0]
         restored = image_from_dict(image_to_dict(image))
         assert image_to_dict(restored) == image_to_dict(image)
+
+
+def _key_paths(node, depth, prefix=()):
+    """Paths to every dict key down to *depth* levels (lists: first item)."""
+    if depth == 0:
+        return
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, depth - 1, prefix + (key,))
+    elif isinstance(node, list) and node:
+        yield from _key_paths(node[0], depth, prefix + (0,))
+
+
+def _retyped(value):
+    """A value of another JSON type."""
+    if isinstance(value, bool) or value is None:
+        return "x"
+    if isinstance(value, (int, float)):
+        return "x"
+    if isinstance(value, str):
+        return 1
+    if isinstance(value, list):
+        return {}
+    return []
+
+
+class TestImageFromDictMutations:
+    """Every single-key mutation either decodes or raises ImageCorruptError."""
+
+    def test_drop_or_retype_one_key(self):
+        data = image_to_dict(Ec2CorpusGenerator(seed=3).generate_one(0))
+        paths = list(_key_paths(data, depth=3))
+        assert len(paths) > 40
+        corrupt = 0
+        for path in paths:
+            for mutation in ("drop", "retype"):
+                mutated = copy.deepcopy(data)
+                parent = mutated
+                for key in path[:-1]:
+                    parent = parent[key]
+                if mutation == "drop":
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = _retyped(parent[path[-1]])
+                try:
+                    image_from_dict(mutated)
+                except ImageCorruptError as exc:
+                    assert exc.path is None and exc.reason, (path, mutation)
+                    corrupt += 1
+        assert corrupt > 40
+
+    @pytest.mark.parametrize("data", [None, [1], "x", 7, {}])
+    def test_not_an_image_dict(self, data):
+        with pytest.raises(ImageCorruptError):
+            image_from_dict(data)
+
+    def test_load_image_names_the_path(self, tmp_path):
+        path = tmp_path / "img.json"
+        path.write_text('{"version": 1, "image_id": "x"}')
+        with pytest.raises(ImageCorruptError, match="missing field") as excinfo:
+            load_image(path)
+        assert excinfo.value.path == str(path)

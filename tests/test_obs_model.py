@@ -316,6 +316,21 @@ class TestLedger:
         with path.open("a") as handle:
             handle.write('{"command": "check", "trunca')
         assert len(ledger.entries()) == 1
+        assert ledger.skipped == 1
+
+    @pytest.mark.parametrize(
+        "line", ['[1]', '"x"', '7', 'null', '{"warning_counts": [1]}'],
+    )
+    def test_line_that_is_not_an_entry_object_is_skipped(self, tmp_path, line):
+        path = tmp_path / "ledger.jsonl"
+        ledger = Ledger(path)
+        first = ledger.append(_entry())
+        with path.open("a") as handle:
+            handle.write(line + "\n")
+        second = ledger.append(_entry(command="audit"))
+        assert [e.run_id for e in ledger.entries()] == [first.run_id, second.run_id]
+        assert ledger.skipped == 1
+        assert ledger.resolve("-1").run_id == second.run_id
 
     def test_resolve_by_index_and_prefix(self, tmp_path):
         ledger = Ledger(tmp_path / "ledger.jsonl")
@@ -328,6 +343,15 @@ class TestLedger:
             ledger.resolve("zzzzzz")
         with pytest.raises(LookupError):
             Ledger(tmp_path / "missing.jsonl").resolve("-1")
+
+    def test_resolve_all_digit_run_id_prefix(self, tmp_path):
+        ledger = Ledger(tmp_path / "ledger.jsonl")
+        ledger.append(_entry(run_id="123456abcdef"))
+        ledger.append(_entry(run_id="9f00aa000000"))
+        assert ledger.resolve("123456").run_id == "123456abcdef"
+        assert ledger.resolve("1").run_id == "9f00aa000000"  # an index wins
+        with pytest.raises(LookupError, match="out of range"):
+            ledger.resolve("7")
 
     def test_entry_roundtrip(self):
         entry = _entry()
