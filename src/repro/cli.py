@@ -711,10 +711,10 @@ def cmd_alerts(args: argparse.Namespace) -> int:
 
     try:
         data = _json.loads(Path(args.metrics_snapshot).read_text())
+        registry = MetricsRegistry.from_dict(data)
     except (OSError, ValueError) as exc:
-        print(f"cannot read metrics snapshot: {exc}", file=sys.stderr)
+        print(f"error: cannot read metrics snapshot: {exc}", file=sys.stderr)
         return 1
-    registry = MetricsRegistry.from_dict(data)
     timeline = Timeline()
     timeline.sample_registry(registry, t=time.time())
     for rule in rules:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.dataset import AttributeStats
 from repro.core.pipeline import TrainedModel
@@ -229,10 +229,8 @@ def load_model_snapshot(path: Union[str, Path]) -> tuple:
     return snapshot.summary, snapshot.rules
 
 
-def read_snapshot(
-    path: Union[str, Path]
-) -> Tuple[Dict[str, object], ModelSnapshot]:
-    """The decoded payload of a saved snapshot file, and its snapshot.
+def load_snapshot(path: Union[str, Path]) -> ModelSnapshot:
+    """Full snapshot (including training provenance) from a saved file.
 
     The one reader of snapshot files.  The format is sniffed from the
     content — codec magic bytes mean the compact binary framing,
@@ -264,14 +262,8 @@ def read_snapshot(
             path, f"expected a JSON object, got {type(data).__name__}"
         )
     try:
-        return data, snapshot_from_dict(data)
+        return snapshot_from_dict(data)
     except (KeyError, TypeError) as exc:
         raise SnapshotCorruptError(
             path, f"missing or malformed field ({type(exc).__name__}: {exc})"
         ) from exc
-
-
-def load_snapshot(path: Union[str, Path]) -> ModelSnapshot:
-    """Full snapshot (including training provenance) from a saved file
-    (see :func:`read_snapshot`)."""
-    return read_snapshot(path)[1]

@@ -439,7 +439,14 @@ class EnCore:
     # -- checking ---------------------------------------------------------------------
 
     def check(self, image: SystemImage) -> Report:
-        """Run the anomaly detector against one target system."""
+        """Run the anomaly detector against one target system.
+
+        Concurrent calls on one model are supported (``repro serve``
+        shares one instance across request threads): assembly and
+        detection write nothing to the model, and the one shared write,
+        the drift monitor's :meth:`~repro.obs.model.DriftMonitor.observe`,
+        takes the monitor's lock.
+        """
         if self.model is None or self._detector is None:
             raise RuntimeError("EnCore.check() requires a trained model; call train() first")
         with span("check", image=image.image_id) as s:

@@ -70,7 +70,7 @@ class ResultCache:
     """Two-layer (memory LRU + optional disk) assembled-row cache.
 
     Thread-safe: the serve daemon's request threads share one instance
-    across model-pool replicas.  *root* of ``None`` keeps the cache
+    across model generations.  *root* of ``None`` keeps the cache
     memory-only (still useful to a long-lived daemon); a path makes
     entries durable and shareable with worker processes.
     """

@@ -81,6 +81,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricKindError,
+    MetricsSnapshotError,
     MetricsRegistry,
     get_registry,
     reset_registry,
@@ -122,6 +123,7 @@ __all__ = [
     "Ledger",
     "LedgerEntry",
     "MetricKindError",
+    "MetricsSnapshotError",
     "MetricsRegistry",
     "Provenance",
     "Span",

@@ -42,8 +42,10 @@ class HealthMonitor:
     *registry* is the registry sampled (``None`` follows the calling
     thread's active registry, so a CLI run that swaps registries keeps
     sampling the live one); *lock* is held around each sample **and**
-    evaluation so readers get consistent state; *clock* is injectable
-    for deterministic tests.
+    evaluation so readers get consistent state; *refresh*, when given,
+    runs under that lock just before each sample to set gauges that are
+    computed rather than counted; *clock* is injectable for
+    deterministic tests.
     """
 
     def __init__(
@@ -53,6 +55,7 @@ class HealthMonitor:
         capacity: int = 360,
         registry: Optional[MetricsRegistry] = None,
         lock: Optional[threading.Lock] = None,
+        refresh: Optional[Callable[[MetricsRegistry], None]] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
         if interval_s <= 0:
@@ -60,6 +63,7 @@ class HealthMonitor:
         self.lock = lock if lock is not None else threading.Lock()
         self.timeline = Timeline(capacity=capacity)
         self.registry = registry
+        self.refresh = refresh
         self.engine = AlertEngine(rules)
         self.clock = clock
         self.interval_s = interval_s
@@ -91,6 +95,8 @@ class HealthMonitor:
         now = self.clock() if now is None else now
         registry = self.registry if self.registry is not None else get_registry()
         with self.lock:
+            if self.refresh is not None:
+                self.refresh(registry)
             self.last_sample_at = now
             self.timeline.sample_registry(registry, t=now)
             transitions = self.engine.evaluate(self.timeline, now)

@@ -42,6 +42,11 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
+class MetricsSnapshotError(ValueError):
+    """Data handed to :meth:`MetricsRegistry.from_dict` is not a
+    registry snapshot (wrong shape, unknown kind, missing field)."""
+
+
 class MetricKindError(ValueError):
     """A metric name is bound to one kind and was used as another.
 
@@ -355,20 +360,27 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MetricsRegistry":
+        """Rebuild a :meth:`to_dict` snapshot; anything else raises
+        :class:`MetricsSnapshotError`."""
         registry = cls()
-        for entry in data["metrics"]:
-            kind = entry["kind"]
-            labelset = _labelset(entry["labels"])
-            if kind == "histogram":
-                metric = registry._get_or_create(
-                    entry["name"], kind, labelset,
-                    lambda e=entry: Histogram(e["buckets"]),
-                )
-            else:
-                metric = registry._get_or_create(
-                    entry["name"], kind, labelset, _KINDS[kind]
-                )
-            metric.load(entry)
+        try:
+            for entry in data["metrics"]:
+                kind = entry["kind"]
+                labelset = _labelset(entry["labels"])
+                if kind == "histogram":
+                    metric = registry._get_or_create(
+                        entry["name"], kind, labelset,
+                        lambda e=entry: Histogram(e["buckets"]),
+                    )
+                else:
+                    metric = registry._get_or_create(
+                        entry["name"], kind, labelset, _KINDS[kind]
+                    )
+                metric.load(entry)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise MetricsSnapshotError(
+                f"not a metrics snapshot: {type(exc).__name__}: {exc}"
+            ) from exc
         return registry
 
     def to_json(self, indent: Optional[int] = 1) -> str:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -278,6 +279,10 @@ class DriftMonitor:
     merging); the summary-time gauges (``drift.psi.max``,
     ``drift.attributes.drifted``) are set by :meth:`summary` in whichever
     process asks for the roll-up.
+
+    One lock guards the counters, so concurrent :meth:`observe` calls
+    (request threads sharing one model) and a concurrent :meth:`summary`
+    or :meth:`to_dict` (a health thread) fold and read consistent state.
     """
 
     def __init__(
@@ -300,6 +305,7 @@ class DriftMonitor:
         self.new_attributes: Counter = Counter()
         #: attribute → observed occurrences of values unseen in training.
         self.unseen_values: Counter = Counter()
+        self._lock = threading.Lock()
 
     @classmethod
     def from_model(cls, dataset, psi_threshold: float = DEFAULT_PSI_THRESHOLD
@@ -322,33 +328,30 @@ class DriftMonitor:
 
     # -- accumulation ----------------------------------------------------------
 
-    def _counter(self, attribute: str) -> Counter:
-        """The observed-value counter of *attribute*, created on first use
-        (not ``setdefault``, which would build a throwaway per call)."""
-        counter = self.observed.get(attribute)
-        if counter is None:
-            counter = self.observed[attribute] = Counter()
-        return counter
-
     def observe(self, system) -> None:
-        """Fold one checked target (an assembled-system-like row) in."""
-        self.targets += 1
-        registry = get_registry()
-        registry.counter("drift.targets.total").inc()
+        """Fold one checked target (an assembled-system-like row whose
+        ``cells`` map each attribute to its first typed value) in."""
+        baseline = self.baseline
+        observed = self.observed
         new_attributes = 0
         unseen = 0
-        for attribute in system.attributes():
-            value = system.value(attribute)
-            if value is None:
-                continue
-            self._counter(attribute)[value] += 1
-            counts = self.baseline.get(attribute)
-            if counts is None:
-                self.new_attributes[attribute] += 1
-                new_attributes += 1
-            elif value not in counts:
-                self.unseen_values[attribute] += 1
-                unseen += 1
+        with self._lock:
+            self.targets += 1
+            for attribute, typed in system.cells.items():
+                value = typed.value
+                counter = observed.get(attribute)
+                if counter is None:
+                    counter = observed[attribute] = Counter()
+                counter[value] += 1
+                counts = baseline.get(attribute)
+                if counts is None:
+                    self.new_attributes[attribute] += 1
+                    new_attributes += 1
+                elif value not in counts:
+                    self.unseen_values[attribute] += 1
+                    unseen += 1
+        registry = get_registry()
+        registry.counter("drift.targets.total").inc()
         if new_attributes:
             registry.counter("drift.attributes.new").inc(new_attributes)
         if unseen:
@@ -358,38 +361,39 @@ class DriftMonitor:
 
     def summary(self) -> DriftSummary:
         """Rank attribute drift; also sets the summary gauges."""
-        drifted: List[AttributeDrift] = []
-        for attribute in sorted(self.observed):
-            observed = self.observed[attribute]
-            counts = self.baseline.get(attribute)
-            is_new = counts is None
-            if is_new:
-                psi, kl = 0.0, 0.0
-            else:
-                psi, kl = _distribution_shift(counts, observed)
-            entry = AttributeDrift(
-                attribute=attribute,
-                psi=psi,
-                kl=kl,
-                observed_count=sum(observed.values()),
-                unseen_values=self.unseen_values.get(attribute, 0),
-                new=is_new,
+        with self._lock:
+            drifted: List[AttributeDrift] = []
+            for attribute in sorted(self.observed):
+                observed = self.observed[attribute]
+                counts = self.baseline.get(attribute)
+                is_new = counts is None
+                if is_new:
+                    psi, kl = 0.0, 0.0
+                else:
+                    psi, kl = _distribution_shift(counts, observed)
+                entry = AttributeDrift(
+                    attribute=attribute,
+                    psi=psi,
+                    kl=kl,
+                    observed_count=sum(observed.values()),
+                    unseen_values=self.unseen_values.get(attribute, 0),
+                    new=is_new,
+                )
+                flaggable = is_new or entry.observed_count >= self.min_observations
+                if flaggable and (is_new or psi >= self.psi_threshold):
+                    drifted.append(entry)
+            drifted.sort(key=lambda d: (-d.psi, d.attribute))
+            summary = DriftSummary(
+                targets=self.targets,
+                attributes_observed=len(self.observed),
+                new_attributes=sorted(self.new_attributes),
+                unseen_value_total=sum(self.unseen_values.values()),
+                drifted=drifted,
+                psi_threshold=self.psi_threshold,
             )
-            flaggable = is_new or entry.observed_count >= self.min_observations
-            if flaggable and (is_new or psi >= self.psi_threshold):
-                drifted.append(entry)
-        drifted.sort(key=lambda d: (-d.psi, d.attribute))
-        summary = DriftSummary(
-            targets=self.targets,
-            attributes_observed=len(self.observed),
-            new_attributes=sorted(self.new_attributes),
-            unseen_value_total=sum(self.unseen_values.values()),
-            drifted=drifted,
-            psi_threshold=self.psi_threshold,
-        )
         registry = get_registry()
         registry.gauge("drift.psi.max").set(round(summary.psi_max, 6))
-        registry.gauge("drift.attributes.drifted").set(len(drifted))
+        registry.gauge("drift.attributes.drifted").set(len(summary.drifted))
         return summary
 
     # -- wire format (worker shard → coordinator) ------------------------------
@@ -397,21 +401,23 @@ class DriftMonitor:
     def to_dict(self) -> Dict[str, object]:
         """Observation state only — the coordinator already holds the
         baseline, so shard snapshots stay small."""
-        return {
-            "targets": self.targets,
-            "observed": {
-                attribute: dict(counter)
-                for attribute, counter in sorted(self.observed.items())
-            },
-            "new_attributes": dict(self.new_attributes),
-            "unseen_values": dict(self.unseen_values),
-        }
+        with self._lock:
+            return {
+                "targets": self.targets,
+                "observed": {
+                    attribute: dict(counter)
+                    for attribute, counter in sorted(self.observed.items())
+                },
+                "new_attributes": dict(self.new_attributes),
+                "unseen_values": dict(self.unseen_values),
+            }
 
     def merge_snapshot(self, data: Mapping) -> "DriftMonitor":
         """Fold a :meth:`to_dict` snapshot from a worker shard in."""
-        self.targets += int(data.get("targets", 0))
-        for attribute, counts in data.get("observed", {}).items():
-            self._counter(attribute).update(counts)
-        self.new_attributes.update(data.get("new_attributes", {}))
-        self.unseen_values.update(data.get("unseen_values", {}))
+        with self._lock:
+            self.targets += int(data.get("targets", 0))
+            for attribute, counts in data.get("observed", {}).items():
+                self.observed.setdefault(attribute, Counter()).update(counts)
+            self.new_attributes.update(data.get("new_attributes", {}))
+            self.unseen_values.update(data.get("unseen_values", {}))
         return self

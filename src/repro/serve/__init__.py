@@ -10,7 +10,7 @@ metrics, admission control and hot model reload.  See
 Layout:
 
 * :mod:`repro.serve.server`    — :class:`DetectionServer` (the threaded
-  HTTP server), :class:`ModelPool` (per-request EnCore replicas),
+  HTTP server), :class:`ModelPool` (one shared EnCore per model generation),
   :class:`ServeConfig`;
 * :mod:`repro.serve.handlers`  — :class:`ServeHandler` (routing, trace
   ids, per-request metric capture, the access log);

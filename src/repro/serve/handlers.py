@@ -22,7 +22,7 @@ Every request carries a trace id — ``X-Request-Id`` is propagated when
 the client sends one, generated otherwise, and always echoed on the
 response.  The request id **is** the trace id: model-serving POSTs build
 a per-request :class:`~repro.obs.tracing.Tracer` rooted at
-``TraceContext.root(request_id)``, so the admission wait, the replica
+``TraceContext.root(request_id)``, so the admission wait, the model
 check, and any pool-worker shard spans (propagated through ENCB task
 frames) render as one causally-linked trace.  Requests also run under a
 *private* per-request metrics registry
@@ -258,7 +258,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._access_log("POST", route, 404, started, request_id)
             return
         # The request id is the trace root: a caller-supplied
-        # X-Request-Id makes the whole request — admission wait, replica
+        # X-Request-Id makes the whole request — admission wait, model
         # check, pool shard work — joinable across services under the
         # caller's own id.
         registry = MetricsRegistry()

@@ -5,11 +5,9 @@ state — an always-on checker fleets query continuously — without
 forking any detection logic: the daemon loads a model snapshot once
 (the same file ``repro train --model`` writes and ``repro check
 --model`` reads) and serves concurrent check/explain/suggest traffic
-through a pool of snapshot-restored :class:`~repro.core.pipeline.EnCore`
-replicas.  One replica serves one request at a time, so the pipeline's
-single-threaded stages never see concurrent mutation; the pool is sized
-to the admission controller's ``max_inflight``, so an admitted request
-always gets a replica without waiting.
+from one snapshot-restored :class:`~repro.core.pipeline.EnCore` per
+loaded snapshot.  Checking writes nothing to the model except the drift
+monitor, which takes its own lock, so every request thread shares it.
 
 Observability is request-scoped (see ``docs/serving.md``):
 
@@ -41,7 +39,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 from contextlib import contextmanager
 
-from repro.core.persistence import ModelSnapshot, read_snapshot
+from repro.core.persistence import ModelSnapshot, load_snapshot
 from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.obs import get_logger
 from repro.obs.ledger import (
@@ -51,7 +49,7 @@ from repro.obs.ledger import (
     fingerprint_payload,
 )
 from repro.obs.flight import FlightRecorder, get_flight, set_flight
-from repro.obs.metrics import Histogram, MetricsRegistry, get_registry
+from repro.obs.metrics import Histogram, MetricsRegistry, get_registry, use_registry
 from repro.obs.tracing import TraceExemplars
 
 log = get_logger("serve")
@@ -100,8 +98,8 @@ class ServeConfig:
     record_requests: bool = True
     #: Content-addressed result-cache directory (``--cache``); ``None``
     #: disables caching.  One :class:`~repro.engine.cache.ResultCache`
-    #: is shared by every pool replica, so a target checked by any
-    #: request warms all of them.
+    #: serves every model generation and the batch checker's worker
+    #: shards, so a target checked by any request warms the rest.
     cache_dir: Optional[Union[str, Path]] = None
     #: Alert rule file (``repro serve --alerts``).  ``None`` auto-loads
     #: ``.encore/alerts.toml`` when it exists (malformed auto-detected
@@ -111,109 +109,48 @@ class ServeConfig:
     alerts_path: Optional[Union[str, Path]] = None
     #: Seconds between background timeline samples / rule evaluations.
     alerts_interval_s: float = 5.0
-    #: Ring-buffer points kept per metric series.
-    timeline_capacity: int = 360
     #: Pipeline configuration for target assembly (defaults match the
     #: CLI's defaults, which is what pins CLI/HTTP report identity).
     encore: EnCoreConfig = field(default_factory=EnCoreConfig)
 
 
 class ModelPool:
-    """A bounded pool of snapshot-restored EnCore replicas.
+    """One snapshot-restored EnCore per generation, shared by every request;
+    :meth:`swap` builds the next one outside the lock, and in-flight
+    requests keep the one they hold, which is freed with its last request."""
 
-    Each admitted request leases one replica for its lifetime, so the
-    (single-threaded) assembler/detector state inside an
-    :class:`EnCore` is never shared between concurrent requests.
-    Replicas are built lazily up to *size* and reused across requests;
-    :meth:`swap` starts a new generation — leased replicas from the old
-    generation are discarded on release instead of being re-pooled, so
-    a reload drains the old model without interrupting in-flight work.
-    """
-
-    def __init__(self, config: EnCoreConfig, payload: Dict[str, object],
-                 snapshot: ModelSnapshot, size: int, cache=None) -> None:
-        if size < 1:
-            raise ValueError("pool size must be >= 1")
-        self.size = size
+    def __init__(self, config: EnCoreConfig, snapshot: ModelSnapshot, cache=None) -> None:
         self._config = config
-        #: Shared :class:`~repro.engine.cache.ResultCache` every replica
-        #: (and the batch checker's worker shards) consults.
-        self._cache = cache
-        self._cond = threading.Condition()
-        self._free: List[EnCore] = []
-        self._created = 0
-        self._generation = 0
-        self._payload: Dict[str, object] = {}
+        self._cache = cache  # one ResultCache across generations
+        self._lock = threading.Lock()
+        self._current: Tuple[Optional[EnCore], int] = (None, 0)
         self.info: Dict[str, object] = {}
-        self.swap(payload, snapshot)
+        self.swap(snapshot)
 
-    def _build(self) -> EnCore:
+    def swap(self, snapshot: ModelSnapshot) -> Dict[str, object]:
+        """Install *snapshot* as the next generation; returns its identity."""
         encore = EnCore(replace(self._config))
-        encore.load_model_data(self._payload)
-        if self._cache is not None:
-            encore.set_cache(self._cache)
-        return encore
-
-    def swap(self, payload: Dict[str, object],
-             snapshot: ModelSnapshot) -> Dict[str, object]:
-        """Install a new model (*payload* and the *snapshot* it decodes
-        to, from :func:`~repro.core.persistence.read_snapshot`); later
-        replicas are built from *payload*."""
-        with self._cond:
-            candidate_config = replace(self._config)
-        probe = EnCore(candidate_config)
-        probe._install_snapshot(snapshot)
-        if self._cache is not None:
-            probe.set_cache(self._cache)
-        assert probe.model is not None
-        info = {
-            "ruleset_digest": probe.model.ruleset_digest(),
-            "dataset_fingerprint": probe.model.corpus_fingerprint(),
-            "rule_count": probe.model.rule_count,
-            "training_size": len(probe.model.dataset),
-        }
-        with self._cond:
-            self._payload = payload
-            self._generation += 1
-            self._free = [probe]
-            self._created = 1
+        encore._install_snapshot(snapshot)
+        encore.set_cache(self._cache)
+        model = encore.model
+        info = {"ruleset_digest": model.ruleset_digest(),
+                "dataset_fingerprint": model.corpus_fingerprint(),
+                "rule_count": model.rule_count, "training_size": len(model.dataset)}
+        with self._lock:
+            self._current = (encore, self._current[1] + 1)
             self.info = info
-            self._cond.notify_all()
         return info
 
     @property
     def generation(self) -> int:
-        with self._cond:
-            return self._generation
+        return self._current[1]  # one read of an immutable pair
 
     def acquire(self) -> Tuple[EnCore, int]:
-        with self._cond:
-            while True:
-                if self._free:
-                    return self._free.pop(), self._generation
-                if self._created < self.size:
-                    self._created += 1
-                    generation = self._generation
-                    break
-                self._cond.wait()
-        # Build outside the lock: replica construction is the expensive
-        # part and other threads should keep leasing meanwhile.
-        try:
-            return self._build(), generation
-        except BaseException:
-            with self._cond:
-                if generation == self._generation:
-                    self._created -= 1
-                    self._cond.notify()
-            raise
+        with self._lock:
+            return self._current  # type: ignore[return-value]
 
     def release(self, encore: EnCore, generation: int) -> None:
-        with self._cond:
-            if generation == self._generation:
-                self._free.append(encore)
-            # A stale-generation replica is simply dropped; its slot
-            # belongs to the new generation's lazy builds.
-            self._cond.notify()
+        """Keeps no state; stays as the lease's end hook the layer bench times."""
 
     @contextmanager
     def lease(self) -> Iterator[EnCore]:
@@ -239,14 +176,13 @@ class DetectionServer(ThreadingHTTPServer):
         self.started_monotonic = time.monotonic()
         self.started_epoch = time.time()
         snapshot_path = Path(config.snapshot)
-        payload, snapshot = read_snapshot(snapshot_path)
+        snapshot = load_snapshot(snapshot_path)
         self.cache = None
         if config.cache_dir is not None:
             from repro.engine.cache import ResultCache
 
             self.cache = ResultCache(config.cache_dir)
-        self.pool = ModelPool(config.encore, payload, snapshot,
-                              size=config.max_inflight, cache=self.cache)
+        self.pool = ModelPool(config.encore, snapshot, cache=self.cache)
         self.snapshot_loaded_at = time.time()
         self.reloads = 0
         self.reload_failures = 0
@@ -324,15 +260,25 @@ class DetectionServer(ThreadingHTTPServer):
         monitor = HealthMonitor(
             rules=rules,
             interval_s=self.config.alerts_interval_s,
-            capacity=self.config.timeline_capacity,
             registry=self.registry,
             lock=self.metrics_lock,
+            refresh=self._publish_drift,
         )
         monitor.on_transition(self._on_alert_transition)
         if rules:
             log.info("serve.alerts_loaded", rules=len(rules),
                      interval_s=self.config.alerts_interval_s)
         return monitor
+
+    def _publish_drift(self, registry: MetricsRegistry) -> None:
+        """Set the serving model's drift gauges before each health sample,
+        so a ``drift_psi`` rule sees ``drift.psi.max``; skipped until the
+        model has observed a target.  Runs under ``metrics_lock``."""
+        with self.pool.lease() as encore:
+            drift = encore.drift
+        if drift is not None and drift.targets:
+            with use_registry(registry):
+                drift.summary()
 
     def _on_alert_transition(self, event: str, incident) -> None:
         """Ledger + metrics + log for every firing/resolved transition."""
@@ -553,7 +499,7 @@ class DetectionServer(ThreadingHTTPServer):
         """Swap in the snapshot file's current content; True on success."""
         path = Path(self.config.snapshot)
         try:
-            info = self.pool.swap(*read_snapshot(path))
+            info = self.pool.swap(load_snapshot(path))
         except Exception as exc:
             self.reload_failures += 1
             with self.metrics_lock:

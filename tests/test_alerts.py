@@ -38,9 +38,10 @@ from repro.obs.health import (
     set_monitor,
 )
 from repro.obs.ledger import Ledger
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshotError, use_registry
 from repro.obs.timeline import Timeline
 from repro.serve.server import DetectionServer, ServeConfig
+from repro.sysmodel.snapshot import image_to_dict
 from tests.test_serve import get, post
 
 RULES_TOML = """
@@ -594,6 +595,41 @@ class TestServeAlerting:
         assert "bad-requests" in out
         assert "resolved" in out
 
+    def test_drift_psi_rule_fires_from_served_checks(self, tmp_path,
+                                                     trained_encore,
+                                                     held_out_image):
+        snapshot = tmp_path / "model.json"
+        trained_encore.save_model(snapshot)
+        rules_path = tmp_path / "alerts.toml"
+        rules_path.write_text(
+            '[[rule]]\nname = "drift"\nkind = "drift_psi"\n'
+            'threshold = 0.0\nfor_s = 0\n'
+        )
+        # A private process registry: no drift gauge left by other tests.
+        with use_registry(MetricsRegistry()):
+            server = DetectionServer(ServeConfig(
+                snapshot=snapshot, port=0, alerts_path=rules_path,
+                no_ledger=True,
+            ))
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        base = f"http://127.0.0.1:{server.server_port}"
+        try:
+            # Nothing observed yet: no drift gauge, nothing fires.
+            assert server.monitor.tick() == []
+            assert "drift_psi_max" not in get(base, "/metrics")[1]
+            body = {"image": image_to_dict(held_out_image)}
+            for _ in range(6):
+                assert post(base, "/v1/check", body)[0] == 200
+            transitions = server.monitor.tick()
+            assert [(event, i.rule) for event, i in transitions] == \
+                [("fired", "drift")]
+            assert "drift_psi_max" in get(base, "/metrics")[1]
+            payload = json.loads(get(base, "/alertz")[1])
+            assert payload["timeline"]["capacity"] == 360
+        finally:
+            server.stop()
+            server.server_close()
+
     def test_malformed_explicit_rules_refuse_to_boot(self, tmp_path,
                                                      trained_encore):
         snapshot = tmp_path / "model.json"
@@ -663,6 +699,30 @@ class TestAlertsCli:
         rc = main(["alerts", "check", str(rules), "--metrics", str(snapshot)])
         assert rc == 0
         assert "no rule fires" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("snapshot", [
+        [1],
+        {},
+        {"metrics": 5},
+        {"metrics": [{"name": "x", "kind": "summary", "labels": {}, "value": 1}]},
+        {"metrics": [{"name": "h", "kind": "histogram", "labels": {},
+                      "bucket_counts": [0], "sum": 0, "count": 0}]},
+    ], ids=["list", "empty", "metrics-not-list", "unknown-kind",
+            "histogram-no-buckets"])
+    def test_check_dry_run_rejects_non_snapshot_json(self, tmp_path, capsys,
+                                                     snapshot):
+        rules = tmp_path / "alerts.toml"
+        rules.write_text(
+            '[[rule]]\nname = "drift"\nkind = "drift_psi"\nthreshold = 0.25\n'
+        )
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(snapshot))
+        rc = main(["alerts", "check", str(rules), "--metrics", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        with pytest.raises(MetricsSnapshotError):
+            MetricsRegistry.from_dict(snapshot)
 
     def test_show_empty_ledger(self, tmp_path, capsys):
         rc = main(["alerts", "show",

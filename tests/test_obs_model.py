@@ -1,6 +1,10 @@
 """Tests for model observability: provenance, drift, ledger, explain."""
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
@@ -127,16 +131,12 @@ class TestTrainedProvenance:
 
 
 class _Row:
-    """Minimal assembled-system stand-in for DriftMonitor.observe."""
+    """Minimal assembled-system stand-in for DriftMonitor.observe: its
+    ``cells`` map each attribute to an object carrying the raw value."""
 
     def __init__(self, values):
-        self._values = dict(values)
-
-    def attributes(self):
-        return sorted(self._values)
-
-    def value(self, attribute):
-        return self._values.get(attribute)
+        self.cells = {attribute: SimpleNamespace(value=value)
+                      for attribute, value in values.items()}
 
 
 BASELINE = {
@@ -223,6 +223,36 @@ class TestDriftMonitor:
         assert summary.new_attributes == ["app:rogue"]
         assert [d.attribute for d in summary.drifted] == ["app:rogue"]
         assert summary.drifted[0].new
+
+    def test_concurrent_observe_matches_serial(self):
+        # Eight threads meet every attribute for the first time together,
+        # so an unguarded get-or-create of its Counter loses updates, and
+        # a summary() mid-way iterates dicts the other threads insert into.
+        rows = [_Row({f"app:r{i}.{j}": "x" for j in range(20)}
+                     | {"app:port": str(i % 3)}) for i in range(100)]
+        serial = DriftMonitor(BASELINE, training_size=10)
+        for _ in range(8):
+            for row in rows:
+                serial.observe(row)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = DriftMonitor(BASELINE, training_size=10)
+                start = threading.Barrier(8)
+
+                def observe_all(_):
+                    start.wait(timeout=60)
+                    for row in rows:
+                        shared.observe(row)
+                    shared.summary()
+
+                with ThreadPoolExecutor(8) as pool:
+                    list(pool.map(observe_all, range(8), timeout=120))
+                assert shared.to_dict() == serial.to_dict()
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared.summary().to_dict() == serial.summary().to_dict()
 
 
 class TestDriftAcrossWorkers:

@@ -1,10 +1,15 @@
 """Integration tests for the EnCore facade (train → check → persist)."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.core.report import Report
 from repro.core.rules import RuleSet
+from repro.corpus.generator import Ec2CorpusGenerator
 
 
 class TestConfig:
@@ -118,6 +123,42 @@ class TestPersistence:
         before = other.model.rule_count
         other.load_rules(path)
         assert other.model.rule_count == trained_encore.model.rule_count != before
+
+
+class TestConcurrentCheck:
+    """``repro serve`` shares one model across request threads, so
+    concurrent checks on one EnCore must equal a serial pass."""
+
+    THREADS = 8
+
+    def test_threads_sharing_one_model_match_serial(self, trained_encore, tmp_path):
+        snapshot = trained_encore.save_model(tmp_path / "model.json")
+        targets, _ = Ec2CorpusGenerator(seed=202).generate_wild(48)
+        assert len({target.image_id for target in targets}) == 48
+        serial = EnCore()
+        serial.load_model(snapshot)
+        expected = {t.image_id: serial.check(t).to_dict() for t in targets}
+        shared = EnCore()
+        shared.load_model(snapshot)
+        start = threading.Barrier(self.THREADS)
+
+        def check_chunk(chunk):
+            start.wait(timeout=60)
+            return [(t.image_id, shared.check(t).to_dict()) for t in chunk]
+
+        chunks = [targets[i::self.THREADS] for i in range(self.THREADS)]
+        interval = sys.getswitchinterval()
+        # Switch threads every 10 us, so an unguarded read-modify-write
+        # on the shared model is likely to interleave.
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(self.THREADS) as pool:
+                results = [row for rows in pool.map(check_chunk, chunks, timeout=120)
+                           for row in rows]
+        finally:
+            sys.setswitchinterval(interval)
+        assert dict(results) == expected
+        assert shared.drift.to_dict() == serial.drift.to_dict()
 
 
 class TestCustomizationIntegration:

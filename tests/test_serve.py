@@ -8,12 +8,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.core.pipeline import EnCore
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import Histogram
 from repro.serve.admission import AdmissionController
@@ -660,6 +662,38 @@ class TestServeTracing:
         assert entries[0].request["request_id"] == "ledger-trace-7"
         assert entries[0].request["trace_id"] == "ledger-trace-7"
 
+
+
+class TestSharedModel:
+    """One EnCore per generation serves every concurrent request."""
+
+    def test_concurrent_checks_share_one_model(self, tmp_path, trained_encore):
+        snapshot = trained_encore.save_model(tmp_path / "model.json")
+        targets, _ = Ec2CorpusGenerator(seed=303).generate_wild(12)
+        reference = EnCore()
+        reference.load_model(snapshot)
+        expected = [reference.check(target).to_dict() for target in targets]
+        server = boot(ServeConfig(snapshot=snapshot, port=0, max_inflight=4,
+                                  max_queue=16, no_ledger=True))
+        base = f"http://127.0.0.1:{server.server_port}"
+        try:
+            before, generation = server.pool.acquire()
+            with ThreadPoolExecutor(6) as pool:
+                responses = list(pool.map(
+                    lambda t: post(base, "/v1/check", {"image": image_to_dict(t)}),
+                    targets,
+                ))
+            assert [status for status, _, _ in responses] == [200] * len(targets)
+            assert [body["report"] for _, body, _ in responses] == expected
+            current, current_generation = server.pool.acquire()
+            assert current is before and current_generation == generation
+            assert server.reload("test")
+            after, next_generation = server.pool.acquire()
+            assert after is not before
+            assert next_generation == generation + 1
+        finally:
+            server.stop()
+            server.server_close()
 
 def _raise_runtime_error(*args, **kwargs):
     raise RuntimeError("injected failure")
