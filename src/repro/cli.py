@@ -55,7 +55,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.core.pipeline import EnCore, EnCoreConfig
-from repro.core.repair import RepairAdvisor
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.corpus.private_cloud import PrivateCloudGenerator
 from repro.obs import configure as configure_logging
@@ -358,13 +357,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_suggest(args: argparse.Namespace) -> int:
     encore = _build_encore(args)
     _train(args, encore)
-    target_image = load_image(Path(args.target))
-    report = encore.check(target_image)
+    report, suggestions = encore.suggest(load_image(Path(args.target)))
     print(report.render(limit=args.limit))
-    assert encore.model is not None
-    advisor = RepairAdvisor(encore.model.dataset)
-    target = encore.assembler.assemble(target_image)
-    suggestions = advisor.suggest(report, target)
     entry = _record_ledger(args, encore, "suggest", targets_checked=1,
                            warning_counts=_count_kinds([report]))
     if not suggestions:

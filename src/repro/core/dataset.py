@@ -90,11 +90,19 @@ class AssembledSystem:
         return typed.value if typed is not None else None
 
     def values_of(self, attribute: str) -> List[TypedValue]:
-        """All occurrences of a (possibly repeated) attribute."""
-        if attribute in self._multi:
-            return list(self._multi[attribute])
+        """All occurrences of a (possibly repeated) attribute.
+
+        A repeated attribute's list is the row's own storage, like
+        :attr:`cells`: read it and never mutate it."""
+        multi = self._multi.get(attribute)
+        if multi is not None:
+            return multi
         typed = self._values.get(attribute)
         return [typed] if typed is not None else []
+
+    def is_repeated(self, attribute: str) -> bool:
+        """Does the attribute occur more than once in this row?"""
+        return attribute in self._multi
 
     @property
     def cells(self) -> Mapping[str, TypedValue]:
@@ -197,12 +205,18 @@ class PartialDataset:
     def add(self, system: AssembledSystem) -> None:
         """Fold one assembled system into the accumulated statistics."""
         self.systems.append(system)
-        for attribute in system.attributes():
-            typed = system.get(attribute)
-            assert typed is not None
-            self.value_counts.setdefault(attribute, Counter())[typed.value] += 1
-            self.type_counts.setdefault(attribute, Counter())[typed.type] += 1
-            if len(system.values_of(attribute)) > 1:
+        value_counts = self.value_counts
+        type_counts = self.type_counts
+        for attribute, typed in system.cells.items():
+            values = value_counts.get(attribute)
+            if values is None:
+                values = value_counts[attribute] = Counter()
+                types = type_counts[attribute] = Counter()
+            else:
+                types = type_counts[attribute]
+            values[typed.value] += 1
+            types[typed.type] += 1
+            if system.is_repeated(attribute):
                 self.multi_valued.add(attribute)
             if system.is_augmented(attribute):
                 self.augmented.add(attribute)
@@ -258,14 +272,30 @@ class Dataset:
         self._partial = partial
         self._multi_valued: set = set(partial.multi_valued)
         self._augmented: set = set(partial.augmented)
-        #: attribute → presence bitmask: bit *i* is set when ``systems[i]``
-        #: has the attribute.  Rule inference intersects two masks to visit
-        #: only the rows where a candidate pair can apply.
-        self._presence: Dict[str, int] = {}
+        # attribute → presence bitmask: bit *i* is set when ``systems[i]``
+        # has the attribute.  Rule inference intersects two masks to visit
+        # only the rows where a candidate pair can apply.
+        presence: Dict[str, int] = {}
+        # attribute → first-occurrence value → [row mask, first typed
+        # cell]: rule inference evaluates value-only templates once per
+        # distinct value pair instead of once per row.
+        groups: Dict[str, Dict[str, list]] = {}
         for index, system in enumerate(self.systems):
             bit = 1 << index
-            for attribute in system.attributes():
-                self._presence[attribute] = self._presence.get(attribute, 0) | bit
+            for attribute, typed in system.cells.items():
+                column = groups.get(attribute)
+                if column is None:
+                    presence[attribute] = bit
+                    groups[attribute] = {typed.value: [bit, typed]}
+                    continue
+                presence[attribute] |= bit
+                group = column.get(typed.value)
+                if group is None:
+                    column[typed.value] = [bit, typed]
+                else:
+                    group[0] |= bit
+        self._presence = presence
+        self._groups = groups
         self._stats: Dict[str, AttributeStats] = {}
         for attribute, counts in partial.value_counts.items():
             type_counter = partial.type_counts[attribute]
@@ -356,6 +386,12 @@ class Dataset:
     def presence(self, attribute: str) -> int:
         """Bitmask of the rows holding *attribute* (bit *i* ↔ ``systems[i]``)."""
         return self._presence.get(attribute, 0)
+
+    def value_groups(self, attribute: str) -> Mapping[str, list]:
+        """First-occurrence value → ``[row mask, first typed cell]`` for
+        *attribute*; the masks partition :meth:`presence`.  Shared
+        storage: read it and never mutate it."""
+        return self._groups.get(attribute, {})
 
     def type_of(self, attribute: str) -> Optional[ConfigType]:
         stats = self._stats.get(attribute)

@@ -8,12 +8,18 @@ For each template the inferencer:
    the scalability problem");
 2. iterates over every (A, B) instantiation and gathers per-system
    verdicts from the template's validation method — only on the systems
-   that hold both attributes: the dataset keeps one presence bitmask per
-   attribute, and the evaluator walks the set bits of ``presence(A) &
-   presence(B)`` in ascending order, so contributors stay in dataset
-   order.  This applies the type restriction's candidate cut to the
-   per-system loop as well;
-3. computes support / confidence / entropy and runs the filter pipeline.
+   that hold both attributes, as bitmasks over the dataset's rows (bit
+   *i* is ``systems[i]``).  A validator that reads only its two values
+   (:data:`~repro.core.templates.VALUE_ONLY_VALIDATORS`) is evaluated
+   over the dataset's *value groups*, once per distinct value pair
+   rather than once per row; the columns have a handful of distinct
+   values each.  Every other validator walks the set bits of
+   ``presence(A) & presence(B)``.  Either way the result is two masks,
+   the applicable and the valid systems;
+3. computes support / confidence / entropy as popcounts and runs the
+   filter pipeline.  Only the candidates that survive support and
+   confidence turn their applicable mask into contributing image ids,
+   in dataset order.
 
 Type-restricted instantiation is the paper's answer to the attribute
 explosion of §2.2; :meth:`RuleInferencer.candidate_pair_count` exposes the
@@ -23,12 +29,15 @@ combinatorics for the ablation benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.rules import ConcreteRule, RuleSet
-from repro.core.templates import RuleTemplate, default_templates
+from repro.core.templates import (
+    VALUE_ONLY_VALIDATORS, RuleTemplate, default_templates,
+)
 from repro.core.types import ConfigType, TypedValue
 from repro.mining.entropy import DEFAULT_ENTROPY_THRESHOLD
 from repro.obs.metrics import get_registry
@@ -36,8 +45,8 @@ from repro.obs.model import Provenance
 from repro.obs.tracing import span
 
 #: One training row as the inner loop reads it: the system (for
-#: environment checks), its first-occurrence cells and its image id.
-_Row = Tuple[AssembledSystem, Mapping[str, TypedValue], str]
+#: environment checks), its first-occurrence cells and its mask bit.
+_Row = Tuple[AssembledSystem, Mapping[str, TypedValue], int]
 
 
 @dataclass
@@ -162,9 +171,13 @@ class RuleInferencer:
         audit: Dict[Tuple[str, str, str], Provenance] = {}
         pair_count = 0
         registry = get_registry()
-        # One (row, first-occurrence cells, image id) entry per system, so
+        # One (row, first-occurrence cells, row bit) entry per system, so
         # the per-row inner loop makes no method calls of its own.
-        rows = [(system, system.cells, system.image_id) for system in dataset]
+        rows = [
+            (system, system.cells, 1 << index)
+            for index, system in enumerate(dataset)
+        ]
+        image_ids = [system.image_id for system in dataset]
         with span("infer", templates=len(self.templates)) as infer_span:
             for template in self.templates:
                 # Telemetry is aggregated per template, never per pair:
@@ -179,19 +192,21 @@ class RuleInferencer:
                         )
                         if evaluated is None:
                             continue
-                        rule, contributors = evaluated
+                        rule, applicable = evaluated
                         decision = pipeline.decide(rule, template)
                         survived = decision in (
                             FilterDecision.KEPT, FilterDecision.LOW_ENTROPY
                         )
                         provenance = pipeline.provenance(
                             rule, template, decision,
-                            contributors if survived else (),
+                            tuple(_at_bits(image_ids, applicable)) if survived else (),
                         )
-                        rule = replace(rule, provenance=provenance)
                         decisions[rule.key] = decision
                         audit[rule.key] = provenance
                         if survived:
+                            # Only survivors are kept as rules; a dropped
+                            # candidate leaves its key and provenance.
+                            rule = replace(rule, provenance=provenance)
                             pre_entropy.add(rule)
                         if decision is FilterDecision.KEPT:
                             kept.add(rule)
@@ -224,37 +239,74 @@ class RuleInferencer:
         template: RuleTemplate,
         attr_a: str,
         attr_b: str,
-    ) -> Optional[Tuple[ConcreteRule, Tuple[str, ...]]]:
+    ) -> Optional[Tuple[ConcreteRule, int]]:
         """Gather verdicts for one instantiation across the systems that
         hold both attributes.
 
-        Walks the set bits of the two presence masks in ascending order,
-        so the ids of the contributing images (the systems where the rule
-        was applicable — the provenance population) come out in dataset
-        order.  Pairs whose attributes never repeat take one validator
-        call per row; the rest use any-occurrence semantics.
+        Returns the rule and its *applicable* mask (the systems where
+        the validator gave a verdict: the provenance population), or
+        ``None`` when it applied nowhere.  The path depends on the pair:
+
+        * equality validators over single-occurrence attributes always
+          apply, and hold where both columns share a value: the valid
+          mask is the OR of the common values' group masks;
+        * other value-only validators over single-occurrence attributes
+          run once per distinct value pair whose groups share a row, as
+          long as there are no more such pairs than shared rows;
+        * everything else — environment checks, customization and
+          programmatic validators, repeated attributes and
+          high-cardinality pairs — runs once per shared row, with
+          any-occurrence semantics for repeated attributes.
         """
         validator = template.validator
-        repeats = dataset.is_multi_valued(attr_a) or dataset.is_multi_valued(attr_b)
-        valid = 0
-        contributors: List[str] = []
         both = dataset.presence(attr_a) & dataset.presence(attr_b)
-        while both:
-            lowest = both & -both
-            both ^= lowest
-            system, cells, image_id = rows[lowest.bit_length() - 1]
-            if repeats:
-                verdict = self._system_verdict(
-                    template, system.values_of(attr_a), system.values_of(attr_b), system
-                )
-            else:
-                verdict = validator(cells[attr_a], cells[attr_b], system)
-            if verdict is None:
-                continue
-            contributors.append(image_id)
-            if verdict:
-                valid += 1
-        if not contributors:
+        if not both:
+            return None
+        applicable = valid = 0
+        equality = VALUE_ONLY_VALIDATORS.get(validator)
+        repeats = dataset.is_multi_valued(attr_a) or dataset.is_multi_valued(attr_b)
+        groups_a = groups_b = None
+        if equality is not None and not repeats:
+            groups_a = dataset.value_groups(attr_a)
+            groups_b = dataset.value_groups(attr_b)
+            if not equality and len(groups_a) * len(groups_b) > both.bit_count():
+                groups_a = groups_b = None
+        if groups_a is None:
+            for system, cells, bit in _at_bits(rows, both):
+                if repeats:
+                    verdict = self._system_verdict(
+                        template, system.values_of(attr_a),
+                        system.values_of(attr_b), system,
+                    )
+                else:
+                    verdict = validator(cells[attr_a], cells[attr_b], system)
+                if verdict is None:
+                    continue
+                applicable |= bit
+                if verdict:
+                    valid |= bit
+        elif equality:
+            applicable = both
+            if len(groups_a) > len(groups_b):
+                groups_a, groups_b = groups_b, groups_a
+            for value, (mask_a, _) in groups_a.items():
+                group_b = groups_b.get(value)
+                if group_b is not None:
+                    valid |= mask_a & group_b[0]
+        else:
+            for mask_a, typed_a in groups_a.values():
+                for mask_b, typed_b in groups_b.values():
+                    shared = mask_a & mask_b
+                    if not shared:
+                        continue
+                    # Value-only: the system argument is never read.
+                    verdict = validator(typed_a, typed_b, None)
+                    if verdict is None:
+                        continue
+                    applicable |= shared
+                    if verdict:
+                        valid |= shared
+        if not applicable:
             return None
         stats_a = dataset.stats(attr_a)
         stats_b = dataset.stats(attr_b)
@@ -263,13 +315,13 @@ class RuleInferencer:
             attribute_a=attr_a,
             attribute_b=attr_b,
             relation=template.relation.value,
-            support=len(contributors),
-            valid_count=valid,
+            support=applicable.bit_count(),
+            valid_count=valid.bit_count(),
             entropy_a=stats_a.entropy if stats_a else 0.0,
             entropy_b=stats_b.entropy if stats_b else 0.0,
             description=template.description,
         )
-        return rule, tuple(contributors)
+        return rule, applicable
 
     @staticmethod
     def _system_verdict(template, values_a, values_b, system) -> Optional[bool]:
@@ -286,3 +338,9 @@ class RuleInferencer:
                 if verdict:
                     return True
         return False if applicable else None
+
+
+def _at_bits(items: Sequence, mask: int) -> Iterator:
+    """The items at the set bits of *mask* (bit *i* ↔ ``items[i]``), in
+    order; the binary digits select them without per-bit arithmetic."""
+    return compress(items, map("1".__eq__, bin(mask)[:1:-1]))

@@ -13,14 +13,15 @@ from __future__ import annotations
 import hashlib
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.assembler import DataAssembler
 from repro.core.augment import Augmenter
 from repro.core.customization import Customization, parse_customization
-from repro.core.dataset import Dataset
+from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.detector import AnomalyDetector
 from repro.core.inference import InferenceResult, RuleInferencer
+from repro.core.repair import RepairAdvisor, Suggestion
 from repro.core.report import Report
 from repro.core.rules import RuleSet
 from repro.core.templates import RuleTemplate, default_templates
@@ -447,6 +448,20 @@ class EnCore:
         the drift monitor's :meth:`~repro.obs.model.DriftMonitor.observe`,
         takes the monitor's lock.
         """
+        return self._check(image)[0]
+
+    def suggest(self, image: SystemImage) -> Tuple[Report, List[Suggestion]]:
+        """Check one target and propose a remediation for each warning.
+
+        The target is assembled once: the repair advisor reads the same
+        row the detector checked.
+        """
+        report, target = self._check(image)
+        assert self.model is not None
+        return report, RepairAdvisor(self.model.dataset).suggest(report, target)
+
+    def _check(self, image: SystemImage) -> Tuple[Report, AssembledSystem]:
+        """:meth:`check`, also returning the assembled target row."""
         if self.model is None or self._detector is None:
             raise RuntimeError("EnCore.check() requires a trained model; call train() first")
         with span("check", image=image.image_id) as s:
@@ -456,7 +471,7 @@ class EnCore:
                 self.drift.observe(target)
             warnings = self._detector.detect(target)
             s.annotate(warnings=len(warnings))
-        return Report(image.image_id, warnings)
+        return Report(image.image_id, warnings), target
 
     def check_stream(
         self,

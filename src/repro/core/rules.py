@@ -78,10 +78,17 @@ class ConcreteRule:
         when *any* occurrence pair validates (the ``[A] = [B]`` template
         semantics).
         """
-        values_a = system.values_of(self.attribute_a)
-        values_b = system.values_of(self.attribute_b)
-        if not values_a or not values_b:
+        attribute_a, attribute_b = self.attribute_a, self.attribute_b
+        cells = system.cells
+        cell_a = cells.get(attribute_a)
+        cell_b = cells.get(attribute_b)
+        if cell_a is None or cell_b is None:
             return None
+        if not (system.is_repeated(attribute_a) or system.is_repeated(attribute_b)):
+            verdict = template.validator(cell_a, cell_b, system)
+            return None if verdict is None else bool(verdict)
+        values_a = system.values_of(attribute_a)
+        values_b = system.values_of(attribute_b)
         applicable = False
         for a in values_a:
             for b in values_b:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.dataset import AssembledSystem
 from repro.core.types import ConfigType, TypedValue
@@ -192,6 +192,22 @@ def _v_less_size(a: TypedValue, b: TypedValue, system: AssembledSystem) -> Optio
     if left is None or right is None:
         return None
     return left <= right
+
+
+#: The predefined validators that read only their two values (``.value``,
+#: ``.number``, ``.size_bytes``), never ``system`` or ``.type``, mapped to
+#: whether the verdict is plain value equality.  Rule inference evaluates
+#: these once per distinct value pair instead of once per row; any other
+#: validator runs once per row.
+VALUE_ONLY_VALIDATORS: Dict[Validator, bool] = {
+    _v_equal: True,
+    _v_one_instance_equal: True,
+    _v_implies: False,
+    _v_subnet: False,
+    _v_substring: False,
+    _v_less_number: False,
+    _v_less_size: False,
+}
 
 
 # --------------------------------------------------------------------------

@@ -429,8 +429,6 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _handle_suggest(self, body: Dict[str, object],
                         request_id: str) -> RequestOutcome:
-        from repro.core.repair import RepairAdvisor
-
         server = self.server
         if "image" not in body:
             raise ApiError(400, "'image' is required")
@@ -439,11 +437,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise ApiError(400, "'limit' must be a positive integer")
         image = _parse_image(body["image"])
         with server.pool.lease() as encore:
-            report = encore.check(image)
-            assert encore.model is not None
-            advisor = RepairAdvisor(encore.model.dataset)
-            target = encore.assembler.assemble(image)
-            suggestions = advisor.suggest(report, target)[:limit]
+            report, suggestions = encore.suggest(image)
+        suggestions = suggestions[:limit]
         return RequestOutcome(
             payload={
                 "request_id": request_id,

@@ -1,5 +1,8 @@
 """Tests for rule inference (paper §5.1) and rule filtering (§5.2)."""
 
+import copy
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +12,10 @@ from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.inference import RuleInferencer
 from repro.core.pipeline import EnCore
 from repro.core.rules import ConcreteRule
-from repro.core.templates import template_by_name
+from repro.core.templates import (
+    VALUE_ONLY_VALIDATORS, RelationKind, RuleTemplate, default_templates,
+    template_by_name,
+)
 from repro.core.types import ConfigType
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.image import ConfigFile, SystemImage
@@ -315,6 +321,211 @@ class TestPresenceMaskEvaluation:
                 1 << i for i, s in enumerate(dataset) if attribute in s
             )
         assert dataset.presence("missing:attr") == 0
+
+
+# -- value-grouped evaluation against the row walk -----------------------------
+
+
+def row_walk_only(inferencer):
+    """The same inferencer with every validator wrapped in a programmatic
+    one.  Inference groups only the predefined value-only validators, so
+    this copy evaluates every pair row by row."""
+    def wrap(validator):
+        return lambda a, b, system: validator(a, b, system)
+
+    walked = copy.copy(inferencer)
+    walked.templates = [
+        replace(template, validator=wrap(template.validator))
+        for template in inferencer.templates
+    ]
+    return walked
+
+
+def full_result(result):
+    """Everything an inference run learns, in insertion order."""
+    return (
+        [rule.to_dict() for rule in result.rules],
+        [rule.to_dict() for rule in result.pre_entropy_rules],
+        list(result.decisions.items()),
+        [(key, p.to_dict()) for key, p in result.audit.items()],
+        result.candidate_pairs,
+    )
+
+
+def grouped_templates(inferencer, dataset):
+    """Names of the templates with a pair that takes a grouped path."""
+    out = set()
+    for template in inferencer.templates:
+        equality = VALUE_ONLY_VALIDATORS.get(template.validator)
+        if equality is None:
+            continue
+        for a, b in inferencer._pairs(dataset, template):
+            if dataset.is_multi_valued(a) or dataset.is_multi_valued(b):
+                continue
+            both = dataset.presence(a) & dataset.presence(b)
+            value_pairs = len(dataset.value_groups(a)) * len(dataset.value_groups(b))
+            if both and (equality or value_pairs <= both.bit_count()):
+                out.add(template.name)
+    return out
+
+
+#: Columns that probe the value-only validators' edges: name → (type,
+#: augmented, values cycled over the rows).  ``app:count`` holds one
+#: value typed two ways; sizes differ only in case and unit suffix;
+#: subnets include IPv6 and 0.0.0.0; the two paths are sometimes equal
+#: (substring is then not applicable); ``app:enabled`` is never true.
+ADVERSARIAL = {
+    "app:count": (ConfigType.NUMBER, False, ("1", "2", "1")),
+    "app:limit": (ConfigType.NUMBER, False, ("2", "1", "x")),
+    "app:buffer": (ConfigType.SIZE, False, ("1K", "1k", "1KB", "2K")),
+    "app:cache": (ConfigType.SIZE, False, ("1KB", "1024", "1k")),
+    "app:bind": (ConfigType.IP_ADDRESS, False, ("0.0.0.0", "10.0.0.5", "::1", "fd00::1")),
+    "app:net": (ConfigType.IP_ADDRESS, False, ("0.0.0.0", "10.0.0.0", "::", "10.0.0.0")),
+    "app:datadir": (ConfigType.FILE_PATH, False, ("/srv/a", "/srv/b")),
+    "app:logdir": (ConfigType.FILE_PATH, False, ("/srv/a", "/srv/a/log", "/srv/b")),
+    "app:user": (ConfigType.USER_NAME, False, ("mysql", "root")),
+    "app:enabled": (ConfigType.BOOLEAN, False, ("off", "no")),
+    "app:debug": (ConfigType.BOOLEAN, False, ("on", "off", "on")),
+    "app:datadir.exists": (ConfigType.BOOLEAN, True, ("true", "false", "true", "true")),
+}
+
+
+def adversarial_dataset(rows=24):
+    systems = []
+    for index in range(rows):
+        image = SystemImage(f"adv-{index:02d}")
+        image.accounts.ensure_service_account("mysql", 27)
+        image.fs.add_dir("/srv/a", owner="mysql", group="mysql", mode=0o700)
+        image.fs.add_dir("/srv/a/log", owner="root", group="root", mode=0o755)
+        system = AssembledSystem(image)
+        for column, (name, (config_type, augmented, pool)) in enumerate(
+            ADVERSARIAL.items()
+        ):
+            if (index + column) % 5 == 0:
+                continue  # absent cells
+            value = pool[index % len(pool)]
+            if name == "app:count" and index % 3 == 0:
+                config_type = ConfigType.BOOLEAN
+            system.set(name, value, config_type, augmented=augmented)
+        systems.append(system)
+    return Dataset(systems)
+
+
+@pytest.fixture(scope="module", params=[3, 11])
+def corpus_dataset(request):
+    images = Ec2CorpusGenerator(seed=request.param).generate(100)
+    return DataAssembler().assemble_corpus(images)
+
+
+class TestValueGroupedEvaluation:
+    """Evaluating value-only validators per distinct value pair learns
+    exactly what the row walk learns."""
+
+    def test_corpus_matches_row_walk(self, corpus_dataset):
+        inferencer = RuleInferencer()
+        grouped = inferencer.infer(corpus_dataset)
+        walked = row_walk_only(inferencer).infer(corpus_dataset)
+        assert full_result(grouped) == full_result(walked)
+        assert len(grouped.rules) > 50
+        templates = {t.name: t for t in inferencer.templates}
+        survivors = 0
+        for (name, a, b), p in grouped.audit.items():
+            if p.decision in ("kept", "low_entropy"):
+                survivors += 1
+                assert (p.support, p.valid_count, p.contributing_images) == (
+                    oracle_evaluate(corpus_dataset, templates[name], a, b)
+                )
+            else:
+                assert p.contributing_images == ()
+        assert survivors >= len(grouped.rules)
+
+    @pytest.mark.parametrize("use_permissive", [True, False])
+    def test_adversarial_columns_match_row_walk(self, use_permissive):
+        dataset = adversarial_dataset()
+        inferencer = permissive() if use_permissive else RuleInferencer()
+        assert grouped_templates(inferencer, dataset) >= {
+            "equal_same_type", "extended_boolean", "ip_subnet", "substring",
+            "less_number", "less_size",
+        }
+        grouped = inferencer.infer(dataset)
+        assert full_result(grouped) == full_result(
+            row_walk_only(inferencer).infer(dataset)
+        )
+        if use_permissive:
+            assert evidence(grouped) == expected_evidence(inferencer, dataset)
+            # The never-true antecedent yields no candidate at all.
+            assert not any(
+                key[0] == "extended_boolean" and key[1] == "app:enabled"
+                for key in grouped.audit
+            )
+
+    def test_value_groups_partition_presence(self):
+        dataset = adversarial_dataset()
+        for attribute in dataset.attributes():
+            groups = dataset.value_groups(attribute)
+            union = 0
+            for value, (mask, typed) in groups.items():
+                assert typed.value == value
+                assert union & mask == 0
+                union |= mask
+                first = (mask & -mask).bit_length() - 1
+                assert dataset.systems[first].get(attribute) is typed
+            assert union == dataset.presence(attribute)
+        assert dataset.value_groups("missing:attr") == {}
+
+    def test_image_dependent_template_is_walked(self):
+        """A programmatic validator that reads the image id is evaluated
+        per row, even though its verdict compares the values."""
+        def every_third_image(a, b, system):
+            if int(system.image.image_id[-2:]) % 3 == 0:
+                return None
+            return a.value == b.value
+
+        template = RuleTemplate(
+            "image_dependent_equal", ConfigType.STRING, ConfigType.STRING,
+            RelationKind.EQUAL, every_third_image, symmetric=True,
+        )
+        dataset = adversarial_dataset()
+        for inferencer in (
+            RuleInferencer(templates=[template]),
+            RuleInferencer(
+                templates=[template], min_support_fraction=0.0,
+                min_confidence=0.0, use_entropy=False,
+            ),
+        ):
+            result = inferencer.infer(dataset)
+            assert full_result(result) == full_result(
+                row_walk_only(inferencer).infer(dataset)
+            )
+        assert evidence(result) == expected_evidence(inferencer, dataset)
+        assert result.rules
+
+
+class TestRuleEvaluate:
+    """``ConcreteRule.evaluate`` — one validator call when neither side
+    repeats — gives the any-occurrence verdict on every row."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(dataset=small_datasets())
+    def test_matches_any_occurrence_loop(self, dataset):
+        for template in default_templates():
+            for a in COLUMNS:
+                for b in COLUMNS:
+                    if a == b:
+                        continue
+                    rule = ConcreteRule(
+                        template.name, a, b, template.relation.value, 1, 1
+                    )
+                    for system in dataset:
+                        verdicts = [
+                            v for v in (
+                                template.validate(x, y, system)
+                                for x in system.values_of(a)
+                                for y in system.values_of(b)
+                            ) if v is not None
+                        ]
+                        expected = any(verdicts) if verdicts else None
+                        assert rule.evaluate(system, template) is expected
 
 
 class TestImageOrderInvariance:

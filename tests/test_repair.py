@@ -5,6 +5,7 @@ import pytest
 from repro.core.detector import Warning, WarningKind
 from repro.core.repair import RepairAction, RepairAdvisor
 from repro.core.rules import ConcreteRule
+from repro.corpus.generator import Ec2CorpusGenerator
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +165,34 @@ class TestCorrelationRepairs:
         warning = self.make_warning("less_number", "a:x", "a:y")
         text = str(advisor.suggest_one(warning, target))
         assert "set_value" in text and "confidence" in text
+
+
+class TestEnCoreSuggest:
+    """``EnCore.suggest`` assembles the target once and advises as a
+    separate check, assemble and advise would."""
+
+    def test_one_assembly_and_same_suggestions(self, trained_encore, monkeypatch):
+        images, _ = Ec2CorpusGenerator(seed=101).generate_wild(5)
+        assembler = trained_encore.assembler
+        advisor = RepairAdvisor(trained_encore.model.dataset)
+        expected = []
+        for image in images:
+            report = trained_encore.check(image)
+            target = assembler.assemble(image)
+            expected.append((report.to_dict(), advisor.suggest(report, target)))
+        assemble = assembler.assemble
+        calls = []
+
+        def counting(image):
+            calls.append(image.image_id)
+            return assemble(image)
+
+        monkeypatch.setattr(assembler, "assemble", counting)
+        got = []
+        for image in images:
+            report, suggestions = trained_encore.suggest(image)
+            got.append((report.to_dict(), suggestions))
+        assert calls == [image.image_id for image in images]
+        assert got == expected
+        assert any(suggestions for _, suggestions in expected)
+

@@ -38,7 +38,8 @@ def post(base, route, body, headers=None):
         with urllib.request.urlopen(request, timeout=60) as resp:
             return resp.status, json.loads(resp.read()), dict(resp.headers)
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read()), dict(exc.headers)
+        with exc:
+            return exc.code, json.loads(exc.read()), dict(exc.headers)
 
 
 def get(base, route):
@@ -47,7 +48,8 @@ def get(base, route):
         with urllib.request.urlopen(base + route, timeout=60) as resp:
             return resp.status, resp.read().decode()
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode()
+        with exc:
+            return exc.code, exc.read().decode()
 
 
 def boot(config):
@@ -303,6 +305,7 @@ class TestServeApi:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_missing_image_is_400(self, serve_ctx):
