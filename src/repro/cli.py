@@ -695,13 +695,11 @@ def cmd_alerts(args: argparse.Namespace) -> int:
     if not getattr(args, "metrics_snapshot", None):
         return 0
     # Dry-run against a saved metrics snapshot (--metrics FILE from any
-    # run): one timeline point, so instantaneous stats (gauge value,
-    # histogram percentiles) evaluate for real while windowed counter
-    # stats report no-data — still enough to catch a rule that would
-    # page the moment a daemon boots.
-    from repro.obs.alerts import AlertEngine
+    # run): one monitor tick, so instantaneous stats (gauge value) evaluate
+    # for real while windowed stats report no-data — still enough to
+    # catch a rule that would page the moment a daemon boots.
+    from repro.obs.health import HealthMonitor
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.timeline import Timeline
 
     try:
         data = _json.loads(Path(args.metrics_snapshot).read_text())
@@ -709,12 +707,9 @@ def cmd_alerts(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read metrics snapshot: {exc}", file=sys.stderr)
         return 1
-    timeline = Timeline()
-    timeline.sample_registry(registry, t=time.time())
     for rule in rules:
         rule.for_s = 0.0  # fire immediately in the dry run
-    engine = AlertEngine(rules)
-    transitions = engine.evaluate(timeline, now=time.time())
+    transitions = HealthMonitor(rules, registry=registry).tick()
     fired = [i for event, i in transitions if event == "fired"]
     if not fired:
         print("dry run: no rule fires against this snapshot")

@@ -35,7 +35,7 @@ from repro.core.augment import Augmenter
 from repro.core.assembler import DataAssembler
 from repro.core.templates import RelationKind, RuleTemplate, default_templates
 from repro.core.rules import ConcreteRule, RuleSet
-from repro.core.filters import FilterDecision, FilterStats, RuleFilterPipeline
+from repro.core.filters import FilterDecision, RuleFilterPipeline
 from repro.core.inference import RuleInferencer
 from repro.core.detector import AnomalyDetector, Warning, WarningKind
 from repro.core.report import Report
@@ -56,7 +56,6 @@ __all__ = [
     "EnCore",
     "EnCoreConfig",
     "FilterDecision",
-    "FilterStats",
     "PartialDataset",
     "RawCollection",
     "RepairAction",

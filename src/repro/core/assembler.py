@@ -252,13 +252,6 @@ class DataAssembler:
             s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
         return dataset
 
-    def assemble_collections(self, collections: Iterable[RawCollection]) -> Dataset:
-        """Assemble a dataset from collector output."""
-        with span("assemble.corpus") as s:
-            dataset = Dataset(self.assemble_raw(c) for c in collections)
-            s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
-        return dataset
-
 
 def attribute_counts(image: SystemImage, assembler: Optional[DataAssembler] = None) -> dict:
     """Original vs augmented attribute-occurrence counts for one image.

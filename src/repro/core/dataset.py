@@ -150,10 +150,6 @@ class AttributeStats:
     def cardinality(self) -> int:
         return len(self.value_counts)
 
-    @property
-    def distinct_values(self) -> List[str]:
-        return [v for v, _ in self.value_counts]
-
     @cached_property
     def _seen_values(self) -> FrozenSet[str]:
         return frozenset(v for v, _ in self.value_counts)
@@ -310,10 +306,6 @@ class Dataset:
                 type_agreement=type_counter[config_type] / present,
             )
 
-    def to_partial(self) -> PartialDataset:
-        """The mergeable accumulation this dataset was finalized from."""
-        return self._partial
-
     def merge(self, other: "Dataset") -> "Dataset":
         """A new dataset extending this one with *other*'s systems.
 
@@ -396,9 +388,6 @@ class Dataset:
     def type_of(self, attribute: str) -> Optional[ConfigType]:
         stats = self._stats.get(attribute)
         return stats.type if stats is not None else None
-
-    def attribute_types(self) -> Dict[str, ConfigType]:
-        return {a: s.type for a, s in self._stats.items()}
 
     def is_multi_valued(self, attribute: str) -> bool:
         """Does the attribute repeat (multiple occurrences) in any system?"""

@@ -188,17 +188,6 @@ class AnomalyDetector:
             registry.counter("detect.warnings.total", kind=kind).inc(count)
         return ranked
 
-    def detect_many(
-        self, targets: Sequence[AssembledSystem]
-    ) -> List[List[Warning]]:
-        """Batch detection over already-assembled targets.
-
-        One ranked warning list per target, in input order — the
-        per-shard unit of work in parallel batch checking.
-        """
-        with span("detect.batch", targets=len(targets)):
-            return [self.detect(target) for target in targets]
-
     @staticmethod
     def rank(warnings: List[Warning]) -> List[Warning]:
         """Deterministic order: score desc, then kind, then attribute."""

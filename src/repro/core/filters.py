@@ -22,9 +22,8 @@ legitimately stable.  Templates declare this via ``entropy_filtered``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.core.rules import ConcreteRule
 from repro.core.templates import RuleTemplate
@@ -39,32 +38,6 @@ class FilterDecision(str, Enum):
     LOW_SUPPORT = "low_support"
     LOW_CONFIDENCE = "low_confidence"
     LOW_ENTROPY = "low_entropy"
-
-
-@dataclass
-class FilterStats:
-    """Aggregate accounting across one inference run (Table 13 inputs)."""
-
-    candidates: int = 0
-    kept: int = 0
-    dropped_support: int = 0
-    dropped_confidence: int = 0
-    dropped_entropy: int = 0
-    #: Rules that passed support+confidence but fell to the entropy filter
-    #: — the population Table 13 reports on.
-    entropy_filtered_rules: List[ConcreteRule] = field(default_factory=list)
-
-    def record(self, decision: FilterDecision, rule: ConcreteRule) -> None:
-        self.candidates += 1
-        if decision is FilterDecision.KEPT:
-            self.kept += 1
-        elif decision is FilterDecision.LOW_SUPPORT:
-            self.dropped_support += 1
-        elif decision is FilterDecision.LOW_CONFIDENCE:
-            self.dropped_confidence += 1
-        elif decision is FilterDecision.LOW_ENTROPY:
-            self.dropped_entropy += 1
-            self.entropy_filtered_rules.append(rule)
 
 
 class RuleFilterPipeline:
@@ -94,15 +67,9 @@ class RuleFilterPipeline:
         self.min_confidence = min_confidence
         self.entropy_threshold = entropy_threshold
         self.use_entropy = use_entropy
-        self.stats = FilterStats()
 
     def decide(self, rule: ConcreteRule, template: RuleTemplate) -> FilterDecision:
-        """Classify one candidate; also records it in :attr:`stats`."""
-        decision = self._classify(rule, template)
-        self.stats.record(decision, rule)
-        return decision
-
-    def _classify(self, rule: ConcreteRule, template: RuleTemplate) -> FilterDecision:
+        """Classify one candidate."""
         if rule.support < self.min_support:
             return FilterDecision.LOW_SUPPORT
         if rule.confidence < self.min_confidence:
@@ -117,9 +84,6 @@ class RuleFilterPipeline:
         ):
             return FilterDecision.LOW_ENTROPY
         return FilterDecision.KEPT
-
-    def keeps(self, rule: ConcreteRule, template: RuleTemplate) -> bool:
-        return self.decide(rule, template) is FilterDecision.KEPT
 
     def provenance(
         self,

@@ -94,13 +94,6 @@ class DatasetSummary:
     def is_augmented(self, attribute: str) -> bool:
         return attribute in self._augmented or attribute.startswith("env:")
 
-    @classmethod
-    def from_dataset(cls, dataset) -> "DatasetSummary":
-        """Summarise a full :class:`Dataset`."""
-        stats = {a: dataset.stats(a) for a in dataset.attributes()}
-        augmented = {a for a in dataset.attributes() if dataset.is_augmented(a)}
-        return cls(len(dataset), stats, dataset.entry_names(), augmented)
-
 
 def _stats_to_dict(stats: AttributeStats) -> Dict[str, object]:
     return {
@@ -185,12 +178,6 @@ def snapshot_from_dict(data: Dict[str, object]) -> ModelSnapshot:
     )
 
 
-def summary_from_dict(data: Dict[str, object]) -> tuple:
-    """(DatasetSummary, RuleSet) from :func:`model_to_dict` output."""
-    snapshot = snapshot_from_dict(data)
-    return snapshot.summary, snapshot.rules
-
-
 def model_to_bytes(model: TrainedModel) -> bytes:
     """Compact binary snapshot (:mod:`repro.engine.codec` framing).
 
@@ -200,13 +187,6 @@ def model_to_bytes(model: TrainedModel) -> bytes:
     from repro.engine import codec
 
     return codec.encode(model_to_dict(model))
-
-
-def snapshot_from_bytes(data: bytes) -> ModelSnapshot:
-    """Inverse of :func:`model_to_bytes` (raises ``CodecError`` on damage)."""
-    from repro.engine import codec
-
-    return snapshot_from_dict(codec.decode(data))
 
 
 def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
@@ -221,12 +201,6 @@ def save_model(model: TrainedModel, path: Union[str, Path]) -> Path:
     if str(path).endswith(".encb"):
         return atomic_write_bytes(path, model_to_bytes(model))
     return atomic_write_text(path, json.dumps(model_to_dict(model)))
-
-
-def load_model_snapshot(path: Union[str, Path]) -> tuple:
-    """(DatasetSummary, RuleSet) from a saved snapshot file."""
-    snapshot = load_snapshot(path)
-    return snapshot.summary, snapshot.rules
 
 
 def load_snapshot(path: Union[str, Path]) -> ModelSnapshot:

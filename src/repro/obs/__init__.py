@@ -1,6 +1,6 @@
 """Observability for the EnCore pipeline: metrics, tracing, logging.
 
-Three cooperating layers, all dependency-free:
+Cooperating layers, all dependency-free:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of
   counters / gauges / histograms; mergeable, JSON- and
@@ -24,18 +24,16 @@ Three cooperating layers, all dependency-free:
 * :mod:`repro.obs.fileio` — crash-safe output primitives
   (:func:`atomic_write_text`, :func:`append_line`) behind every
   trace / metrics / ledger file the layer writes;
-* :mod:`repro.obs.timeline` — bounded ring-buffer time-series of
-  registry samples (:class:`Timeline`), with windowed rate / delta /
-  percentile queries;
 * :mod:`repro.obs.alerts` — declarative alert rules
-  (``.encore/alerts.toml``) evaluated against the timeline by
-  :class:`AlertEngine`, producing :class:`Incident` records with a
-  firing→resolved lifecycle;
+  (``.encore/alerts.toml``) and the :class:`AlertEngine` that computes
+  their windowed stats (rate / delta / change / percentiles),
+  producing :class:`Incident` records with a firing→resolved
+  lifecycle;
 * :mod:`repro.obs.health` — :class:`HealthMonitor`, which samples a
-  registry into its timeline and evaluates the alert rules, on a
-  background thread (the serve daemon) or between shard folds (long
-  CLI runs; process-global hook: :func:`get_monitor` /
-  :func:`set_monitor`);
+  registry into bounded per-series rings and evaluates the alert rules
+  against them, on a background thread (the serve daemon) or between
+  shard folds (long CLI runs; process-global hook:
+  :func:`get_monitor` / :func:`set_monitor`);
 * :mod:`repro.obs.flight` — :class:`FlightRecorder`, always-on bounded
   rings of recent spans / logs / errors / incidents (process-global
   hook: :func:`get_flight` / :func:`set_flight`), the black box
@@ -88,7 +86,6 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.timeline import Timeline
 from repro.obs.profile import (
     chrome_trace,
     profile_document,
@@ -128,7 +125,6 @@ __all__ = [
     "Provenance",
     "Span",
     "StructuredLogger",
-    "Timeline",
     "TraceContext",
     "TraceExemplars",
     "Tracer",

@@ -1,15 +1,17 @@
 """Declarative alert rules and the firing→resolved incident lifecycle.
 
 Rules live in ``.encore/alerts.toml`` as an array of ``[[rule]]``
-tables and are evaluated by :class:`AlertEngine` against a
-:class:`~repro.obs.timeline.Timeline` (never against a raw registry —
-every rule is a statement about a *window*, not an instant).  Five rule
-kinds cover the failure modes this pipeline actually has:
+tables and are evaluated by :class:`AlertEngine` against the sampled
+history a :class:`~repro.obs.health.HealthMonitor` keeps (never against
+a raw registry — every rule is a statement about a *window*, not an
+instant).  Five rule kinds cover the failure modes this pipeline
+actually has:
 
 ``threshold``
     Compare a windowed statistic of one series against a bound:
     counter ``rate``/``delta``, gauge ``value``/``change``, histogram
-    ``p50``/``p99``/``mean``/``count``.
+    ``p50``/``p99``/``mean``/``count``.  A histogram stat of a counter
+    or gauge, or ``value`` of a histogram, is no data.
 ``rate_of_change``
     Per-second change of a gauge (or counter rate) over the window —
     catches "climbing", not just "high".
@@ -41,9 +43,12 @@ import json
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.obs.timeline import Timeline
+from repro.obs.metrics import LabelSet
+
+if TYPE_CHECKING:
+    from repro.obs.health import HealthMonitor
 
 #: Where :func:`load_rules` looks when no path is given.
 DEFAULT_RULES_PATH = Path(".encore") / "alerts.toml"
@@ -60,6 +65,10 @@ SEVERITIES = ("warn", "page")
 
 #: Statistics a threshold rule may ask of a series.
 STATS = ("rate", "delta", "value", "change", "count", "mean", "p50", "p99")
+
+#: The statistics only a histogram has; asked of a counter or a gauge
+#: they are no data, as ``value`` is for a histogram.
+HISTOGRAM_STATS = ("count", "mean", "p50", "p99")
 
 
 class AlertConfigError(ValueError):
@@ -316,13 +325,35 @@ class Incident:
 Transition = Tuple[str, Incident]
 
 
-class AlertEngine:
-    """Evaluates rules against a timeline and tracks incident state.
+def series_id(name: str, labelset: LabelSet = ()) -> str:
+    """Canonical series key: ``name`` or ``name{k=v,...}`` (sorted)."""
+    if not labelset:
+        return name
+    label_str = ",".join(f"{k}={v}" for k, v in labelset)
+    return f"{name}{{{label_str}}}"
 
-    Single-writer by design: one evaluator (the health monitor's
-    thread, or a CLI loop) calls :meth:`evaluate`; readers take
-    :meth:`snapshot` under the same lock the caller already holds for
-    the timeline.
+
+def _delta(windows: List[tuple], index: int = 1,
+           clamp: bool = True) -> Optional[float]:
+    """Summed change of point field *index* over ``(kind, first, last)``
+    windows, ``None`` when no series had data.  *clamp* counts a drop
+    (a restarted counter) as 0."""
+    if not windows:
+        return None
+    total = 0.0  # a float even when every value is an int
+    for _, first, last in windows:
+        change = last[index] - first[index]
+        total += max(0.0, change) if clamp else change
+    return total
+
+
+class AlertEngine:
+    """Evaluates rules against a monitor's history and tracks incidents.
+
+    Single-writer by design: the health monitor calls :meth:`evaluate`
+    from its tick; readers take :meth:`snapshot` under the monitor's
+    lock.  The engine owns what each stat means; the monitor only
+    hands it ``(kind, first, last)`` points per series.
     """
 
     RESOLVED_HISTORY = 64
@@ -339,43 +370,58 @@ class AlertEngine:
 
     # -- rule evaluation -------------------------------------------------------
 
-    def _measure(self, rule: AlertRule,
-                 timeline: Timeline, now: float
+    def _measure(self, rule: AlertRule, monitor: "HealthMonitor", now: float
                  ) -> Tuple[Optional[float], Dict[str, object]]:
         """Current value of the rule's expression, plus provenance."""
         if rule.kind == "burn_rate":
-            return self._measure_burn(rule, timeline, now)
+            return self._measure_burn(rule, monitor, now)
         if rule.kind == "quarantine_budget":
-            return self._measure_quarantine(rule, timeline, now)
+            return self._measure_quarantine(rule, monitor, now)
         # threshold / rate_of_change / drift_psi share the stat lookup
-        return self._measure_stat(rule, timeline, now)
+        return self._measure_stat(rule, monitor, now)
 
-    def _measure_stat(self, rule: AlertRule, timeline: Timeline,
+    def _measure_stat(self, rule: AlertRule, monitor: "HealthMonitor",
                       now: float) -> Tuple[Optional[float], Dict[str, object]]:
+        """One stat of the rule's series (``None``: no data).
+
+        ``value`` sums the latest counter/gauge values; every other stat
+        reads each series' first and last point in the window.  ``p50``
+        and ``p99`` are the latest estimates, maxed across series:
+        fixed-bucket histograms cannot be re-quantiled over a window.
+        """
         stat = rule.stat
         window: Dict[str, object] = {"window_s": rule.window_s, "stat": stat}
-        value: Optional[float]
-        if stat == "rate":
-            value = timeline.rate(rule.metric, rule.window_s,
-                                  labels=rule.labels, now=now)
-        elif stat == "delta":
-            value = timeline.counter_delta(rule.metric, rule.window_s,
-                                           labels=rule.labels, now=now)
-        elif stat == "change":
-            value = timeline.gauge_change(rule.metric, rule.window_s,
-                                          labels=rule.labels, now=now)
-        elif stat == "value":
-            value = timeline.latest_value(rule.metric, labels=rule.labels)
-        else:  # histogram stats: count/mean/p50/p99
-            stats = timeline.histogram_window(rule.metric, rule.window_s,
-                                              labels=rule.labels, now=now)
-            value = None if stats is None else stats.get(stat)
-            if stats is not None:
-                window["count"] = stats["count"]
+        value: Optional[float] = None
+        if stat == "value":
+            for kind, point in monitor.latest(rule.metric, rule.labels):
+                if kind != "histogram":
+                    value = (value or 0.0) + float(point[1])
+            window["value"] = value
+            return value, window
+        windows = monitor.windows(rule.metric, rule.labels, rule.window_s, now)
+        if stat in HISTOGRAM_STATS:
+            windows = [w for w in windows if w[0] == "histogram"]
+        if stat in ("delta", "rate", "change"):
+            value = _delta(windows, clamp=stat != "change")
+            if value is not None and stat != "delta":
+                span = max(0.0, *(last[0] - first[0]
+                                  for _, first, last in windows))
+                value = value / span if span > 0 else 0.0
+        elif windows:
+            count = window["count"] = _delta(windows)
+            if stat == "count":
+                value = count
+            elif stat == "mean":
+                value = _delta(windows, index=2) / count if count else 0.0
+            else:
+                index = 3 if stat == "p50" else 4
+                latest = [last[index] for _, _, last in windows
+                          if last[index] is not None]
+                value = max(latest) if latest else None
         window["value"] = value
         return value, window
 
-    def _measure_burn(self, rule: AlertRule, timeline: Timeline,
+    def _measure_burn(self, rule: AlertRule, monitor: "HealthMonitor",
                       now: float) -> Tuple[Optional[float], Dict[str, object]]:
         budget = 1.0 - rule.objective
         window: Dict[str, object] = {
@@ -386,13 +432,10 @@ class AlertEngine:
         burns: List[float] = []
         for label, seconds in (("short", rule.window_s),
                                ("long", rule.long_window_s)):
-            errors = timeline.counter_delta(
-                rule.metric, seconds, labels=rule.labels, now=now
-            )
-            total = timeline.counter_delta(
-                rule.denominator, seconds,
-                labels=rule.denominator_labels, now=now
-            )
+            errors = _delta(monitor.windows(
+                rule.metric, rule.labels, seconds, now))
+            total = _delta(monitor.windows(
+                rule.denominator, rule.denominator_labels, seconds, now))
             if errors is None or total is None or total <= 0:
                 window[f"{label}_burn"] = None
                 return None, window
@@ -405,18 +448,15 @@ class AlertEngine:
         # both windows must breach; report the limiting (smaller) burn
         return min(burns), window
 
-    def _measure_quarantine(self, rule: AlertRule, timeline: Timeline,
+    def _measure_quarantine(self, rule: AlertRule, monitor: "HealthMonitor",
                             now: float) -> Tuple[Optional[float], Dict[str, object]]:
         window: Dict[str, object] = {
             "window_s": rule.window_s, "budget": rule.budget,
         }
-        quarantined = timeline.counter_delta(
-            rule.metric, rule.window_s, labels=rule.labels, now=now
-        )
-        processed = timeline.counter_delta(
-            rule.denominator, rule.window_s,
-            labels=rule.denominator_labels, now=now
-        )
+        quarantined = _delta(monitor.windows(
+            rule.metric, rule.labels, rule.window_s, now))
+        processed = _delta(monitor.windows(
+            rule.denominator, rule.denominator_labels, rule.window_s, now))
         if quarantined is None or processed is None:
             return None, window
         denom = quarantined + processed
@@ -436,15 +476,14 @@ class AlertEngine:
         return value > rule.threshold
 
     def _series_label(self, rule: AlertRule) -> str:
-        from repro.obs.timeline import series_id
-
         if not rule.metric:
             return rule.kind
         return series_id(rule.metric, tuple(sorted(rule.labels.items())))
 
     # -- lifecycle -------------------------------------------------------------
 
-    def evaluate(self, timeline: Timeline, now: float) -> List[Transition]:
+    def evaluate(self, monitor: "HealthMonitor",
+                 now: float) -> List[Transition]:
         """One evaluation pass; returns ``("fired"|"resolved", incident)``.
 
         A rule whose condition holds enters *pending*; once it has held
@@ -456,7 +495,7 @@ class AlertEngine:
         self.evaluations += 1
         transitions: List[Transition] = []
         for rule in self.rules:
-            value, window = self._measure(rule, timeline, now)
+            value, window = self._measure(rule, monitor, now)
             breaching = self._breaches(rule, value)
             open_incident = self.firing.get(rule.name)
             if breaching:

@@ -1,23 +1,25 @@
-"""HealthMonitor: one object that samples, evaluates, and remembers.
+"""HealthMonitor: one object that samples, remembers, and evaluates.
 
-It samples a metrics registry into a :class:`~repro.obs.timeline.Timeline`
-and evaluates the alert rules against it, in every execution mode:
+Registries and ``/statusz`` are point-in-time snapshots; the monitor
+adds history.  Each tick samples a metrics registry into bounded
+per-series rings and evaluates the alert rules (:mod:`repro.obs.alerts`)
+against them, in every execution mode:
 
-* the serve daemon owns a monitor and runs :meth:`HealthMonitor.run`
-  on a background thread (sampling under ``metrics_lock``);
+* the serve daemon runs :meth:`HealthMonitor.start`'s background thread
+  (sampling under ``metrics_lock``);
 * long CLI runs (``train`` / ``check --workers``) install the monitor
-  process-globally via :func:`set_monitor` and the engine fold loops
-  call the module-level :func:`maybe_tick` — a cheap no-op unless a
-  monitor is installed *and* its interval elapsed (the same pattern
-  :func:`~repro.obs.flight.get_flight` uses for span and log hooks);
-* listeners registered with :meth:`on_transition` receive
-  ``(event, incident)`` after each evaluation — the serve daemon uses
-  one to append ``serve.alert`` ledger entries, the CLI to log.
+  with :func:`set_monitor` and the engine fold loops call
+  :func:`maybe_tick` — a cheap no-op unless a monitor is installed
+  *and* its interval elapsed;
+* :meth:`~HealthMonitor.on_transition` listeners receive
+  ``(event, incident)`` after each evaluation (serve: ``serve.alert``
+  ledger entries; the CLI: logs).
 
-The monitor also publishes its own health as metrics
-(``alerts.firing`` / ``alerts.rules`` gauges, ``timeline.samples``
-counter view via the timeline itself) so a scrape shows whether
-monitoring is alive.
+Memory is bounded regardless of run length: :data:`CAPACITY` points per
+series, :data:`MAX_SERIES` series.  Counter and gauge points are
+``(t, value)``, histogram points ``(t, count, sum, p50, p99)``.  The
+monitor publishes its own ``alerts.firing`` / ``alerts.rules`` gauges
+so a scrape shows whether monitoring is alive.
 """
 
 from __future__ import annotations
@@ -25,15 +27,23 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from typing import Callable, List, Optional, Sequence
+from collections import deque
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.alerts import AlertEngine, AlertRule, Incident, Transition
-from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.timeline import Timeline
+from repro.obs.alerts import AlertEngine, AlertRule, Incident, Transition, series_id
+from repro.obs.metrics import LabelSet, MetricsRegistry, get_registry
 
 log = logging.getLogger("repro.obs.health")
 
 TransitionListener = Callable[[str, Incident], None]
+
+#: Points kept per series: at the serve daemon's 5 s sampling interval
+#: this is 30 minutes of history in ~10 KB per series.
+CAPACITY = 360
+
+#: Distinct series kept; samples of series beyond it are counted in
+#: ``HealthMonitor.dropped_series`` instead of allocated.
+MAX_SERIES = 512
 
 
 class HealthMonitor:
@@ -52,7 +62,6 @@ class HealthMonitor:
         self,
         rules: Sequence[AlertRule] = (),
         interval_s: float = 5.0,
-        capacity: int = 360,
         registry: Optional[MetricsRegistry] = None,
         lock: Optional[threading.Lock] = None,
         refresh: Optional[Callable[[MetricsRegistry], None]] = None,
@@ -61,13 +70,18 @@ class HealthMonitor:
         if interval_s <= 0:
             raise ValueError("sample interval must be > 0")
         self.lock = lock if lock is not None else threading.Lock()
-        self.timeline = Timeline(capacity=capacity)
         self.registry = registry
         self.refresh = refresh
         self.engine = AlertEngine(rules)
         self.clock = clock
         self.interval_s = interval_s
         self.last_sample_at: Optional[float] = None
+        #: ``(name, labelset)`` → ``(series id, kind, labels, ring)``;
+        #: registry labelsets are already sorted tuples, so sampling
+        #: does no identity work.
+        self.series: Dict[Tuple[str, LabelSet], tuple] = {}
+        self.samples = 0
+        self.dropped_series = 0
         self._listeners: List[TransitionListener] = []
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -88,6 +102,65 @@ class HealthMonitor:
                         "alert listener failed for %s/%s", event, incident.rule
                     )
 
+    # -- history ---------------------------------------------------------------
+
+    def _sample(self, registry: MetricsRegistry, t: float) -> None:
+        """Append one point per live registry series (under ``lock``, so
+        a sample is a consistent cut of the folded registries)."""
+        for name in registry.names():
+            kind = registry.kind_of(name)
+            for labelset, metric in registry.series(name).items():
+                series = self.series.get((name, labelset))
+                if series is None:
+                    if len(self.series) >= MAX_SERIES:
+                        self.dropped_series += 1
+                        continue
+                    series = self.series[(name, labelset)] = (
+                        series_id(name, labelset), kind, dict(labelset),
+                        deque(maxlen=CAPACITY),
+                    )
+                ring = series[3]
+                if kind != "histogram":
+                    ring.append((t, metric.value))
+                    continue
+                p50 = p99 = None  # empty: NaN upstream, null on the wire
+                if metric.count:
+                    p50, p99 = metric.quantile(0.5), metric.quantile(0.99)
+                ring.append((t, metric.count, metric.sum, p50, p99))
+        self.samples += 1
+
+    def _matching(self, name: str,
+                  labels: Mapping[str, str]) -> List[tuple]:
+        """Series of *name* whose labels ⊇ *labels*, in series-id order."""
+        return sorted(
+            (series for (series_name, _), series in self.series.items()
+             if series_name == name
+             and all(series[2].get(k) == v for k, v in labels.items())),
+            key=lambda series: series[0],
+        )
+
+    def latest(self, name: str,
+               labels: Mapping[str, str]) -> List[Tuple[str, tuple]]:
+        """``(kind, last point)`` of every matching series."""
+        return [(kind, ring[-1])
+                for _, kind, _, ring in self._matching(name, labels) if ring]
+
+    def windows(self, name: str, labels: Mapping[str, str], seconds: float,
+                now: float) -> List[Tuple[str, tuple, tuple]]:
+        """``(kind, first, last)`` points inside ``[now - seconds, now]``
+        for every matching series with two or more points there.
+
+        A series with fewer is left out: "no data" is distinct from
+        "no change" for alerting.
+        """
+        start = now - seconds
+        out = []
+        for _, kind, _, ring in self._matching(name, labels):
+            inside = [p for p in ring if start <= p[0] <= now]
+            if len(inside) >= 2:
+                out.append((kind, inside[0], inside[-1]))
+        return out
+
     # -- ticking ---------------------------------------------------------------
 
     def tick(self, now: Optional[float] = None) -> List[Transition]:
@@ -98,8 +171,8 @@ class HealthMonitor:
             if self.refresh is not None:
                 self.refresh(registry)
             self.last_sample_at = now
-            self.timeline.sample_registry(registry, t=now)
-            transitions = self.engine.evaluate(self.timeline, now)
+            self._sample(registry, now)
+            transitions = self.engine.evaluate(self, now)
             registry.gauge("alerts.rules").set(len(self.engine.rules))
             registry.gauge("alerts.firing").set(len(self.engine.firing))
         self._notify(transitions)
@@ -126,11 +199,11 @@ class HealthMonitor:
             data = self.engine.snapshot()
             data["interval_s"] = self.interval_s
             data["timeline"] = {
-                "samples": self.timeline.samples,
-                "series": len(self.timeline.series),
-                "capacity": self.timeline.capacity,
-                "max_series": self.timeline.max_series,
-                "dropped_series": self.timeline.dropped_series,
+                "samples": self.samples,
+                "series": len(self.series),
+                "capacity": CAPACITY,
+                "max_series": MAX_SERIES,
+                "dropped_series": self.dropped_series,
             }
             return data
 
@@ -188,4 +261,3 @@ def maybe_tick() -> bool:
     if monitor is None:
         return False
     return monitor.maybe_tick()
-

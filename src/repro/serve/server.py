@@ -216,17 +216,7 @@ class DetectionServer(ThreadingHTTPServer):
             self, poll_interval_s=config.reload_poll_s
         )
         super().__init__((config.host, config.port), ServeHandler)
-        self._record_ledger(
-            LedgerEntry(
-                command="serve.start",
-                config_fingerprint=self.config_fingerprint,
-                dataset_fingerprint=str(self.pool.info["dataset_fingerprint"]),
-                ruleset_digest=str(self.pool.info["ruleset_digest"]),
-                rule_count=int(self.pool.info["rule_count"]),
-                training_size=int(self.pool.info["training_size"]),
-                workers=config.max_inflight,
-            )
-        )
+        self._record_ledger(self._ledger_entry("serve.start"))
         log.info("serve.started", host=config.host, port=self.server_port,
                  snapshot=str(snapshot_path),
                  ruleset=str(self.pool.info["ruleset_digest"])[:12],
@@ -290,21 +280,11 @@ class DetectionServer(ThreadingHTTPServer):
         logger("serve.alert", transition=event, rule=incident.rule,
                severity=incident.severity, series=incident.series,
                value=incident.value, threshold=incident.threshold)
-        self._record_ledger(
-            LedgerEntry(
-                command="serve.alert",
-                config_fingerprint=self.config_fingerprint,
-                dataset_fingerprint=str(
-                    self.pool.info.get("dataset_fingerprint", "")
-                ),
-                ruleset_digest=str(self.pool.info.get("ruleset_digest", "")),
-                rule_count=int(self.pool.info.get("rule_count", 0)),
-                training_size=int(self.pool.info.get("training_size", 0)),
-                workers=self.config.max_inflight,
-                request={"event": event, "rule": incident.rule},
-                incidents=[incident.to_dict()],
-            )
-        )
+        self._record_ledger(self._ledger_entry(
+            "serve.alert",
+            request={"event": event, "rule": incident.rule},
+            incidents=[incident.to_dict()],
+        ))
 
     def start_watcher(self) -> None:
         """Start the reload watcher + health monitor threads (idempotent)."""
@@ -513,24 +493,33 @@ class DetectionServer(ThreadingHTTPServer):
         self.snapshot_loaded_at = time.time()
         with self.metrics_lock:
             self.registry.counter("serve.reload.total", outcome="ok").inc()
-        self._record_ledger(
-            LedgerEntry(
-                command="serve.reload",
-                config_fingerprint=self.config_fingerprint,
-                dataset_fingerprint=str(info["dataset_fingerprint"]),
-                ruleset_digest=str(info["ruleset_digest"]),
-                rule_count=int(info["rule_count"]),
-                training_size=int(info["training_size"]),
-                workers=self.config.max_inflight,
-                request={"trigger": trigger},
-            )
-        )
+        self._record_ledger(self._ledger_entry(
+            "serve.reload", info=info, request={"trigger": trigger},
+        ))
         log.info("serve.reloaded", trigger=trigger,
                  ruleset=str(info["ruleset_digest"])[:12],
                  generation=self.pool.generation)
         return True
 
     # -- ledger ----------------------------------------------------------------
+
+    def _ledger_entry(self, command: str,
+                      info: Optional[Dict[str, object]] = None,
+                      **fields: object) -> LedgerEntry:
+        """A ledger entry stamped with the daemon's config fingerprint and
+        the identity of the serving model (or of *info*, a just-swapped
+        one); *fields* default ``workers`` to ``max_inflight``."""
+        info = self.pool.info if info is None else info
+        fields.setdefault("workers", self.config.max_inflight)
+        return LedgerEntry(
+            command=command,
+            config_fingerprint=self.config_fingerprint,
+            dataset_fingerprint=str(info.get("dataset_fingerprint", "")),
+            ruleset_digest=str(info.get("ruleset_digest", "")),
+            rule_count=int(info.get("rule_count", 0)),
+            training_size=int(info.get("training_size", 0)),
+            **fields,
+        )
 
     def _record_ledger(self, entry: LedgerEntry) -> Optional[LedgerEntry]:
         if self.ledger is None:
@@ -564,23 +553,14 @@ class DetectionServer(ThreadingHTTPServer):
             # The originating trace id, so a ledger entry joins the
             # request's /tracez exemplar and flight-recorder records.
             request["trace_id"] = trace_id
-        self._record_ledger(
-            LedgerEntry(
-                command=command,
-                config_fingerprint=self.config_fingerprint,
-                dataset_fingerprint=str(
-                    self.pool.info.get("dataset_fingerprint", "")
-                ),
-                ruleset_digest=str(self.pool.info.get("ruleset_digest", "")),
-                rule_count=int(self.pool.info.get("rule_count", 0)),
-                training_size=int(self.pool.info.get("training_size", 0)),
-                targets_checked=targets_checked,
-                warning_counts=dict(warning_counts),
-                timing={"request_seconds": round(seconds, 6)},
-                workers=1,
-                request=request,
-            )
-        )
+        self._record_ledger(self._ledger_entry(
+            command,
+            targets_checked=targets_checked,
+            warning_counts=dict(warning_counts),
+            timing={"request_seconds": round(seconds, 6)},
+            workers=1,
+            request=request,
+        ))
 
 
 def new_request_id() -> str:

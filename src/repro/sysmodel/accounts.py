@@ -92,9 +92,6 @@ class AccountDatabase:
     def remove_user(self, name: str) -> None:
         self._users.pop(name, None)
 
-    def remove_group(self, name: str) -> None:
-        self._groups.pop(name, None)
-
     def user(self, name: str) -> Optional[User]:
         return self._users.get(name)
 

@@ -39,7 +39,6 @@ from repro.obs.health import (
 )
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshotError, use_registry
-from repro.obs.timeline import Timeline
 from repro.serve.server import DetectionServer, ServeConfig
 from repro.sysmodel.snapshot import image_to_dict
 from tests.test_serve import get, post
@@ -176,102 +175,102 @@ def gauge_rule(**overrides):
     return rule
 
 
+class Feed:
+    """A registry driven through a :class:`HealthMonitor`: set the
+    metrics, then tick at an explicit time."""
+
+    def __init__(self, *rules):
+        self.registry = MetricsRegistry()
+        self.monitor = HealthMonitor(rules, registry=self.registry)
+        self.engine = self.monitor.engine
+
+    def gauge(self, t, value, name="g"):
+        self.registry.gauge(name).set(value)
+        return self.monitor.tick(now=t)
+
+    def counters(self, t, values):
+        """Raise each named counter to its cumulative value, then tick."""
+        for name, value in values.items():
+            counter = self.registry.counter(name)
+            counter.inc(value - counter.value)
+        return self.monitor.tick(now=t)
+
+
 class TestAlertEngineLifecycle:
     def test_fire_then_resolve(self):
-        engine = AlertEngine([gauge_rule()])
-        timeline = Timeline()
-        timeline.record_gauge("g", {}, 5.0, t=10.0)
-        transitions = engine.evaluate(timeline, now=10.0)
+        feed = Feed(gauge_rule())
+        transitions = feed.gauge(10.0, 5.0)
         assert [event for event, _ in transitions] == ["fired"]
         incident = transitions[0][1]
         assert incident.state == "firing"
         assert incident.value == 5.0 and incident.threshold == 3.0
         assert incident.series == "g"
-        assert engine.firing_incidents() == [incident]
+        assert feed.engine.firing_incidents() == [incident]
 
-        timeline.record_gauge("g", {}, 1.0, t=20.0)
-        transitions = engine.evaluate(timeline, now=20.0)
+        transitions = feed.gauge(20.0, 1.0)
         assert [event for event, _ in transitions] == ["resolved"]
         resolved = transitions[0][1]
         assert resolved.state == "resolved"
         assert resolved.resolved_at == 20.0
         assert "resolution" in resolved.window
-        assert engine.firing == {}
-        assert engine.resolved == [resolved]
+        assert feed.engine.firing == {}
+        assert feed.engine.resolved == [resolved]
 
     def test_for_s_debounces(self):
-        engine = AlertEngine([gauge_rule(for_s=10.0)])
-        timeline = Timeline()
-        timeline.record_gauge("g", {}, 5.0, t=0.0)
-        assert engine.evaluate(timeline, now=0.0) == []   # pending
-        assert engine.evaluate(timeline, now=5.0) == []   # still pending
-        transitions = engine.evaluate(timeline, now=10.0)
+        feed = Feed(gauge_rule(for_s=10.0))
+        assert feed.gauge(0.0, 5.0) == []                 # pending
+        assert feed.monitor.tick(now=5.0) == []           # still pending
+        transitions = feed.monitor.tick(now=10.0)
         assert [event for event, _ in transitions] == ["fired"]
         assert transitions[0][1].started_at == 0.0
         assert transitions[0][1].fired_at == 10.0
 
     def test_for_s_resets_when_condition_drops(self):
-        engine = AlertEngine([gauge_rule(for_s=10.0)])
-        timeline = Timeline()
-        timeline.record_gauge("g", {}, 5.0, t=0.0)
-        engine.evaluate(timeline, now=0.0)
-        timeline.record_gauge("g", {}, 1.0, t=5.0)   # dips below
-        engine.evaluate(timeline, now=5.0)
-        timeline.record_gauge("g", {}, 5.0, t=8.0)   # breaches again
-        engine.evaluate(timeline, now=8.0)
+        feed = Feed(gauge_rule(for_s=10.0))
+        feed.gauge(0.0, 5.0)
+        feed.gauge(5.0, 1.0)    # dips below
+        feed.gauge(8.0, 5.0)    # breaches again
         # 10s after the FIRST breach, but only 4s after the second:
-        assert engine.evaluate(timeline, now=12.0) == []
-        transitions = engine.evaluate(timeline, now=18.0)
+        assert feed.monitor.tick(now=12.0) == []
+        transitions = feed.monitor.tick(now=18.0)
         assert [event for event, _ in transitions] == ["fired"]
 
     def test_no_data_is_not_breaching(self):
-        engine = AlertEngine([gauge_rule(metric="absent")])
-        assert engine.evaluate(Timeline(), now=1.0) == []
-        assert engine.firing == {}
+        feed = Feed(gauge_rule(metric="absent"))
+        assert feed.monitor.tick(now=1.0) == []
+        assert feed.engine.firing == {}
 
     def test_open_incident_refreshes_value(self):
-        engine = AlertEngine([gauge_rule()])
-        timeline = Timeline()
-        timeline.record_gauge("g", {}, 5.0, t=0.0)
-        engine.evaluate(timeline, now=0.0)
-        timeline.record_gauge("g", {}, 9.0, t=10.0)
-        assert engine.evaluate(timeline, now=10.0) == []  # still the same incident
-        assert engine.firing["g-high"].value == 9.0
+        feed = Feed(gauge_rule())
+        feed.gauge(0.0, 5.0)
+        assert feed.gauge(10.0, 9.0) == []  # still the same incident
+        assert feed.engine.firing["g-high"].value == 9.0
 
     def test_less_than_op(self):
-        rule = gauge_rule(name="g-low", op="<", threshold=2.0)
-        engine = AlertEngine([rule])
-        timeline = Timeline()
-        timeline.record_gauge("g", {}, 1.0, t=0.0)
-        transitions = engine.evaluate(timeline, now=0.0)
+        feed = Feed(gauge_rule(name="g-low", op="<", threshold=2.0))
+        transitions = feed.gauge(0.0, 1.0)
         assert [event for event, _ in transitions] == ["fired"]
 
     def test_resolved_history_is_bounded(self):
-        engine = AlertEngine([gauge_rule()])
-        timeline = Timeline(capacity=2)
+        feed = Feed(gauge_rule())
         for i in range(AlertEngine.RESOLVED_HISTORY + 10):
             t = float(i * 2)
-            timeline.record_gauge("g", {}, 5.0, t=t)
-            engine.evaluate(timeline, now=t)
-            timeline.record_gauge("g", {}, 1.0, t=t + 1)
-            engine.evaluate(timeline, now=t + 1)
-        assert len(engine.resolved) == AlertEngine.RESOLVED_HISTORY
+            feed.gauge(t, 5.0)
+            feed.gauge(t + 1, 1.0)
+        assert len(feed.engine.resolved) == AlertEngine.RESOLVED_HISTORY
 
     def test_snapshot_shape(self):
-        engine = AlertEngine([gauge_rule()])
-        timeline = Timeline()
-        timeline.record_gauge("g", {}, 5.0, t=0.0)
-        engine.evaluate(timeline, now=0.0)
-        snapshot = engine.snapshot()
+        feed = Feed(gauge_rule())
+        feed.gauge(0.0, 5.0)
+        snapshot = feed.engine.snapshot()
         assert snapshot["evaluations"] == 1
         assert snapshot["rules"][0]["name"] == "g-high"
         assert snapshot["firing"][0]["rule"] == "g-high"
         json.dumps(snapshot)  # must be JSON-clean
 
 
-def _counter_points(timeline, name, labels, points):
-    for t, value in points:
-        timeline.record_counter(name, labels, value, t=t)
+BURN = dict(name="burn", kind="burn_rate", metric="errs", denominator="total",
+            objective=0.9, threshold=2.0, window_s=60.0, long_window_s=300.0)
 
 
 class TestRuleKinds:
@@ -279,10 +278,9 @@ class TestRuleKinds:
         rule = AlertRule(name="err", kind="threshold", metric="errs",
                          stat="delta", threshold=5.0, window_s=60.0)
         rule.validate()
-        engine = AlertEngine([rule])
-        timeline = Timeline()
-        _counter_points(timeline, "errs", {}, [(0.0, 0.0), (30.0, 10.0)])
-        transitions = engine.evaluate(timeline, now=30.0)
+        feed = Feed(rule)
+        feed.counters(0.0, {"errs": 0})
+        transitions = feed.counters(30.0, {"errs": 10})
         assert [event for event, _ in transitions] == ["fired"]
         assert transitions[0][1].value == 10.0
 
@@ -291,66 +289,52 @@ class TestRuleKinds:
                          metric="rss", stat="change", threshold=5.0,
                          window_s=60.0)
         rule.validate()
-        engine = AlertEngine([rule])
-        timeline = Timeline()
-        timeline.record_gauge("rss", {}, 100.0, t=0.0)
-        timeline.record_gauge("rss", {}, 200.0, t=10.0)  # +10/s
-        transitions = engine.evaluate(timeline, now=10.0)
+        feed = Feed(rule)
+        feed.gauge(0.0, 100.0, name="rss")
+        transitions = feed.gauge(10.0, 200.0, name="rss")  # +10/s
         assert [event for event, _ in transitions] == ["fired"]
         assert transitions[0][1].value == pytest.approx(10.0)
 
     def test_burn_rate_fires_when_both_windows_breach(self):
-        rule = AlertRule(name="burn", kind="burn_rate",
-                         metric="errs", denominator="total",
-                         objective=0.9, threshold=2.0,
-                         window_s=60.0, long_window_s=300.0)
+        rule = AlertRule(**BURN)
         rule.validate()
-        engine = AlertEngine([rule])
-        timeline = Timeline()
+        feed = Feed(rule)
         # 30% errors throughout: burn = 0.3 / 0.1 = 3 in both windows.
-        _counter_points(timeline, "errs", {},
-                        [(0.0, 0.0), (240.0, 72.0), (300.0, 90.0)])
-        _counter_points(timeline, "total", {},
-                        [(0.0, 0.0), (240.0, 240.0), (300.0, 300.0)])
-        transitions = engine.evaluate(timeline, now=300.0)
+        feed.counters(0.0, {"errs": 0, "total": 0})
+        feed.counters(240.0, {"errs": 72, "total": 240})
+        transitions = feed.counters(300.0, {"errs": 90, "total": 300})
         assert [event for event, _ in transitions] == ["fired"]
         incident = transitions[0][1]
         assert incident.value == pytest.approx(3.0)
         assert incident.window["short_burn"] == pytest.approx(3.0)
         assert incident.window["long_burn"] == pytest.approx(3.0)
+        assert incident.window["long_errors"] == 90.0
+        assert incident.window["short_total"] == 60.0
 
     def test_burn_rate_short_only_burst_does_not_fire(self):
-        rule = AlertRule(name="burn", kind="burn_rate",
-                         metric="errs", denominator="total",
-                         objective=0.9, threshold=2.0,
-                         window_s=60.0, long_window_s=300.0)
+        rule = AlertRule(**BURN)
         rule.validate()
-        engine = AlertEngine([rule])
-        timeline = Timeline()
+        feed = Feed(rule)
         # Errors only in the last minute: short burn 3, long burn 0.6.
-        _counter_points(timeline, "errs", {},
-                        [(0.0, 0.0), (240.0, 0.0), (300.0, 30.0)])
-        _counter_points(timeline, "total", {},
-                        [(0.0, 0.0), (240.0, 400.0), (300.0, 500.0)])
-        assert engine.evaluate(timeline, now=300.0) == []
+        feed.counters(0.0, {"errs": 0, "total": 0})
+        feed.counters(240.0, {"errs": 0, "total": 400})
+        assert feed.counters(300.0, {"errs": 30, "total": 500}) == []
 
     def test_burn_rate_no_traffic_is_no_data(self):
-        rule = AlertRule(name="burn", kind="burn_rate",
-                         metric="errs", denominator="total",
-                         objective=0.9, threshold=2.0,
-                         window_s=60.0, long_window_s=300.0)
+        rule = AlertRule(**BURN)
         rule.validate()
-        engine = AlertEngine([rule])
-        assert engine.evaluate(Timeline(), now=300.0) == []
+        feed = Feed(rule)
+        feed.counters(0.0, {"errs": 0, "total": 0})
+        assert feed.counters(300.0, {"errs": 0, "total": 0}) == []
+        assert feed.monitor.tick(now=600.0) == []
+        assert feed.engine.firing == {}
 
     def test_drift_psi_defaults(self):
         rules = parse_rules(
             '[[rule]]\nname = "drift"\nkind = "drift_psi"\nthreshold = 0.25\n'
         )
-        engine = AlertEngine(rules)
-        timeline = Timeline()
-        timeline.record_gauge("drift.psi.max", {}, 0.4, t=1.0)
-        transitions = engine.evaluate(timeline, now=1.0)
+        feed = Feed(*rules)
+        transitions = feed.gauge(1.0, 0.4, name="drift.psi.max")
         assert [event for event, _ in transitions] == ["fired"]
 
     def test_quarantine_budget_ratio(self):
@@ -358,17 +342,33 @@ class TestRuleKinds:
             '[[rule]]\nname = "q"\nkind = "quarantine_budget"\n'
             "budget = 0.05\nwindow_s = 600\n"
         )
-        engine = AlertEngine(rules)
-        timeline = Timeline()
-        _counter_points(timeline, "quarantine.images.total", {},
-                        [(0.0, 0.0), (300.0, 5.0)])
-        _counter_points(timeline, "assemble.systems.total", {},
-                        [(0.0, 0.0), (300.0, 45.0)])
-        transitions = engine.evaluate(timeline, now=300.0)
+        feed = Feed(*rules)
+        feed.counters(0.0, {"quarantine.images.total": 0,
+                            "assemble.systems.total": 0})
+        transitions = feed.counters(300.0, {"quarantine.images.total": 5,
+                                            "assemble.systems.total": 45})
         assert [event for event, _ in transitions] == ["fired"]
         incident = transitions[0][1]
         assert incident.value == pytest.approx(0.1)   # 5 / (5 + 45)
         assert incident.threshold == 0.05
+
+    def test_histogram_stat_of_a_counter_is_no_data(self):
+        """A badly typed stat neither raises nor silences later rules."""
+        rules = parse_rules(
+            '[[rule]]\nname = "p99-of-counter"\nkind = "threshold"\n'
+            'metric = "errs"\nstat = "p99"\nop = "<"\nthreshold = 1e9\n'
+            '[[rule]]\nname = "mean-of-gauge"\nkind = "threshold"\n'
+            'metric = "g"\nstat = "mean"\nop = "<"\nthreshold = 1e9\n'
+            '[[rule]]\nname = "g-high"\nkind = "threshold"\n'
+            'metric = "g"\nstat = "value"\nthreshold = 3.0\n'
+        )
+        feed = Feed(*rules)
+        feed.registry.gauge("g").set(5.0)
+        for t in (0.0, 10.0, 20.0):
+            feed.counters(t, {"errs": t})
+        # Both badly typed rules would fire on any data (value < 1e9).
+        assert sorted(feed.engine.firing) == ["g-high"]
+        assert feed.engine.evaluations == 3
 
 
 class TestRenderIncidents:
@@ -420,7 +420,7 @@ class TestHealthMonitor:
         assert monitor.maybe_tick() is False
         clock.t = 106.0
         assert monitor.maybe_tick() is True
-        assert monitor.timeline.samples == 2
+        assert monitor.samples == 2
 
     def test_listener_gets_transitions_and_errors_are_contained(self):
         registry = MetricsRegistry()
@@ -450,11 +450,11 @@ class TestHealthMonitor:
         monitor.start(name="test-health")
         try:
             deadline = time.time() + 5.0
-            while monitor.timeline.samples < 2 and time.time() < deadline:
+            while monitor.samples < 2 and time.time() < deadline:
                 time.sleep(0.02)
         finally:
             monitor.stop()
-        assert monitor.timeline.samples >= 2
+        assert monitor.samples >= 2
 
     def test_global_install_and_module_maybe_tick(self):
         registry = MetricsRegistry()
@@ -760,6 +760,37 @@ class TestAlertsCli:
         incidents = [i for e in entries for i in e.incidents]
         assert [i["rule"] for i in incidents] == ["any-work"]
         assert incidents[0]["state"] == "firing"
+
+    def test_badly_typed_stat_does_not_abort_a_sharded_run(self, tmp_path,
+                                                           capsys):
+        """A histogram stat of a counter is no data, not a crash.
+
+        Two ticks (the first shard fold and the run-end tick) put two
+        points in the counter's window; the gauge rule after the badly
+        typed one must still be evaluated.
+        """
+        corpus = tmp_path / "corpus"
+        main(["generate", "--out", str(corpus), "--count", "8", "--seed", "3"])
+        rules = tmp_path / "alerts.toml"
+        rules.write_text(
+            '[[rule]]\nname = "p99-of-counter"\nkind = "threshold"\n'
+            'metric = "assemble.systems.total"\nstat = "p99"\n'
+            'threshold = 0.5\n'
+            '[[rule]]\nname = "rules-loaded"\nkind = "threshold"\n'
+            'metric = "alerts.rules"\nstat = "value"\nthreshold = 0.5\n'
+        )
+        ledger_path = tmp_path / "ledger.jsonl"
+        rc = main([
+            "train", "--training", str(corpus), "--workers", "2",
+            "--rules", str(tmp_path / "rules.json"),
+            "--ledger", str(ledger_path), "--alerts", str(rules),
+        ])
+        capsys.readouterr()
+        assert rc == 0
+        incidents = [i for e in Ledger(ledger_path).entries()
+                     for i in e.incidents]
+        assert [i["rule"] for i in incidents] == ["rules-loaded"]
+        assert incidents[0]["value"] == 2.0
 
     def test_invalid_alerts_file_fails_fast(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

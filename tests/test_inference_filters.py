@@ -79,18 +79,6 @@ class TestFilterPipeline:
         template = template_by_name("less_number")
         assert pipeline.decide(self.make_rule(ha=0.0), template) is FilterDecision.KEPT
 
-    def test_stats_accounting(self):
-        pipeline = RuleFilterPipeline(training_size=100)
-        template = template_by_name("less_number")
-        pipeline.decide(self.make_rule(), template)
-        pipeline.decide(self.make_rule(support=1, valid=1), template)
-        pipeline.decide(self.make_rule(ha=0.0), template)
-        assert pipeline.stats.candidates == 3
-        assert pipeline.stats.kept == 1
-        assert pipeline.stats.dropped_support == 1
-        assert pipeline.stats.dropped_entropy == 1
-        assert len(pipeline.stats.entropy_filtered_rules) == 1
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RuleFilterPipeline(training_size=0)

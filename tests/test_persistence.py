@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.core.persistence import (
-    load_model_snapshot,
+    load_snapshot,
     model_to_dict,
     save_model,
-    summary_from_dict,
+    snapshot_from_dict,
 )
 from repro.core.pipeline import EnCore
 
@@ -21,7 +21,8 @@ class TestSnapshotRoundtrip:
 
     def test_roundtrip_preserves_stats(self, trained_encore, tmp_path):
         path = save_model(trained_encore.model, tmp_path / "model.json")
-        summary, rules = load_model_snapshot(path)
+        snapshot = load_snapshot(path)
+        summary, rules = snapshot.summary, snapshot.rules
         dataset = trained_encore.model.dataset
         assert len(summary) == len(dataset)
         assert summary.attributes() == dataset.attributes()
@@ -36,12 +37,12 @@ class TestSnapshotRoundtrip:
 
     def test_entry_names_preserved(self, trained_encore, tmp_path):
         path = save_model(trained_encore.model, tmp_path / "model.json")
-        summary, _ = load_model_snapshot(path)
+        summary = load_snapshot(path).summary
         assert summary.entry_names() == trained_encore.model.dataset.entry_names()
 
     def test_augmented_marker_preserved(self, trained_encore, tmp_path):
         path = save_model(trained_encore.model, tmp_path / "model.json")
-        summary, _ = load_model_snapshot(path)
+        summary = load_snapshot(path).summary
         assert summary.is_augmented("mysql:mysqld/datadir.owner")
         assert not summary.is_augmented("mysql:mysqld/datadir")
         assert summary.is_augmented("env:OS.DistName")
@@ -50,12 +51,10 @@ class TestSnapshotRoundtrip:
         data = model_to_dict(trained_encore.model)
         data["version"] = 42
         with pytest.raises(ValueError):
-            summary_from_dict(data)
+            snapshot_from_dict(data)
 
     def test_provenance_round_trip(self, trained_encore, tmp_path):
         """candidate_pairs and telemetry survive save → load → summary()."""
-        from repro.core.persistence import load_snapshot
-
         model = trained_encore.model
         assert model.inference.candidate_pairs > 0
         path = save_model(model, tmp_path / "model.json")
@@ -71,8 +70,6 @@ class TestSnapshotRoundtrip:
 
     def test_v1_snapshots_still_load(self, trained_encore):
         """Pre-provenance snapshots load with empty provenance."""
-        from repro.core.persistence import snapshot_from_dict
-
         data = model_to_dict(trained_encore.model)
         data["version"] = 1
         del data["candidate_pairs"]
@@ -126,8 +123,6 @@ class TestSnapshotMigration:
         assert len(migrated.rules) == len(snapshot.rules)
 
     def test_v3_snapshot_carries_provenance(self, trained_encore, tmp_path):
-        from repro.core.persistence import load_snapshot
-
         path = save_model(trained_encore.model, tmp_path / "model.json")
         snapshot = load_snapshot(path)
         for rule in snapshot.rules:

@@ -32,20 +32,6 @@ rule_strategy = st.builds(
 )
 
 
-@given(rule_strategy, st.integers(min_value=1, max_value=200))
-def test_filter_decisions_partition(rule, training_size):
-    """Every candidate gets exactly one decision and stats always add up."""
-    pipeline = RuleFilterPipeline(training_size=training_size)
-    template = template_by_name("less_number")
-    decision = pipeline.decide(rule, template)
-    assert decision in FilterDecision
-    stats = pipeline.stats
-    assert stats.candidates == (
-        stats.kept + stats.dropped_support
-        + stats.dropped_confidence + stats.dropped_entropy
-    )
-
-
 @given(rule_strategy)
 def test_entropy_filter_only_shrinks(rule):
     """Disabling the entropy filter can only keep more rules."""
