@@ -9,7 +9,7 @@ attributes, and appends system-wide environment columns.  The output is an
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro.core.augment import Augmenter
 from repro.core.collector import RawCollection
@@ -21,15 +21,19 @@ from repro.core.resilience import (
     enforce_error_budget,
     record_from_exception,
 )
-from repro.core.types import ConfigType, TypeInferencer, TypeRegistry
+from repro.core.types import ConfigType, TypedValue, TypeInferencer, TypeRegistry
 from repro.obs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
-from repro.parsers.base import ConfigEntry
 from repro.parsers.registry import ParserRegistry, default_registry
+from repro.sysmodel.filesystem import DirectoryIndex
 from repro.sysmodel.image import SystemImage
 
 log = get_logger("core.assembler")
+
+#: One value's cells: its typed cell and its augmented ``(suffix, cell)``
+#: pairs, in the augmenter's order.
+_Cells = Tuple[TypedValue, Sequence[Tuple[str, TypedValue]]]
 
 
 class DataAssembler:
@@ -106,6 +110,12 @@ class DataAssembler:
         system = AssembledSystem(
             image, environment_available=self.augment_environment
         )
+        # Raw value → its typed cell and augmented (suffix, cell) pairs:
+        # an image repeats values across entries, and each distinct one is
+        # typed and augmented once.  The memo and the directory index live
+        # for this call only; nothing is kept on the image.
+        memo: Dict[str, _Cells] = {}
+        directories = DirectoryIndex(image.fs)
         parsed_entries = 0
         for config in image.config_files():
             self._stage, self._source = "parse", config.path
@@ -113,11 +123,22 @@ class DataAssembler:
             parsed_entries += len(entries)
             self._stage = "augment"
             for entry in entries:
-                self._add_entry(system, entry, image)
+                cells = memo.get(entry.value)
+                if cells is None:
+                    cells = memo[entry.value] = self._cells(
+                        entry.value, image, directories
+                    )
+                typed, augmented = cells
+                attribute = entry.qualified_name
+                system.set(attribute, typed)
+                for suffix, cell in augmented:
+                    system.set(f"{attribute}.{suffix}", cell, augmented=True)
         self._stage, self._source = "environment", ""
         if self.augment_environment:
             for name, attr in Augmenter.environment_attributes(image).items():
-                system.set(f"env:{name}", attr.value, attr.type, augmented=True)
+                system.set(
+                    f"env:{name}", TypedValue(attr.value, attr.type), augmented=True
+                )
         if key is not None:
             self.cache.store(key, system, parsed_entries)
         self._record_assembled(system, parsed_entries)
@@ -157,30 +178,30 @@ class DataAssembler:
         """Assemble from a collector dump instead of a live image."""
         return self.assemble(collection.restore_image())
 
-    def _add_entry(
-        self, system: AssembledSystem, entry: ConfigEntry, image: SystemImage
-    ) -> None:
+    def _cells(
+        self, value: str, image: SystemImage, directories: DirectoryIndex
+    ) -> _Cells:
+        """One value's typed cell and augmented ``(suffix, cell)`` pairs."""
         env = image if self.augment_environment else None
-        config_type = self.inferencer.infer(entry.value, env)
-        attribute = entry.qualified_name
-        system.set(attribute, entry.value, config_type)
+        config_type = self.inferencer.infer(value, env)
+        typed = TypedValue(value, config_type)
         if not self.augment_environment:
-            return
+            return typed, ()
         # A value that *looks* like a path but fails semantic verification
         # is demoted to String for typing purposes — yet "the path does
         # not exist" is itself environment information (Figure 1a).
         # Augment it as a FilePath so the ``.type = missing`` column
         # carries that fact to the detectors.
         augment_type = config_type
-        if config_type.is_trivial and self.inferencer.may_be_file_path(entry.value):
-            syntactic = self.inferencer.infer_syntactic_only(entry.value)
+        if config_type.is_trivial and self.inferencer.may_be_file_path(value):
+            syntactic = self.inferencer.infer_syntactic_only(value)
             if syntactic is ConfigType.FILE_PATH:
                 augment_type = syntactic
-        for augmented in self.augmenter.augment(entry.value, augment_type, image):
-            system.set(
-                f"{attribute}.{augmented.suffix}", augmented.value,
-                augmented.type, augmented=True,
-            )
+        augmented = self.augmenter.augment(value, augment_type, image, directories)
+        return typed, [
+            (suffix, TypedValue(cell_value, cell_type))
+            for suffix, cell_value, cell_type in augmented
+        ]
 
     # -- corpora ---------------------------------------------------------------
 

@@ -14,11 +14,10 @@ hardware spec — Table 5b) is appended under the ``env:`` namespace and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.types import ConfigType, parse_size_bytes
-from repro.sysmodel.filesystem import FileMeta
+from repro.sysmodel.filesystem import DirectoryIndex, FileMeta
 from repro.sysmodel.image import SystemImage
 
 #: RFC 1918 IPv4 private ranges plus loopback; RFC 4193 IPv6 ULA prefix.
@@ -54,8 +53,7 @@ def _contents_digest(children: Sequence[FileMeta]) -> str:
     return hashlib.sha1(names.encode()).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class AugmentedAttribute:
+class AugmentedAttribute(NamedTuple):
     """A value + type produced for one augmented column."""
 
     suffix: str
@@ -90,12 +88,18 @@ class Augmenter:
     # -- per-entry augmentation (Table 5a) -------------------------------------
 
     def augment(
-        self, value: str, config_type: ConfigType, image: SystemImage
+        self, value: str, config_type: ConfigType, image: SystemImage,
+        directories: Optional[DirectoryIndex] = None,
     ) -> List[AugmentedAttribute]:
-        """All augmented attributes for one (value, type) in *image*."""
+        """All augmented attributes for one (value, type) in *image*.
+
+        *directories* lists the image's directories for the ``.contents``,
+        ``.hasDir`` and ``.hasSymLink`` columns; without one, each listing
+        scans ``image.fs``.
+        """
         out: List[AugmentedAttribute] = []
         if config_type is ConfigType.FILE_PATH:
-            out.extend(self._augment_file_path(value, image))
+            out.extend(self._augment_file_path(value, image, directories))
         elif config_type is ConfigType.IP_ADDRESS:
             out.extend(self._augment_ip(value))
         elif config_type is ConfigType.USER_NAME:
@@ -109,7 +113,9 @@ class Augmenter:
         return out
 
     @staticmethod
-    def _augment_file_path(value: str, image: SystemImage) -> List[AugmentedAttribute]:
+    def _augment_file_path(
+        value: str, image: SystemImage, directories: Optional[DirectoryIndex]
+    ) -> List[AugmentedAttribute]:
         meta: Optional[FileMeta] = image.fs.get(value)
         if meta is None:
             # Missing paths still produce a .type column: 'missing' is a
@@ -122,8 +128,9 @@ class Augmenter:
             AugmentedAttribute("permission", meta.octal_mode, ConfigType.PERMISSION),
         ]
         if meta.is_dir:
-            # One directory scan feeds all three listing columns.
-            children = image.fs.children(value)
+            # One listing feeds all three columns.
+            listing = image.fs if directories is None else directories
+            children = listing.children(meta.path)
             out.append(
                 AugmentedAttribute(
                     "contents", _contents_digest(children), ConfigType.STRING

@@ -53,6 +53,8 @@ class AssembledSystem:
         self._augmented: set = set()
         #: ``attributes()`` result, sorted once and dropped by ``set``.
         self._sorted: Optional[List[str]] = None
+        #: User → ``groups_of`` of the image's accounts, filled on demand.
+        self._groups: Dict[str, List[str]] = {}
 
     @property
     def image_id(self) -> str:
@@ -65,11 +67,12 @@ class AssembledSystem:
         return len(self._values)
 
     def set(
-        self, attribute: str, value: str, config_type: ConfigType,
-        augmented: bool = False,
+        self, attribute: str, typed: TypedValue, augmented: bool = False
     ) -> None:
-        """Record one attribute value; repeats accumulate as occurrences."""
-        typed = TypedValue(value, config_type)
+        """Record one typed cell; repeats accumulate as occurrences.
+
+        Cells are immutable, so one :class:`TypedValue` may back any
+        number of cells, in this row or in others."""
         if attribute in self._values:
             self._multi.setdefault(attribute, [self._values[attribute]]).append(typed)
         else:
@@ -81,6 +84,14 @@ class AssembledSystem:
     def is_augmented(self, attribute: str) -> bool:
         """Was the attribute generated by environment augmentation?"""
         return attribute in self._augmented
+
+    def groups_of(self, user: str) -> List[str]:
+        """The image's ``accounts.groups_of(user)``, computed once per user
+        for this row.  The list is shared: read it and never mutate it."""
+        groups = self._groups.get(user)
+        if groups is None:
+            groups = self._groups[user] = self.image.accounts.groups_of(user)
+        return groups
 
     def get(self, attribute: str) -> Optional[TypedValue]:
         return self._values.get(attribute)
@@ -125,10 +136,9 @@ class AssembledSystem:
         """Total attribute occurrences, counting repeats — the paper's
         "the mining algorithms treat each occurrence of an entry as a
         different attribute" measure (Table 2 'Original'/'Augmented')."""
-        total = 0
-        for attr in self._values:
-            total += len(self._multi.get(attr, ())) or 1
-        return total
+        return len(self._values) + sum(
+            len(occurrences) - 1 for occurrences in self._multi.values()
+        )
 
 
 @dataclass(frozen=True)
@@ -212,10 +222,8 @@ class PartialDataset:
                 types = type_counts[attribute]
             values[typed.value] += 1
             types[typed.type] += 1
-            if system.is_repeated(attribute):
-                self.multi_valued.add(attribute)
-            if system.is_augmented(attribute):
-                self.augmented.add(attribute)
+        self.multi_valued.update(system._multi)
+        self.augmented.update(system._augmented)
 
     def merge(self, other: "PartialDataset") -> "PartialDataset":
         """Associative combine; returns a new partial, operands untouched."""

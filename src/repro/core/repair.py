@@ -14,8 +14,7 @@ remediation.  This module turns each warning kind into an actionable
   the training distribution's dominant value (with its observed
   frequency as the confidence).
 
-Suggestions are advisory and never mutate the target; ``apply_to`` can
-materialise a suggestion on an image copy for what-if checking.
+Suggestions are advisory and never mutate the target.
 """
 
 from __future__ import annotations

@@ -165,8 +165,7 @@ def _v_not_accessible(
     meta = system.image.fs.get(a.value)
     if meta is None:
         return None
-    groups = system.image.accounts.groups_of(b.value)
-    return not meta.readable_by(b.value, groups)
+    return not meta.readable_by(b.value, system.groups_of(b.value))
 
 
 def _v_owns(a: TypedValue, b: TypedValue, system: AssembledSystem) -> Optional[bool]:

@@ -46,7 +46,7 @@ from repro.core.detector import Explanation, Warning, WarningKind
 from repro.core.report import Report
 from repro.core.resilience import Quarantine
 from repro.core.rules import ConcreteRule
-from repro.core.types import ConfigType
+from repro.core.types import ConfigType, TypedValue
 from repro.engine import codec
 from repro.engine.codec import CodecError
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -139,8 +139,9 @@ def assembled_system_from_dict(
     for entry in data["attributes"]:
         for occurrence in entry["occurrences"]:
             system.set(
-                entry["name"], occurrence["value"],
-                ConfigType(occurrence["type"]), augmented=entry["augmented"],
+                entry["name"],
+                TypedValue(occurrence["value"], ConfigType(occurrence["type"])),
+                augmented=entry["augmented"],
             )
     return system
 

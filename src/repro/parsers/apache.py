@@ -47,7 +47,9 @@ class ApacheParser(ConfigParser):
                 name, arg = open_match.group(1), (open_match.group(2) or "").strip()
                 stack.append(name)
                 if arg:
-                    entries.append(self._entry(stack, f"{name}.arg", arg, lineno))
+                    entries.append(
+                        self._entry(stack, f"{name}.arg", arg, lineno, source_path)
+                    )
                 continue
             close_match = _SECTION_CLOSE.match(line)
             if close_match:
@@ -57,12 +59,14 @@ class ApacheParser(ConfigParser):
                     )
                 stack.pop()
                 continue
-            entries.extend(self._directive(stack, line, lineno))
+            entries.extend(self._directive(stack, line, lineno, source_path))
         if stack:
             raise ConfigParseError(f"unclosed section(s): {'/'.join(stack)}")
-        return dedupe_occurrences(entries, source_path)
+        return dedupe_occurrences(entries)
 
-    def _directive(self, stack: List[str], line: str, lineno: int) -> List[ConfigEntry]:
+    def _directive(
+        self, stack: List[str], line: str, lineno: int, source_path: str = ""
+    ) -> List[ConfigEntry]:
         if '"' in line or "'" in line or "\\" in line:
             try:
                 tokens = shlex.split(line, comments=False, posix=True)
@@ -74,16 +78,19 @@ class ApacheParser(ConfigParser):
             return []
         directive, args = tokens[0], tokens[1:]
         value = " ".join(args)
-        out = [self._entry(stack, directive, value, lineno)]
+        out = [self._entry(stack, directive, value, lineno, source_path)]
         if directive in MULTIARG_DIRECTIVES and len(args) > 1:
             for i, arg in enumerate(args, start=1):
-                out.append(self._entry(stack, f"{directive}/arg{i}", arg, lineno))
+                out.append(
+                    self._entry(stack, f"{directive}/arg{i}", arg, lineno, source_path)
+                )
         return out
 
-    def _entry(self, stack: List[str], name: str, value: str, lineno: int) -> ConfigEntry:
+    def _entry(
+        self, stack: List[str], name: str, value: str, lineno: int, source_path: str
+    ) -> ConfigEntry:
         section = "/".join(stack) if stack else None
         full_name = f"{section}/{name}" if section else name
         return ConfigEntry(
-            self.app, full_name, self.unquote(value),
-            line=lineno, section=section,
+            self.app, full_name, self.unquote(value), source_path, lineno, section
         )

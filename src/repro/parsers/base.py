@@ -25,7 +25,7 @@ class ConfigParseError(ValueError):
     """Raised when a configuration file cannot be parsed at all."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfigEntry:
     """One uniform key-value pair extracted from a configuration file.
 
@@ -70,9 +70,9 @@ def _comment_scan(markers: Tuple[str, ...]) -> re.Pattern[str]:
 class ConfigParser:
     """Base class for format-specific parsers (the Augeas 'lens' role).
 
-    Subclasses implement :meth:`parse_text`, finishing with
-    :func:`dedupe_occurrences`, which also stamps the provenance path
-    that :meth:`parse` hands down.
+    Subclasses implement :meth:`parse_text`: they build each entry with
+    the provenance path that :meth:`parse` hands down and finish with
+    :func:`dedupe_occurrences`.
     """
 
     #: Application name this parser handles (registry key).
@@ -116,7 +116,14 @@ class ConfigParser:
         runs of non-quote characters that do not start a marker and
         whole quoted strings (an unterminated one eats the rest of the
         line), so the match ends at the first live marker or at the end.
+        It can only stop early at a marker, so a line holding none skips
+        it.
         """
+        for marker in markers:
+            if marker in line:
+                break
+        else:
+            return line.rstrip()
         end = _comment_scan(tuple(markers)).match(line).end()
         return line[:end].rstrip()
 
@@ -129,16 +136,14 @@ class ConfigParser:
         return value
 
 
-def dedupe_occurrences(
-    entries: List[ConfigEntry], source_path: str = ""
-) -> List[ConfigEntry]:
+def dedupe_occurrences(entries: List[ConfigEntry]) -> List[ConfigEntry]:
     """Assign 0-based occurrence indices to repeated entry names.
 
     The paper (Table 2) notes that "the mining algorithms treat each
     occurrence of an entry as a different attribute"; keeping explicit
     occurrence numbers lets the assembler reproduce that behaviour.
-    A non-empty *source_path* is stamped in the same pass, so an entry
-    is rebuilt at most once and kept as is when already right.
+    Parsers build every entry as occurrence 0, so only the repeats are
+    rebuilt; an entry already right is kept as is.
     """
     seen: dict = {}
     out: List[ConfigEntry] = []
@@ -146,10 +151,9 @@ def dedupe_occurrences(
         key = (entry.app, entry.name)
         occurrence = seen.get(key, 0)
         seen[key] = occurrence + 1
-        path = source_path or entry.source_path
-        if occurrence != entry.occurrence or path != entry.source_path:
+        if occurrence != entry.occurrence:
             entry = ConfigEntry(
-                entry.app, entry.name, entry.value, path,
+                entry.app, entry.name, entry.value, entry.source_path,
                 entry.line, entry.section, occurrence,
             )
         out.append(entry)

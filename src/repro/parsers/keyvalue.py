@@ -37,7 +37,7 @@ class KeyValueParser(ConfigParser):
             key = key.strip()
             if not key:
                 continue
-            entries.append(
-                ConfigEntry(self.app, key, self.unquote(value.strip()), line=lineno)
-            )
-        return dedupe_occurrences(entries, source_path)
+            entries.append(ConfigEntry(
+                self.app, key, self.unquote(value.strip()), source_path, lineno
+            ))
+        return dedupe_occurrences(entries)

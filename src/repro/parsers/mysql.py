@@ -6,6 +6,12 @@ bare boolean flags (``skip-networking``).  Canonical names are
 treats ``skip-networking`` and ``skip_networking`` identically, and the
 normalisation keeps the training columns aligned across images that mix
 the spellings.
+
+``!include FILE`` and ``!includedir DIR`` pull in further option files.
+They belong to no section, so each becomes an entry named after its
+directive (``!includedir``) whose value is the path: the path is typed
+and augmented like any other, and images that include different
+directories still share the column.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from repro.parsers.base import ConfigEntry, ConfigParseError, ConfigParser, dedu
 _SECTION = re.compile(r"^\[([^\]]+)\]$")
 #: Value recorded for bare boolean flags such as ``skip-networking``.
 FLAG_VALUE = "ON"
+#: Directives that name another option file or directory.
+INCLUDE_DIRECTIVES = frozenset({"!include", "!includedir"})
 
 
 class MySQLParser(ConfigParser):
@@ -36,6 +44,16 @@ class MySQLParser(ConfigParser):
             if match:
                 section = match.group(1).strip().lower()
                 continue
+            if line.startswith("!"):
+                directive, *rest = line.split(None, 1)
+                if directive in INCLUDE_DIRECTIVES:
+                    path = self.unquote(rest[0]) if rest else ""
+                    if not path:
+                        raise ConfigParseError(f"line {lineno}: {directive} needs a path")
+                    entries.append(ConfigEntry(
+                        self.app, directive, path, source_path, lineno, section
+                    ))
+                    continue
             if "=" in line:
                 key, _, value = line.partition("=")
                 key, value = key.strip(), self.unquote(value.strip())
@@ -43,10 +61,13 @@ class MySQLParser(ConfigParser):
                 key, value = line.strip(), FLAG_VALUE
             if not key:
                 raise ConfigParseError(f"line {lineno}: empty key")
-            entries.append(self._entry(section, key, value, lineno))
-        return dedupe_occurrences(entries, source_path)
+            entries.append(self._entry(section, key, value, lineno, source_path))
+        return dedupe_occurrences(entries)
 
-    def _entry(self, section: Optional[str], key: str, value: str, lineno: int) -> ConfigEntry:
+    def _entry(
+        self, section: Optional[str], key: str, value: str, lineno: int,
+        source_path: str,
+    ) -> ConfigEntry:
         key = key.replace("-", "_").lower()
         name = f"{section}/{key}" if section else key
-        return ConfigEntry(self.app, name, value, line=lineno, section=section)
+        return ConfigEntry(self.app, name, value, source_path, lineno, section)

@@ -42,7 +42,7 @@ class PHPIniParser(ConfigParser):
             entries.append(
                 ConfigEntry(
                     self.app, key, self.unquote(value.strip()),
-                    line=lineno, section=section,
+                    source_path, lineno, section,
                 )
             )
-        return dedupe_occurrences(entries, source_path)
+        return dedupe_occurrences(entries)

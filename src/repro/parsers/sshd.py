@@ -32,16 +32,16 @@ class SSHDParser(ConfigParser):
             if keyword.lower() == "match":
                 in_match = value
                 entries.append(
-                    ConfigEntry(self.app, "Match", value, line=lineno)
+                    ConfigEntry(self.app, "Match", value, source_path, lineno)
                 )
                 continue
             name = self._canonical(keyword)
             if in_match is not None:
                 name = f"Match/{name}"
             entries.append(
-                ConfigEntry(self.app, name, value, line=lineno, section=in_match)
+                ConfigEntry(self.app, name, value, source_path, lineno, in_match)
             )
-        return dedupe_occurrences(entries, source_path)
+        return dedupe_occurrences(entries)
 
     @staticmethod
     def _canonical(keyword: str) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional
 
 
@@ -286,3 +287,43 @@ class FileSystem:
         clone = FileSystem.__new__(FileSystem)
         clone._entries = dict(self._entries)
         return clone
+
+
+class DirectoryIndex:
+    """Parent → sorted children of one :class:`FileSystem`, built on the
+    first listing.
+
+    :meth:`FileSystem.children` scans every path per call.  Assembly lists
+    several directories of one image, so each assembly builds one index
+    and drops it on return.  The index is a snapshot of the filesystem at
+    its first listing; a later mutation needs a new index.
+    """
+
+    __slots__ = ("_fs", "_children")
+
+    def __init__(self, fs: FileSystem) -> None:
+        self._fs = fs
+        self._children: Optional[Dict[str, List[FileMeta]]] = None
+
+    def children(self, path: str) -> List[FileMeta]:
+        """:meth:`FileSystem.children` of *path*.  The list is the index's
+        own storage: read it and never mutate it."""
+        index = self._children
+        if index is None:
+            index = self._children = self._build()
+        norm = normalize_path(path)
+        if not self._fs.is_dir(norm):
+            return []
+        return index.get(norm, [])
+
+    def _build(self) -> Dict[str, List[FileMeta]]:
+        index: Dict[str, List[FileMeta]] = {}
+        for meta in self._fs:
+            path = meta.path
+            if path == "/":
+                continue
+            index.setdefault(path[: path.rindex("/")] or "/", []).append(meta)
+        by_path = attrgetter("path")
+        for listing in index.values():
+            listing.sort(key=by_path)
+        return index

@@ -5,7 +5,7 @@ import pytest
 from repro.core.assembler import DataAssembler, attribute_counts
 from repro.core.collector import DataCollector
 from repro.core.dataset import AssembledSystem
-from repro.core.types import ConfigType
+from repro.core.types import ConfigType, TypedValue
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -73,9 +73,9 @@ class TestAssembledSystem:
     def test_occurrence_count_counts_repeats(self):
         image = SystemImage("occ")
         system = AssembledSystem(image)
-        system.set("a:x", "1", ConfigType.NUMBER)
-        system.set("a:x", "2", ConfigType.NUMBER)
-        system.set("a:y", "3", ConfigType.NUMBER)
+        system.set("a:x", TypedValue("1", ConfigType.NUMBER))
+        system.set("a:x", TypedValue("2", ConfigType.NUMBER))
+        system.set("a:y", TypedValue("3", ConfigType.NUMBER))
         assert system.occurrence_count() == 3
         assert len(system) == 2
 
@@ -140,3 +140,41 @@ class TestDataset:
             tuple((f"v{i}", 1) for i in range(40)), 3.0,
         )
         assert diverse.is_free_varying()
+
+
+class TestGroupsMemo:
+    """``AssembledSystem.groups_of`` asks the accounts once per user."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        from collections import Counter
+
+        from repro.sysmodel.accounts import AccountDatabase
+
+        calls = Counter()
+        real = AccountDatabase.groups_of
+
+        def counting(accounts, user):
+            calls[(id(accounts), user)] += 1
+            return real(accounts, user)
+
+        monkeypatch.setattr(AccountDatabase, "groups_of", counting)
+        return calls
+
+    def test_one_lookup_per_user(self, mysql_image, monkeypatch):
+        system = DataAssembler().assemble(mysql_image)
+        expected = mysql_image.accounts.groups_of("mysql")
+        calls = self.count_calls(monkeypatch)
+        for _ in range(3):
+            assert system.groups_of("mysql") == expected
+            assert system.groups_of("ghost") == []
+        assert sorted(calls.values()) == [1, 1]
+
+    def test_inference_looks_up_each_row_user_once(self, monkeypatch):
+        from repro.core.inference import RuleInferencer
+        from repro.corpus.generator import Ec2CorpusGenerator
+
+        dataset = DataAssembler().assemble_corpus(Ec2CorpusGenerator(3).generate(30))
+        calls = self.count_calls(monkeypatch)
+        RuleInferencer().infer(dataset)
+        assert calls and set(calls.values()) == {1}

@@ -16,7 +16,7 @@ from repro.core.templates import (
     VALUE_ONLY_VALIDATORS, RelationKind, RuleTemplate, default_templates,
     template_by_name,
 )
-from repro.core.types import ConfigType
+from repro.core.types import ConfigType, TypedValue
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.image import ConfigFile, SystemImage
 
@@ -271,7 +271,7 @@ def small_datasets(draw):
         for name, values in cells.items():
             config_type, augmented, _ = COLUMNS[name]
             for value in values:
-                system.set(name, value, config_type, augmented=augmented)
+                system.set(name, TypedValue(value, config_type), augmented=augmented)
         systems.append(system)
     return Dataset(systems)
 
@@ -394,7 +394,7 @@ def adversarial_dataset(rows=24):
             value = pool[index % len(pool)]
             if name == "app:count" and index % 3 == 0:
                 config_type = ConfigType.BOOLEAN
-            system.set(name, value, config_type, augmented=augmented)
+            system.set(name, TypedValue(value, config_type), augmented=augmented)
         systems.append(system)
     return Dataset(systems)
 
@@ -586,7 +586,7 @@ class TestAttributeRenamingInvariance:
                 original[new] = name
                 augmented = system.is_augmented(name)
                 for typed in system.values_of(name):
-                    copy.set(new, typed.value, typed.type, augmented=augmented)
+                    copy.set(new, typed, augmented=augmented)
             systems.append(copy)
         return Dataset(systems), original
 

@@ -5,8 +5,11 @@ import shlex
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.types import ConfigType, TypedValue
 from repro.parsers.apache import ApacheParser
-from repro.parsers.base import ConfigEntry, ConfigParseError, ConfigParser, dedupe_occurrences
+from repro.parsers.base import (
+    ConfigEntry, ConfigParseError, ConfigParser, _comment_scan, dedupe_occurrences,
+)
 from repro.parsers.keyvalue import KeyValueParser
 from repro.parsers.mysql import MySQLParser
 from repro.parsers.php import PHPIniParser
@@ -46,12 +49,12 @@ class TestConfigEntry:
         assert deduped[0] is entries[0]
         assert deduped[1] is not entries[1] and deduped[1].occurrence == 1
 
-    def test_dedupe_stamps_source_path(self):
+    def test_dedupe_keeps_provenance(self):
         entries = [
-            ConfigEntry("a", "X", "1", line=4, section="s"),
-            ConfigEntry("a", "X", "2", line=5),
+            ConfigEntry("a", "X", "1", "/etc/a.conf", 4, "s"),
+            ConfigEntry("a", "X", "2", "/etc/a.conf", 5),
         ]
-        deduped = dedupe_occurrences(entries, "/etc/a.conf")
+        deduped = dedupe_occurrences(entries)
         assert deduped == [
             ConfigEntry("a", "X", "1", "/etc/a.conf", 4, "s", 0),
             ConfigEntry("a", "X", "2", "/etc/a.conf", 5, None, 1),
@@ -169,6 +172,44 @@ class TestMySQLParser:
     def test_case_normalisation(self):
         entries = MySQLParser().parse_text("[MYSQLD]\nPort = 3306\n")
         assert entries[0].name == "mysqld/port"
+
+    def test_include_directives_carry_their_path(self):
+        entries = MySQLParser().parse_text(
+            "!include /etc/mysql/common.cnf\n"
+            "[mysqld]\n"
+            "port = 3306\n"
+            "!includedir /etc/mysql/conf.d/\n"
+            "!includedir\t/etc/mysql/mysql.conf.d/  # distro files\n",
+            "/etc/my.cnf",
+        )
+        assert [(e.name, e.value, e.section, e.occurrence) for e in entries] == [
+            ("!include", "/etc/mysql/common.cnf", None, 0),
+            ("mysqld/port", "3306", "mysqld", 0),
+            ("!includedir", "/etc/mysql/conf.d/", "mysqld", 0),
+            ("!includedir", "/etc/mysql/mysql.conf.d/", "mysqld", 1),
+        ]
+        assert all(e.source_path == "/etc/my.cnf" for e in entries)
+
+    def test_include_without_path_raises(self):
+        with pytest.raises(ConfigParseError):
+            MySQLParser().parse_text("[mysqld]\n!includedir\n")
+
+    def test_included_directory_is_typed_and_augmented(self, mysql_image):
+        from repro.core.assembler import DataAssembler
+
+        image = mysql_image.copy()
+        image.fs.add_dir("/etc/mysql/conf.d", owner="root", group="mysql")
+        image.fs.add_file("/etc/mysql/conf.d/tuning.cnf")
+        image.replace_config_text(
+            "mysql", "[mysqld]\ndatadir = /var/lib/mysql\n!includedir /etc/mysql/conf.d/\n"
+        )
+        system = DataAssembler().assemble(image)
+        assert system.get("mysql:!includedir") == (
+            TypedValue("/etc/mysql/conf.d/", ConfigType.FILE_PATH)
+        )
+        assert system.value("mysql:!includedir.type") == "dir"
+        assert system.value("mysql:!includedir.group") == "mysql"
+        assert system.value("mysql:!includedir.hasDir") == "False"
 
 
 class TestPHPIniParser:
@@ -348,6 +389,16 @@ class TestStripCommentOracle:
         assert ConfigParser.strip_comment(line, markers) == _strip_comment_oracle(
             line, markers
         )
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(
+        line=st.text(alphabet="#;\"'/\t abxy", max_size=40),
+        markers=st.sampled_from([("#",), (";",), ("#", ";"), ("//", "#")]),
+    )
+    def test_fast_path_matches_regex(self, line, markers):
+        """Skipping the regex on a marker-free line changes nothing."""
+        end = _comment_scan(markers).match(line).end()
+        assert ConfigParser.strip_comment(line, markers) == line[:end].rstrip()
 
     @pytest.mark.parametrize("line,markers,expected", [
         ("a // b # c", ("//", "#"), "a"),

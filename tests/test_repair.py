@@ -93,12 +93,12 @@ class TestPerKindSuggestions:
 class TestCorrelationRepairs:
     def make_target(self, values):
         from repro.core.dataset import AssembledSystem
-        from repro.core.types import ConfigType
+        from repro.core.types import ConfigType, TypedValue
         from repro.sysmodel.image import SystemImage
 
         target = AssembledSystem(SystemImage("t"))
         for attr, value in values.items():
-            target.set(attr, value, ConfigType.STRING)
+            target.set(attr, TypedValue(value, ConfigType.STRING))
         return target
 
     def make_warning(self, template, a, b, relation="<"):
