@@ -56,6 +56,30 @@ class AssembledSystem:
         #: User → ``groups_of`` of the image's accounts, filled on demand.
         self._groups: Dict[str, List[str]] = {}
 
+    @classmethod
+    def revive(
+        cls,
+        image: SystemImage,
+        environment_available: bool,
+        values: Dict[str, TypedValue],
+        multi: Dict[str, List[TypedValue]],
+        augmented: set,
+        names: List[str],
+    ) -> "AssembledSystem":
+        """A row from storage already in this class's shape: *values*
+        maps each attribute to its first occurrence in insertion order,
+        *multi* a repeated attribute to all its occurrences, and *names*
+        is the sorted attribute list.  The row takes the containers over.
+        This is the row-layout decoder's path
+        (:mod:`repro.engine.artifacts`); everything else uses :meth:`set`.
+        """
+        system = cls(image, environment_available)
+        system._values = values
+        system._multi = multi
+        system._augmented = augmented
+        system._sorted = names
+        return system
+
     @property
     def image_id(self) -> str:
         return self.image.image_id

@@ -308,6 +308,10 @@ class AnomalyDetector:
         # In no-environment mode (the plain baseline) semantic
         # verification has no system to consult.
         context = target.image if target.environment_available else None
+        # (value, type) → verdict: cells repeat values (the augmented
+        # .owner/.group columns above all), and within one check the
+        # context is fixed, so each pair is verified once.
+        verified: Dict[Tuple[str, ConfigType], bool] = {}
         for attribute in target.attributes():
             stats = enforced.get(attribute)
             if stats is None:
@@ -316,7 +320,13 @@ class AnomalyDetector:
             if (trust_assembly and typed.type is stats.type
                     and not target.is_augmented(attribute)):
                 continue
-            if self.inferencer.verify(typed.value, stats.type, context):
+            key = (typed.value, stats.type)
+            ok = verified.get(key)
+            if ok is None:
+                ok = verified[key] = self.inferencer.verify(
+                    typed.value, stats.type, context
+                )
+            if ok:
                 continue
             # Violations of a perfectly-stable column (cardinality 1 in
             # training) are ranked "much higher" (§6 example: the

@@ -321,10 +321,23 @@ class EnCore:
                 "or workers=1"
             )
 
-    def _sharded_assembler(self, workers: int, chunk_size: Optional[int]):
+    def _arm_faults(self) -> None:
+        """Arm the fault plan on this process's assembler (serial runs)."""
+        if self.fault_plan is not None and self.assembler.fault_hook is None:
+            self.assembler.fault_hook = self.fault_plan.hook
+
+    def _assemble(
+        self, images: Iterable[SystemImage], workers: int, chunk_size: Optional[int]
+    ) -> Dataset:
+        """Assemble a corpus; a serial run never imports the shard engine."""
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if workers == 1:
+            self._arm_faults()
+            return self.assembler.assemble_corpus(images)
         from repro.engine.sharding import ShardedAssembler
 
-        return ShardedAssembler(self, workers, chunk_size)
+        return ShardedAssembler(self, workers, chunk_size).assemble(images)
 
     # -- training --------------------------------------------------------------------
 
@@ -347,7 +360,7 @@ class EnCore:
         cpu_start = process_cpu_seconds()
         with span("train") as train_span:
             with span("train.assemble") as assemble_span:
-                dataset = self._sharded_assembler(workers, chunk_size).assemble(images)
+                dataset = self._assemble(images, workers, chunk_size)
             model = self.train_on_dataset(dataset)
             train_span.annotate(systems=len(dataset), rules=len(model.rules))
         model.telemetry["assemble_seconds"] = assemble_span.duration
@@ -389,7 +402,7 @@ class EnCore:
         self.quarantine.clear()
         with span("train.more") as more_span:
             with span("train.assemble") as assemble_span:
-                fresh = self._sharded_assembler(workers, chunk_size).assemble(images)
+                fresh = self._assemble(images, workers, chunk_size)
             merged = base.merge(fresh)
             model = self.train_on_dataset(merged)
             more_span.annotate(added=len(fresh), systems=len(merged))
@@ -492,8 +505,7 @@ class EnCore:
                 "check_stream() requires a trained model; call train() first"
             )
         if workers <= 1:
-            if self.fault_plan is not None and self.assembler.fault_hook is None:
-                self.assembler.fault_hook = self.fault_plan.hook
+            self._arm_faults()
             for image in images:
                 report = self._check_guarded(image)
                 if report is not None:

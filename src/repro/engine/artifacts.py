@@ -22,24 +22,55 @@ is exact: warning scores travel at full float64 precision (the *wire*
 forms below, not the rounded JSON surface), so sharded checking is
 byte-identical to serial checking.
 
+Assembled rows have one columnar layout (:data:`ROW_LAYOUT_VERSION`),
+used by ``assemble`` shard results and by result-cache entries alike.
+A row is a handful of fields, not one map per attribute, so decoding
+costs a few C-level calls per column instead of a codec call per
+value:
+
+* ``names`` / ``name_lengths`` — the sorted attribute names, once, as
+  one string and the length of each name;
+* ``order`` — for each attribute in insertion order, its index in the
+  sorted names, so a revived row iterates its cells as the original;
+* ``augmented`` — one 0/1 byte per name;
+* ``counts`` — each name's occurrence count;
+* ``types`` — the row's small table of :class:`ConfigType` names;
+* ``values`` / ``value_lengths`` / ``value_types`` — each distinct
+  :class:`TypedValue` once: its value, and its type's index in
+  ``types`` (one byte);
+* ``cells`` — each occurrence's value index, grouped by sorted name.
+
+Lengths, ``order``, ``counts`` and ``cells`` are packed little-endian
+unsigned 32-bit integers.  :func:`assembled_system_from_dict` checks
+the layout (whole items in every blob, counts summing to the cells,
+every index in range, every type name a :class:`ConfigType`) and
+raises :class:`CodecError` on any failure.  A revived row shares one
+:class:`TypedValue` per distinct value, as a fresh assembly does.
+
 Two size optimisations shape the wire forms.  Assembled rows shipped
 *back* from workers elide their backing image — the coordinator already
 holds the very :class:`~repro.sysmodel.image.SystemImage` objects it
 shipped out, so results carry only ``image_id`` and the coordinator
 re-attaches (:func:`assembled_system_from_dict` with ``image=``).
 Images shipped *out* to workers are encoded once per image and memoised
-on the image object (:func:`image_payload` / :func:`image_digest`), so
-repeat shipments — serve traffic, ``train_more``, warm re-checks — cost
-a dict lookup; the digest doubles as the content half of the result
-cache key (:mod:`repro.engine.cache`).
+on the image object (:func:`image_payload`), so repeat shipments —
+serve traffic, ``train_more``, warm re-checks — cost a dict lookup.
+The image's content address (:func:`image_digest`, half of the result
+cache key in :mod:`repro.engine.cache`) hashes a canonical JSON form
+built by the C encoder instead, so keying an image never runs the
+pure-Python codec.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from itertools import accumulate, compress, islice
+from operator import lt
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import AssembledSystem, PartialDataset
 from repro.core.detector import Explanation, Warning, WarningKind
@@ -54,6 +85,10 @@ from repro.obs.tracing import get_tracer
 from repro.sysmodel.image import SystemImage
 from repro.sysmodel.snapshot import image_from_dict, image_to_dict
 
+#: Version of the assembled-row layout; part of every result-cache key,
+#: so an entry written in another layout is never looked up.
+ROW_LAYOUT_VERSION = 2
+
 
 # -- image payloads ------------------------------------------------------------
 
@@ -61,9 +96,8 @@ from repro.sysmodel.snapshot import image_from_dict, image_to_dict
 def image_payload(image: SystemImage) -> bytes:
     """Codec-encoded snapshot of *image*, memoised on the image object.
 
-    Payload building and cache keying both need the encoded form; one
-    image shipped to N shards (or checked on every serve request) is
-    encoded exactly once per process.
+    One image shipped to N shards (or checked on every serve request)
+    is encoded exactly once per process.
     """
     cached = getattr(image, "_encore_payload", None)
     if cached is None:
@@ -73,10 +107,15 @@ def image_payload(image: SystemImage) -> bytes:
 
 
 def image_digest(image: SystemImage) -> str:
-    """SHA-256 of :func:`image_payload` — the image's content address."""
+    """SHA-256 of the image's compact JSON snapshot — its content address.
+
+    The JSON form comes from the C encoder, so a cache lookup never
+    pays for :func:`image_payload`'s pure-Python encode.
+    """
     cached = getattr(image, "_encore_digest", None)
     if cached is None:
-        cached = hashlib.sha256(image_payload(image)).hexdigest()
+        canonical = json.dumps(image_to_dict(image), separators=(",", ":"))
+        cached = hashlib.sha256(canonical.encode()).hexdigest()
         image._encore_digest = cached
     return cached
 
@@ -84,10 +123,35 @@ def image_digest(image: SystemImage) -> str:
 # -- assembled systems ---------------------------------------------------------
 
 
+def _pack_u32(items: Sequence[int]) -> bytes:
+    return struct.pack(f"<{len(items)}I", *items)
+
+
+def _unpack_u32(blob: bytes, what: str) -> Tuple[int, ...]:
+    if type(blob) is not bytes or len(blob) % 4:
+        raise CodecError(f"row {what} is not a whole number of 4-byte items")
+    return struct.unpack(f"<{len(blob) // 4}I", blob)
+
+
+def _pack_strings(strings: Sequence[str]) -> Tuple[str, bytes]:
+    try:
+        text = "".join(strings)
+    except TypeError:
+        raise CodecError("row names and values must be strings") from None
+    return text, _pack_u32([len(s) for s in strings])
+
+
+def _unpack_strings(text: str, lengths: bytes, what: str) -> List[str]:
+    ends = list(accumulate(_unpack_u32(lengths, f"{what} lengths")))
+    if type(text) is not str or (ends[-1] if ends else 0) != len(text):
+        raise CodecError(f"row {what} do not match their lengths")
+    return [text[start:end] for start, end in zip([0, *ends], ends)]
+
+
 def assembled_system_to_dict(
     system: AssembledSystem, include_image: bool = True
 ) -> Dict[str, Any]:
-    """Serialise one assembled row, including its backing image.
+    """Serialise one assembled row in the columnar row layout.
 
     The image rides along because template validation methods consult the
     environment (ownership lookups, path existence) beyond the augmented
@@ -96,19 +160,39 @@ def assembled_system_to_dict(
     results, cache entries); such rows must be revived with
     :func:`assembled_system_from_dict`'s ``image=`` argument.
     """
-    attributes = []
-    for attribute in system.attributes():
-        attributes.append({
-            "name": attribute,
-            "augmented": system.is_augmented(attribute),
-            "occurrences": [
-                {"value": tv.value, "type": tv.type.value}
-                for tv in system.values_of(attribute)
-            ],
-        })
+    names = system.attributes()
+    position = {name: index for index, name in enumerate(names)}
+    value_ids: Dict[Tuple[str, ConfigType], int] = {}
+    counts: List[int] = []
+    cells: List[int] = []
+    for name in names:
+        occurrences = system.values_of(name)
+        counts.append(len(occurrences))
+        for typed in occurrences:
+            key = (typed.value, typed.type)
+            index = value_ids.get(key)
+            if index is None:
+                index = value_ids[key] = len(value_ids)
+            cells.append(index)
+    type_ids: Dict[ConfigType, int] = {}
+    value_types = bytes(
+        type_ids.setdefault(config_type, len(type_ids))
+        for _, config_type in value_ids
+    )
+    names_text, name_lengths = _pack_strings(names)
+    values_text, value_lengths = _pack_strings([value for value, _ in value_ids])
     out: Dict[str, Any] = {
         "environment_available": system.environment_available,
-        "attributes": attributes,
+        "names": names_text,
+        "name_lengths": name_lengths,
+        "order": _pack_u32([position[name] for name in system.cells]),
+        "augmented": bytes(system.is_augmented(name) for name in names),
+        "counts": _pack_u32(counts),
+        "types": [config_type.value for config_type in type_ids],
+        "values": values_text,
+        "value_lengths": value_lengths,
+        "value_types": value_types,
+        "cells": _pack_u32(cells),
     }
     if include_image:
         out["image"] = image_to_dict(system.image)
@@ -123,8 +207,20 @@ def assembled_system_from_dict(
     """Rebuild an assembled row from :func:`assembled_system_to_dict`.
 
     *image* re-attaches the backing image to an elided row; rows that
-    carry their own image ignore it.
+    carry their own image ignore it.  A row that breaks the layout
+    raises :class:`CodecError`.
     """
+    try:
+        return _revive(data, image)
+    except CodecError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise CodecError(
+            f"malformed assembled row ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _revive(data: Dict[str, Any], image: Optional[SystemImage]) -> AssembledSystem:
     if "image" in data:
         image = image_from_dict(data["image"])
     if image is None:
@@ -132,18 +228,56 @@ def assembled_system_from_dict(
             f"assembled row for {data.get('image_id')!r} carries no image "
             "and none was supplied"
         )
-    system = AssembledSystem(
+    environment_available = data["environment_available"]
+    if type(environment_available) is not bool:
+        raise CodecError("row environment_available is not a bool")
+    names = _unpack_strings(data["names"], data["name_lengths"], "names")
+    if not all(map(lt, names, islice(names, 1, None))):
+        raise CodecError("row names are not sorted and distinct")
+    n = len(names)
+    order = _unpack_u32(data["order"], "order")
+    counts = _unpack_u32(data["counts"], "counts")
+    flags = data["augmented"]
+    if len(order) != n or len(counts) != n or type(flags) is not bytes or len(flags) != n:
+        raise CodecError(f"row columns do not all hold {n} names")
+    if sorted(order) != list(range(n)):
+        raise CodecError("row order is not a permutation of its names")
+    if flags.translate(None, b"\x00\x01"):
+        raise CodecError("row augmented flags are not all 0 or 1")
+    if n and min(counts) < 1:
+        raise CodecError("row has an attribute with no occurrences")
+    cell_ids = _unpack_u32(data["cells"], "cells")
+    if sum(counts) != len(cell_ids):
+        raise CodecError(
+            f"row counts sum to {sum(counts)} but it holds {len(cell_ids)} cells"
+        )
+    try:
+        types = [ConfigType(name) for name in data["types"]]
+    except ValueError:
+        raise CodecError("row names an unknown type") from None
+    values = _unpack_strings(data["values"], data["value_lengths"], "values")
+    value_types = data["value_types"]
+    if type(value_types) is not bytes or len(value_types) != len(values):
+        raise CodecError("row value types do not match its values")
+    if value_types and max(value_types) >= len(types):
+        raise CodecError("row type index out of range")
+    if cell_ids and max(cell_ids) >= len(values):
+        raise CodecError("row value index out of range")
+    typed = [TypedValue(value, types[t]) for value, t in zip(values, value_types)]
+    cells = list(map(typed.__getitem__, cell_ids))
+    starts = list(accumulate(counts, initial=0))
+    first = list(map(cells.__getitem__, starts[:-1]))
+    return AssembledSystem.revive(
         image,
-        environment_available=data["environment_available"],
+        environment_available,
+        values={names[i]: first[i] for i in order},
+        multi={
+            names[i]: cells[starts[i]:starts[i + 1]]
+            for i in range(n) if counts[i] > 1
+        },
+        augmented=set(compress(names, flags)),
+        names=names,
     )
-    for entry in data["attributes"]:
-        for occurrence in entry["occurrences"]:
-            system.set(
-                entry["name"],
-                TypedValue(occurrence["value"], ConfigType(occurrence["type"])),
-                augmented=entry["augmented"],
-            )
-    return system
 
 
 # -- partial datasets ----------------------------------------------------------

@@ -11,9 +11,11 @@ protocol; stale entries age out of the LRU).
 
 Keys are built from the SHA-256 fingerprints the system already
 computes: the worker-config payload digest (which folds in every knob
-plus customization text) and the image payload digest
+plus customization text) and the image's content digest
 (:func:`repro.engine.artifacts.image_digest`), prefixed with the codec
-version so a wire-format bump can never revive incompatible entries.
+version and the assembled-row layout version
+(:data:`~repro.engine.artifacts.ROW_LAYOUT_VERSION`), so neither a
+wire-format nor a layout bump can ever revive incompatible entries.
 
 Two layers:
 
@@ -21,9 +23,12 @@ Two layers:
   objects; a hit costs a dict lookup, no decoding.  Rows are append-only
   after assembly, so sharing one object across datasets is safe.
 * **disk** (optional) — codec-framed files under ``root``, shared
-  between coordinator and workers and across processes/runs.  Writes
-  are atomic (tmp + rename); a corrupt or truncated entry counts
-  ``cache.corrupt.total`` and reads as a miss — never an error.
+  between coordinator and workers and across processes/runs.  A file
+  holds the SHA-256 of its body and the body: ``parsed_entries`` and
+  the row in the columnar layout of :mod:`repro.engine.artifacts`.
+  Writes are atomic (tmp + rename).  An entry that is truncated, fails
+  its checksum or breaks the row layout counts ``cache.corrupt.total``,
+  is unlinked and reads as a miss — never an error.
 
 Metrics: ``cache.hit.total`` / ``cache.miss.total`` / ``cache.evict.total``
 (+ ``cache.corrupt.total``); hits re-emit the assembler's per-system
@@ -38,10 +43,11 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.engine import codec
 from repro.engine.artifacts import (
+    ROW_LAYOUT_VERSION,
     assembled_system_from_dict,
     assembled_system_to_dict,
     image_digest,
@@ -62,8 +68,29 @@ DEFAULT_MEMORY_ENTRIES = 8192
 
 def cache_key(config_digest: str, image: SystemImage) -> str:
     """The content address of one (config, image) assembly result."""
-    material = f"{codec.CODEC_VERSION}:{config_digest}:{image_digest(image)}"
+    material = (
+        f"{codec.CODEC_VERSION}:{ROW_LAYOUT_VERSION}:{config_digest}:"
+        f"{image_digest(image)}"
+    )
     return hashlib.sha256(material.encode()).hexdigest()
+
+
+def frame_entry(entry: Dict[str, Any]) -> bytes:
+    """A disk entry's bytes: the codec frame of *entry* and its SHA-256."""
+    body = codec.encode(entry)
+    return codec.encode({"sha256": hashlib.sha256(body).digest(), "entry": body})
+
+
+def unframe_entry(raw: bytes) -> Dict[str, Any]:
+    """Inverse of :func:`frame_entry`; :class:`~repro.engine.codec.CodecError`
+    when the bytes are not a frame or fail the checksum."""
+    frame = codec.decode(raw)
+    if not isinstance(frame, dict) or not isinstance(frame.get("entry"), bytes):
+        raise codec.CodecError("cache entry is not a checksummed frame")
+    body = frame["entry"]
+    if hashlib.sha256(body).digest() != frame.get("sha256"):
+        raise codec.CodecError("cache entry fails its checksum")
+    return codec.decode(body)
 
 
 class ResultCache:
@@ -144,10 +171,10 @@ class ResultCache:
         except OSError:
             return None
         try:
-            data = codec.decode(raw)
+            data = unframe_entry(raw)
             system = assembled_system_from_dict(data["system"], image=image)
             parsed_entries = int(data["parsed_entries"])
-        except (codec.CodecError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # CodecError too
             get_registry().counter("cache.corrupt.total").inc()
             log.warning("cache.corrupt_entry", key=key, error=type(exc).__name__)
             try:
@@ -159,7 +186,7 @@ class ResultCache:
 
     def _disk_store(self, key: str, system, parsed_entries: int) -> None:
         path = self._path(key)
-        payload = codec.encode({
+        payload = frame_entry({
             "parsed_entries": parsed_entries,
             "system": assembled_system_to_dict(system, include_image=False),
         })

@@ -317,9 +317,7 @@ class _ShardExecutor:
 
     def _install_inline_faults(self) -> None:
         """Arm the fault plan on the coordinator (in-process mode)."""
-        fault_plan = self.encore.fault_plan
-        if fault_plan is not None and self.assembler.fault_hook is None:
-            self.assembler.fault_hook = fault_plan.hook
+        self.encore._arm_faults()
 
     # -- one task frame, one decode, one fold ----------------------------------
 

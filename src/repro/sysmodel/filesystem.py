@@ -120,6 +120,11 @@ class FileSystem:
 
     def __init__(self) -> None:
         self._entries: Dict[str, FileMeta] = {}
+        #: True while every entry's ancestors are present, so that
+        #: :meth:`_ensure_parents` may stop at the first present ancestor.
+        #: Only ``add(..., make_parents=False)`` under a missing parent
+        #: clears it; from then on every add walks all of its ancestors.
+        self._ancestors_present = True
         self.add(FileMeta("/", kind=FileKind.DIRECTORY, mode=0o755))
 
     def __len__(self) -> int:
@@ -142,6 +147,8 @@ class FileSystem:
         """
         if make_parents:
             self._ensure_parents(meta.path)
+        elif posixpath.dirname(meta.path) not in self._entries:
+            self._ancestors_present = False
         existing = self._entries.get(meta.path)
         if existing is not None and existing.is_dir and not meta.is_dir:
             raise ValueError(f"cannot replace directory {meta.path} with {meta.kind.value}")
@@ -149,10 +156,14 @@ class FileSystem:
         return meta
 
     def _ensure_parents(self, path: str) -> None:
+        entries = self._entries
         parent = posixpath.dirname(path)
         while parent and parent != "/":
-            if parent not in self._entries:
-                self._entries[parent] = FileMeta(
+            if parent in entries:
+                if self._ancestors_present:
+                    return  # its own ancestors are present too
+            else:
+                entries[parent] = FileMeta(
                     parent, kind=FileKind.DIRECTORY, mode=0o755
                 )
             parent = posixpath.dirname(parent)
@@ -286,6 +297,7 @@ class FileSystem:
         """Deep-enough copy (FileMeta is frozen, so sharing them is safe)."""
         clone = FileSystem.__new__(FileSystem)
         clone._entries = dict(self._entries)
+        clone._ancestors_present = self._ancestors_present
         return clone
 
 

@@ -6,6 +6,7 @@ from repro.core.assembler import DataAssembler
 from repro.core.detector import AnomalyDetector, Warning, WarningKind
 from repro.core.inference import RuleInferencer
 from repro.core.report import Report
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -104,6 +105,36 @@ class TestTypeViolation:
         assembler, detector = detector_setup
         target = assembler.assemble(make_image(93))
         assert detector.check_types(target) == []
+
+    def test_each_value_type_pair_verified_once_per_check(
+        self, trained_encore, monkeypatch
+    ):
+        """Repeated cells (the augmented .owner/.group columns above all)
+        reuse the verdict their first cell got within the same check."""
+        detector = trained_encore._detector
+        inferencer = detector.inferencer
+        verify = inferencer.verify
+        calls = []
+
+        def counting(value, config_type, image=None):
+            calls.append((value, config_type))
+            return verify(value, config_type, image)
+
+        targets, _ = Ec2CorpusGenerator(seed=102).generate_wild(30)
+        rows = [trained_encore.assembler.assemble(t) for t in targets]
+        expected = [detector.check_types(row) for row in rows]
+        monkeypatch.setattr(inferencer, "verify", counting)
+        repeats = 0
+        for row, warnings in zip(rows, expected):
+            calls.clear()
+            assert detector.check_types(row) == warnings
+            assert len(calls) == len(set(calls))
+            enforced = [
+                (row.cells[a].value, detector._enforced_types[a].type)
+                for a in row.attributes() if a in detector._enforced_types
+            ]
+            repeats += len(enforced) - len(set(enforced))
+        assert repeats > 0
 
 
 class TestSuspiciousValue:

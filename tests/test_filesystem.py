@@ -1,9 +1,13 @@
 """Unit tests for the simulated filesystem."""
 
+import posixpath
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.corpus.generator import Ec2CorpusGenerator
 from repro.sysmodel.filesystem import FileKind, FileMeta, FileSystem, normalize_path
+from repro.sysmodel.snapshot import image_from_dict, image_to_dict
 
 
 class TestNormalizePath:
@@ -224,3 +228,52 @@ def test_remove_then_absent(segments):
     fs.add_file(path)
     fs.remove(path)
     assert not fs.exists(path)
+
+
+# The ancestor walk stops early; it must leave what the full walk left -----
+
+
+def _full_walk(fs, path):
+    """Every ancestor of *path* checked, none skipped."""
+    parent = posixpath.dirname(path)
+    while parent and parent != "/":
+        if parent not in fs._entries:
+            fs._entries[parent] = FileMeta(parent, kind=FileKind.DIRECTORY, mode=0o755)
+        parent = posixpath.dirname(parent)
+
+
+def _orphan_adds(fs):
+    """Adds that leave entries without their parents, then adds beneath."""
+    fs.add(FileMeta("/srv/data/db", kind=FileKind.DIRECTORY, mode=0o700),
+           make_parents=False)
+    fs.add_file("/srv/data/db/tables/users.ibd", owner="mysql")
+    fs.add(FileMeta("/opt/app/conf/app.ini", kind=FileKind.FILE, mode=0o644),
+           make_parents=False)
+    fs.add_dir("/opt/app/conf/extra/d")
+    fs.add_file("/etc/early-stop.conf")
+    return fs
+
+
+def _filesystems():
+    corpus = Ec2CorpusGenerator(seed=3).generate(200)
+    targets, _ = Ec2CorpusGenerator(seed=4).generate_wild(1000)
+    images = corpus + targets
+    filesystems = [image.fs for image in images]
+    # Loading a snapshot re-adds every entry, parents first or not.
+    filesystems += [image_from_dict(image_to_dict(image)).fs for image in images]
+    filesystems.append(_orphan_adds(FileSystem()))
+    filesystems.append(_orphan_adds(corpus[0].fs.copy()))
+    return filesystems
+
+
+def test_early_stop_matches_the_full_walk(monkeypatch):
+    fast = _filesystems()
+    monkeypatch.setattr(FileSystem, "_ensure_parents", _full_walk)
+    full = _filesystems()
+    assert len(fast) == len(full)
+    for a, b in zip(fast, full):
+        assert vars(a) == vars(b)
+        assert list(a.paths()) == list(b.paths())
+    orphaned = fast[-1]
+    for path in ("/srv", "/srv/data", "/opt", "/opt/app", "/opt/app/conf/extra"):
+        assert orphaned.is_dir(path)

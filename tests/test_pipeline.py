@@ -1,7 +1,10 @@
 """Integration tests for the EnCore facade (train → check → persist)."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -92,6 +95,27 @@ class TestTrainCheck:
         assert (
             "less_size", "php:upload_max_filesize", "php:post_max_size"
         ) in keys
+
+
+class TestSerialTrainImports:
+    def test_serial_train_leaves_the_shard_engine_unimported(self):
+        """A ``workers=1`` train runs in-process and needs no shard engine."""
+        script = (
+            "import sys\n"
+            "from repro.core.pipeline import EnCore\n"
+            "from repro.corpus.generator import Ec2CorpusGenerator\n"
+            "model = EnCore().train(Ec2CorpusGenerator(seed=3).generate(12), workers=1)\n"
+            "assert len(model.rules) > 0\n"
+            "print('repro.engine.sharding' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestPersistence:
