@@ -23,7 +23,7 @@ legitimately stable.  Templates declare this via ``entropy_filtered``.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Tuple
 
 from repro.core.rules import ConcreteRule
 from repro.core.templates import RuleTemplate
@@ -69,17 +69,33 @@ class RuleFilterPipeline:
         self.use_entropy = use_entropy
 
     def decide(self, rule: ConcreteRule, template: RuleTemplate) -> FilterDecision:
-        """Classify one candidate."""
-        if rule.support < self.min_support:
+        """Classify one candidate rule."""
+        return self.decide_counts(
+            rule.support, rule.valid_count, rule.entropy_a, rule.entropy_b,
+            template.entropy_filtered,
+        )
+
+    def decide_counts(
+        self,
+        support: int,
+        valid_count: int,
+        entropy_a: float,
+        entropy_b: float,
+        entropy_filtered: bool,
+    ) -> FilterDecision:
+        """Classify one candidate from its counts and entropies — the
+        one decision rule; inference calls it before any rule object
+        exists."""
+        if support < self.min_support:
             return FilterDecision.LOW_SUPPORT
-        if rule.confidence < self.min_confidence:
+        if (valid_count / support if support else 0.0) < self.min_confidence:
             return FilterDecision.LOW_CONFIDENCE
         if (
             self.use_entropy
-            and template.entropy_filtered
+            and entropy_filtered
             and (
-                rule.entropy_a <= self.entropy_threshold
-                or rule.entropy_b <= self.entropy_threshold
+                entropy_a <= self.entropy_threshold
+                or entropy_b <= self.entropy_threshold
             )
         ):
             return FilterDecision.LOW_ENTROPY
@@ -87,24 +103,28 @@ class RuleFilterPipeline:
 
     def provenance(
         self,
-        rule: ConcreteRule,
         template: RuleTemplate,
+        support: int,
+        valid_count: int,
+        entropy_a: float,
+        entropy_b: float,
         decision: FilterDecision,
-        contributing_images: Iterable[str] = (),
+        contributing_images: Tuple[str, ...] = (),
     ) -> Provenance:
         """The evidence record for one filtered candidate.
 
         Built here — not in the inferencer — so the thresholds recorded
         are exactly the ones this pipeline applied, and the rejecting
-        filter for dropped candidates matches :meth:`decide`'s verdict.
+        filter for dropped candidates matches :meth:`decide_counts`'s
+        verdict.
         """
         return Provenance(
-            template=rule.template_name,
-            contributing_images=tuple(contributing_images),
-            support=rule.support,
-            valid_count=rule.valid_count,
-            entropy_a=rule.entropy_a,
-            entropy_b=rule.entropy_b,
+            template=template.name,
+            contributing_images=contributing_images,
+            support=support,
+            valid_count=valid_count,
+            entropy_a=entropy_a,
+            entropy_b=entropy_b,
             min_support=self.min_support,
             min_confidence=self.min_confidence,
             entropy_threshold=self.entropy_threshold,

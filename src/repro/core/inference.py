@@ -9,17 +9,32 @@ For each template the inferencer:
 2. iterates over every (A, B) instantiation and gathers per-system
    verdicts from the template's validation method — only on the systems
    that hold both attributes, as bitmasks over the dataset's rows (bit
-   *i* is ``systems[i]``).  A validator that reads only its two values
-   (:data:`~repro.core.templates.VALUE_ONLY_VALIDATORS`) is evaluated
-   over the dataset's *value groups*, once per distinct value pair
-   rather than once per row; the columns have a handful of distinct
-   values each.  Every other validator walks the set bits of
-   ``presence(A) & presence(B)``.  Either way the result is two masks,
-   the applicable and the valid systems;
-3. computes support / confidence / entropy as popcounts and runs the
-   filter pipeline.  Only the candidates that survive support and
-   confidence turn their applicable mask into contributing image ids,
-   in dataset order.
+   *i* is ``systems[i]``).  The result is two masks, the applicable and
+   the valid systems, found by one of four paths.  A validator that
+   reads only its two values (:data:`~repro.core.templates.VALUE_ONLY_VALIDATORS`)
+   on a pair without repeated attributes is evaluated over the dataset's
+   *value groups* — the columns have a handful of distinct values each:
+
+   * **equality** ORs the group masks of the values both columns share;
+   * **ordering** (``less_number``'s ``<``, ``less_size``'s ``<=``)
+     sorts each column's groups by their reading once per call and ORs
+     them into prefix masks; a B group holds on the prefix of the A
+     groups below its reading (strictly below for ``<``), found by one
+     bisection.  A NaN reading is applicable but never valid;
+   * **value pairs** runs the validator once per distinct value pair
+     whose groups share a row, while there are no more such pairs than
+     shared rows.
+
+   Everything else — environment checks, customization and programmatic
+   validators, repeated attributes and high-cardinality value pairs —
+   is the **row walk** over the set bits of ``presence(A) & presence(B)``;
+3. decides each candidate from its popcounts and entropies with the
+   filter pipeline's one decision rule.  Only the candidates that
+   survive support and confidence become :class:`ConcreteRule` objects
+   with a :class:`Provenance`, whose contributing image ids come from
+   the applicable mask in dataset order.  A dropped candidate leaves its
+   decision and a counts-only record; :attr:`InferenceResult.audit`
+   turns those records into provenance on first read.
 
 Type-restricted instantiation is the paper's answer to the attribute
 explosion of §2.2; :meth:`RuleInferencer.candidate_pair_count` exposes the
@@ -28,8 +43,10 @@ combinatorics for the ablation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import compress
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import itemgetter, or_
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.dataset import AssembledSystem, Dataset
@@ -48,6 +65,18 @@ from repro.obs.tracing import span
 #: environment checks), its first-occurrence cells and its mask bit.
 _Row = Tuple[AssembledSystem, Mapping[str, TypedValue], int]
 
+#: A candidate's key: (template name, attribute A, attribute B).
+Key = Tuple[str, str, str]
+
+#: One column sorted by a reading, for the ordering kernel: the mask of
+#: the rows with a reading (NaN included), the non-NaN readings in
+#: ascending order, their groups' masks, and the prefix ORs of those
+#: masks (``prefix[i]`` covers the first *i* groups).
+_Sorted = Tuple[int, List[float], List[int], List[int]]
+
+#: The decisions that drop a candidate before it becomes a rule.
+_BELOW_SUPPORT_OR_CONFIDENCE = (FilterDecision.LOW_SUPPORT, FilterDecision.LOW_CONFIDENCE)
+
 
 @dataclass
 class InferenceResult:
@@ -57,14 +86,34 @@ class InferenceResult:
     #: All candidates that met support+confidence, pre-entropy — needed by
     #: the Table 13 ablation without re-running inference.
     pre_entropy_rules: RuleSet
-    decisions: Dict[Tuple[str, str, str], FilterDecision]
+    decisions: Dict[Key, FilterDecision]
     candidate_pairs: int
-    #: Per-candidate evidence record (key → :class:`Provenance`),
-    #: covering kept rules *and* dropped candidates with their rejecting
-    #: filter.  Contributing image ids are retained only for candidates
-    #: that survived support+confidence — dropped ones keep counts only,
-    #: so the audit stays compact at mining scale.
-    audit: Dict[Tuple[str, str, str], Provenance] = field(default_factory=dict)
+    #: Per-candidate evidence in candidate order: the survivors'
+    #: :class:`Provenance`, and ``(template, support, valid_count,
+    #: entropy_a, entropy_b)`` for dropped candidates.
+    evidence: Dict[Key, object] = field(default_factory=dict, repr=False)
+    #: The pipeline that decided the candidates; it fills in the
+    #: thresholds of the dropped candidates' provenance.
+    pipeline: Optional[RuleFilterPipeline] = field(default=None, repr=False)
+    _audit: Optional[Dict[Key, Provenance]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def audit(self) -> Dict[Key, Provenance]:
+        """Per-candidate evidence record (key → :class:`Provenance`),
+        covering kept rules *and* dropped candidates with their rejecting
+        filter.  Contributing image ids are retained only for candidates
+        that survived support+confidence — dropped ones keep counts only,
+        so the audit stays compact at mining scale.  Built on first read."""
+        if self._audit is None:
+            decisions = self.decisions
+            self._audit = {
+                key: record if isinstance(record, Provenance)
+                else self.pipeline.provenance(*record, decisions[key])
+                for key, record in self.evidence.items()
+            }
+        return self._audit
 
 
 class RuleInferencer:
@@ -165,10 +214,11 @@ class RuleInferencer:
             entropy_threshold=self.entropy_threshold,
             use_entropy=self.use_entropy,
         )
+        decide = pipeline.decide_counts
         kept = RuleSet()
         pre_entropy = RuleSet()
-        decisions: Dict[Tuple[str, str, str], FilterDecision] = {}
-        audit: Dict[Tuple[str, str, str], Provenance] = {}
+        decisions: Dict[Key, FilterDecision] = {}
+        evidence: Dict[Key, object] = {}
         pair_count = 0
         registry = get_registry()
         # One (row, first-occurrence cells, row bit) entry per system, so
@@ -178,50 +228,68 @@ class RuleInferencer:
             for index, system in enumerate(dataset)
         ]
         image_ids = [system.image_id for system in dataset]
+        entropy = {
+            attribute: dataset.stats(attribute).entropy
+            for attribute in dataset.attributes()
+        }
+        # Columns sorted by a reading, for the ordering kernel; local to
+        # this call, like the dataset it describes.
+        sorted_columns: Dict[Tuple[str, str], _Sorted] = {}
         with span("infer", templates=len(self.templates)) as infer_span:
             for template in self.templates:
                 # Telemetry is aggregated per template, never per pair:
                 # the inner loop is the hottest path in learning.
-                t_pairs = t_kept = 0
-                t_drops: Dict[str, int] = {}
-                with span("infer.template", template=template.name) as t_span:
+                t_pairs = 0
+                t_decisions: Dict[FilterDecision, int] = {}
+                name = template.name
+                relation = template.relation.value
+                entropy_filtered = template.entropy_filtered
+                with span("infer.template", template=name) as t_span:
                     for attr_a, attr_b in self._pairs(dataset, template):
                         t_pairs += 1
-                        evaluated = self._evaluate_pair(
-                            dataset, rows, template, attr_a, attr_b
+                        masks = self._evaluate_pair(
+                            dataset, rows, template, attr_a, attr_b, sorted_columns
                         )
-                        if evaluated is None:
+                        if masks is None:
                             continue
-                        rule, applicable = evaluated
-                        decision = pipeline.decide(rule, template)
-                        survived = decision in (
-                            FilterDecision.KEPT, FilterDecision.LOW_ENTROPY
+                        applicable, valid = masks
+                        support = applicable.bit_count()
+                        valid_count = valid.bit_count()
+                        entropy_a = entropy[attr_a]
+                        entropy_b = entropy[attr_b]
+                        decision = decide(
+                            support, valid_count, entropy_a, entropy_b,
+                            entropy_filtered,
                         )
-                        provenance = pipeline.provenance(
-                            rule, template, decision,
-                            tuple(_at_bits(image_ids, applicable)) if survived else (),
+                        key = (name, attr_a, attr_b)
+                        decisions[key] = decision
+                        t_decisions[decision] = t_decisions.get(decision, 0) + 1
+                        if decision in _BELOW_SUPPORT_OR_CONFIDENCE:
+                            # Counts only, turned into provenance when the
+                            # audit is first read.
+                            evidence[key] = (
+                                template, support, valid_count, entropy_a, entropy_b
+                            )
+                            continue
+                        provenance = evidence[key] = pipeline.provenance(
+                            template, support, valid_count, entropy_a, entropy_b,
+                            decision, tuple(_at_bits(image_ids, applicable)),
                         )
-                        decisions[rule.key] = decision
-                        audit[rule.key] = provenance
-                        if survived:
-                            # Only survivors are kept as rules; a dropped
-                            # candidate leaves its key and provenance.
-                            rule = replace(rule, provenance=provenance)
-                            pre_entropy.add(rule)
+                        rule = ConcreteRule(
+                            name, attr_a, attr_b, relation, support, valid_count,
+                            entropy_a, entropy_b, template.description, provenance,
+                        )
+                        pre_entropy.add(rule)
                         if decision is FilterDecision.KEPT:
                             kept.add(rule)
-                            t_kept += 1
-                        else:
-                            t_drops[decision.value] = t_drops.get(decision.value, 0) + 1
+                    t_kept = t_decisions.pop(FilterDecision.KEPT, 0)
                     t_span.annotate(pairs=t_pairs, kept=t_kept)
                 pair_count += t_pairs
-                registry.counter(
-                    "infer.pairs.candidate", template=template.name
-                ).inc(t_pairs)
-                registry.counter("infer.rules.kept", template=template.name).inc(t_kept)
-                for reason, dropped in t_drops.items():
+                registry.counter("infer.pairs.candidate", template=name).inc(t_pairs)
+                registry.counter("infer.rules.kept", template=name).inc(t_kept)
+                for reason, dropped in t_decisions.items():
                     registry.counter(
-                        "infer.rules.dropped", template=template.name, reason=reason
+                        "infer.rules.dropped", template=name, reason=reason.value
                     ).inc(dropped)
             infer_span.annotate(pairs=pair_count, kept=len(kept))
         return InferenceResult(
@@ -229,7 +297,8 @@ class RuleInferencer:
             pre_entropy_rules=pre_entropy,
             decisions=decisions,
             candidate_pairs=pair_count,
-            audit=audit,
+            evidence=evidence,
+            pipeline=pipeline,
         )
 
     def _evaluate_pair(
@@ -239,89 +308,82 @@ class RuleInferencer:
         template: RuleTemplate,
         attr_a: str,
         attr_b: str,
-    ) -> Optional[Tuple[ConcreteRule, int]]:
+        sorted_columns: Dict[Tuple[str, str], _Sorted],
+    ) -> Optional[Tuple[int, int]]:
         """Gather verdicts for one instantiation across the systems that
         hold both attributes.
 
-        Returns the rule and its *applicable* mask (the systems where
-        the validator gave a verdict: the provenance population), or
-        ``None`` when it applied nowhere.  The path depends on the pair:
-
-        * equality validators over single-occurrence attributes always
-          apply, and hold where both columns share a value: the valid
-          mask is the OR of the common values' group masks;
-        * other value-only validators over single-occurrence attributes
-          run once per distinct value pair whose groups share a row, as
-          long as there are no more such pairs than shared rows;
-        * everything else — environment checks, customization and
-          programmatic validators, repeated attributes and
-          high-cardinality pairs — runs once per shared row, with
-          any-occurrence semantics for repeated attributes.
+        Returns the *applicable* mask (the systems where the validator
+        gave a verdict: the provenance population) and the *valid* mask,
+        or ``None`` when it applied nowhere.  The path depends on the
+        pair (see the module docstring); *sorted_columns* memoises the
+        ordering kernel's sorted columns for one :meth:`infer` call.
         """
-        validator = template.validator
         both = dataset.presence(attr_a) & dataset.presence(attr_b)
         if not both:
             return None
         applicable = valid = 0
-        equality = VALUE_ONLY_VALIDATORS.get(validator)
+        validator = template.validator
+        how = VALUE_ONLY_VALIDATORS.get(validator)
         repeats = dataset.is_multi_valued(attr_a) or dataset.is_multi_valued(attr_b)
-        groups_a = groups_b = None
-        if equality is not None and not repeats:
+        if how is not None and not repeats:
+            if how.kind == "ordering":
+                reading = how.reading
+                cover_a, readings_a, _, prefix_a = (
+                    sorted_columns.get((attr_a, reading))
+                    or _sorted_column(dataset, attr_a, reading, sorted_columns)
+                )
+                cover_b, readings_b, masks_b, _ = (
+                    sorted_columns.get((attr_b, reading))
+                    or _sorted_column(dataset, attr_b, reading, sorted_columns)
+                )
+                applicable = cover_a & cover_b
+                if not applicable:
+                    return None
+                # Each B group holds where some A reading is below its own.
+                below = bisect_left if how.strict else bisect_right
+                for reading_b, mask_b in zip(readings_b, masks_b):
+                    valid |= mask_b & prefix_a[below(readings_a, reading_b)]
+                return applicable, valid
             groups_a = dataset.value_groups(attr_a)
             groups_b = dataset.value_groups(attr_b)
-            if not equality and len(groups_a) * len(groups_b) > both.bit_count():
-                groups_a = groups_b = None
-        if groups_a is None:
-            for system, cells, bit in _at_bits(rows, both):
-                if repeats:
-                    verdict = self._system_verdict(
-                        template, system.values_of(attr_a),
-                        system.values_of(attr_b), system,
-                    )
-                else:
-                    verdict = validator(cells[attr_a], cells[attr_b], system)
-                if verdict is None:
-                    continue
-                applicable |= bit
-                if verdict:
-                    valid |= bit
-        elif equality:
-            applicable = both
-            if len(groups_a) > len(groups_b):
-                groups_a, groups_b = groups_b, groups_a
-            for value, (mask_a, _) in groups_a.items():
-                group_b = groups_b.get(value)
-                if group_b is not None:
-                    valid |= mask_a & group_b[0]
-        else:
-            for mask_a, typed_a in groups_a.values():
-                for mask_b, typed_b in groups_b.values():
-                    shared = mask_a & mask_b
-                    if not shared:
-                        continue
-                    # Value-only: the system argument is never read.
-                    verdict = validator(typed_a, typed_b, None)
-                    if verdict is None:
-                        continue
-                    applicable |= shared
-                    if verdict:
-                        valid |= shared
-        if not applicable:
-            return None
-        stats_a = dataset.stats(attr_a)
-        stats_b = dataset.stats(attr_b)
-        rule = ConcreteRule(
-            template_name=template.name,
-            attribute_a=attr_a,
-            attribute_b=attr_b,
-            relation=template.relation.value,
-            support=applicable.bit_count(),
-            valid_count=valid.bit_count(),
-            entropy_a=stats_a.entropy if stats_a else 0.0,
-            entropy_b=stats_b.entropy if stats_b else 0.0,
-            description=template.description,
-        )
-        return rule, applicable
+            if how.kind == "equality":
+                applicable = both
+                if len(groups_a) > len(groups_b):
+                    groups_a, groups_b = groups_b, groups_a
+                for value, (mask_a, _) in groups_a.items():
+                    group_b = groups_b.get(value)
+                    if group_b is not None:
+                        valid |= mask_a & group_b[0]
+                return applicable, valid
+            if len(groups_a) * len(groups_b) <= both.bit_count():
+                for mask_a, typed_a in groups_a.values():
+                    for mask_b, typed_b in groups_b.values():
+                        shared = mask_a & mask_b
+                        if not shared:
+                            continue
+                        # Value-only: the system argument is never read.
+                        verdict = validator(typed_a, typed_b, None)
+                        if verdict is None:
+                            continue
+                        applicable |= shared
+                        if verdict:
+                            valid |= shared
+                return (applicable, valid) if applicable else None
+        for system, cells, bit in _at_bits(rows, both):
+            if repeats:
+                verdict = self._system_verdict(
+                    template, system.values_of(attr_a),
+                    system.values_of(attr_b), system,
+                )
+            else:
+                verdict = validator(cells[attr_a], cells[attr_b], system)
+            if verdict is None:
+                continue
+            applicable |= bit
+            if verdict:
+                valid |= bit
+        return (applicable, valid) if applicable else None
 
     @staticmethod
     def _system_verdict(template, values_a, values_b, system) -> Optional[bool]:
@@ -340,7 +402,40 @@ class RuleInferencer:
         return False if applicable else None
 
 
+#: Binary digits to selector bytes: ``"0"`` → 0, ``"1"`` → 1.
+_DIGIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _at_bits(items: Sequence, mask: int) -> Iterator:
     """The items at the set bits of *mask* (bit *i* ↔ ``items[i]``), in
-    order; the binary digits select them without per-bit arithmetic."""
-    return compress(items, map("1".__eq__, bin(mask)[:1:-1]))
+    order; the binary digits, as 0/1 bytes, select them without a Python
+    call per bit."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGIT_SELECTORS))
+
+
+def _sorted_column(
+    dataset: Dataset,
+    attribute: str,
+    reading: str,
+    memo: Dict[Tuple[str, str], _Sorted],
+) -> _Sorted:
+    """*attribute*'s value groups sorted by their *reading* (see
+    :data:`_Sorted`), stored in *memo* under ``(attribute, reading)``."""
+    cover = 0
+    ordered = []
+    for mask, typed in dataset.value_groups(attribute).values():
+        number = getattr(typed, reading)
+        if number is None:
+            continue
+        cover |= mask
+        if number == number:  # NaN compares false with everything
+            ordered.append((number, mask))
+    ordered.sort(key=itemgetter(0))
+    masks = [mask for _, mask in ordered]
+    column = memo[(attribute, reading)] = (
+        cover,
+        [number for number, _ in ordered],
+        masks,
+        list(accumulate(masks, or_, initial=0)),
+    )
+    return column

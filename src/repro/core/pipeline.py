@@ -289,7 +289,7 @@ class EnCore:
         ) + (tuple(self._customization_texts),)
         cached = self._worker_payload_cache
         if cached is None or cached[0] != key:
-            from repro.engine.sharding import encode_config_payload
+            from repro.engine.artifacts import encode_config_payload
 
             data, digest = encode_config_payload(self.worker_config())
             cached = self._worker_payload_cache = (key, data, digest)
@@ -306,7 +306,7 @@ class EnCore:
             raise RuntimeError("model_payload() requires a trained model")
         if self._model_payload_cache is None:
             from repro.core.persistence import model_to_dict
-            from repro.engine.sharding import encode_model_payload
+            from repro.engine.artifacts import encode_model_payload
 
             self._model_payload_cache = encode_model_payload(
                 model_to_dict(self.model)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
 from repro.core.dataset import AssembledSystem
 from repro.core.types import ConfigType, TypedValue
@@ -193,19 +193,41 @@ def _v_less_size(a: TypedValue, b: TypedValue, system: AssembledSystem) -> Optio
     return left <= right
 
 
-#: The predefined validators that read only their two values (``.value``,
-#: ``.number``, ``.size_bytes``), never ``system`` or ``.type``, mapped to
-#: whether the verdict is plain value equality.  Rule inference evaluates
-#: these once per distinct value pair instead of once per row; any other
-#: validator runs once per row.
-VALUE_ONLY_VALIDATORS: Dict[Validator, bool] = {
-    _v_equal: True,
-    _v_one_instance_equal: True,
-    _v_implies: False,
-    _v_subnet: False,
-    _v_substring: False,
-    _v_less_number: False,
-    _v_less_size: False,
+class ValueOnly(NamedTuple):
+    """How rule inference evaluates a validator that reads only its two
+    values (``.value``, ``.number``, ``.size_bytes``), never ``system``
+    or ``.type``."""
+
+    #: ``"equality"``: the verdict is plain value equality, so the valid
+    #: rows are those where both columns share a value.  ``"ordering"``:
+    #: the verdict compares one numeric reading of each value, so a
+    #: sorted-prefix pass over the value groups finds the valid rows.
+    #: ``"value_pairs"``: the validator runs once per distinct value pair.
+    kind: str
+    #: For orderings, the :class:`~repro.core.types.TypedValue` reading
+    #: compared; a value without one (``None``) makes the rule not
+    #: applicable, and a NaN reading is applicable but never valid.
+    reading: str = ""
+    #: For orderings, ``A < B`` when true and ``A <= B`` when false.
+    strict: bool = False
+
+
+EQUALITY = ValueOnly("equality")
+VALUE_PAIRS = ValueOnly("value_pairs")
+
+#: The predefined validators that read only their two values, mapped to
+#: how rule inference evaluates them over the dataset's value groups
+#: instead of once per row.  Any other validator runs once per row, as
+#: does every validator on a pair with a repeated attribute.  Each
+#: ordering entry states exactly what its validator computes.
+VALUE_ONLY_VALIDATORS: Dict[Validator, ValueOnly] = {
+    _v_equal: EQUALITY,
+    _v_one_instance_equal: EQUALITY,
+    _v_implies: VALUE_PAIRS,
+    _v_subnet: VALUE_PAIRS,
+    _v_substring: VALUE_PAIRS,
+    _v_less_number: ValueOnly("ordering", reading="number", strict=True),
+    _v_less_size: ValueOnly("ordering", reading="size_bytes", strict=False),
 }
 
 

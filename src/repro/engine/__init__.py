@@ -16,32 +16,36 @@ The contract throughout: executing a stage with ``workers=N`` for any N
 Assembly achieves this through the associative
 :meth:`~repro.core.dataset.PartialDataset.merge`; checking because each
 target is independent and reports are re-ordered to input order.
+
+The names below resolve on first use, so importing one submodule does
+not import the others.
 """
 
-from repro.engine.artifacts import (
-    ShardResult,
-    assembled_system_from_dict,
-    assembled_system_to_dict,
-    partial_from_dict,
-    partial_to_dict,
-    report_from_dict,
-)
-from repro.engine.sharding import (
-    BatchChecker,
-    ShardedAssembler,
-    chunked,
-    default_chunk_size,
-)
+from importlib import import_module
 
-__all__ = [
-    "BatchChecker",
-    "ShardResult",
-    "ShardedAssembler",
-    "assembled_system_from_dict",
-    "assembled_system_to_dict",
-    "chunked",
-    "default_chunk_size",
-    "partial_from_dict",
-    "partial_to_dict",
-    "report_from_dict",
-]
+#: Public name → the submodule that defines it.  Importing one submodule
+#: (``repro.engine.codec`` for a model load, ``repro.engine.cache`` for a
+#: serial cached train) then does not pay for the shard engine and its
+#: process pool.
+_EXPORTS = {
+    "BatchChecker": "repro.engine.sharding",
+    "ShardResult": "repro.engine.artifacts",
+    "ShardedAssembler": "repro.engine.sharding",
+    "assembled_system_from_dict": "repro.engine.artifacts",
+    "assembled_system_to_dict": "repro.engine.artifacts",
+    "chunked": "repro.engine.sharding",
+    "default_chunk_size": "repro.engine.sharding",
+    "partial_from_dict": "repro.engine.artifacts",
+    "partial_to_dict": "repro.engine.artifacts",
+    "report_from_dict": "repro.engine.artifacts",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

@@ -55,6 +55,10 @@ re-attaches (:func:`assembled_system_from_dict` with ``image=``).
 Images shipped *out* to workers are encoded once per image and memoised
 on the image object (:func:`image_payload`), so repeat shipments —
 serve traffic, ``train_more``, warm re-checks — cost a dict lookup.
+The worker config and the model snapshot are encoded once per change
+(:func:`encode_config_payload`, :func:`encode_model_payload`); the
+config's digest also salts result-cache keys, so a serial cached train
+encodes it without loading the shard engine.
 The image's content address (:func:`image_digest`, half of the result
 cache key in :mod:`repro.engine.cache`) hashes a canonical JSON form
 built by the C encoder instead, so keying an image never runs the
@@ -88,6 +92,34 @@ from repro.sysmodel.snapshot import image_from_dict, image_to_dict
 #: Version of the assembled-row layout; part of every result-cache key,
 #: so an entry written in another layout is never looked up.
 ROW_LAYOUT_VERSION = 2
+
+
+# -- config and model payloads -------------------------------------------------
+
+
+def encode_config_payload(config) -> Tuple[bytes, str]:
+    """``(codec bytes, digest)`` of a worker config — count every encode.
+
+    ``codec.config.encodes.total`` is the regression guard for the
+    one-encode-per-pool-lifetime contract: callers that hoist correctly
+    (``EnCore.worker_payload``) bump it once per config change, not once
+    per shard submission.
+    """
+    data = codec.encode(config.to_dict())
+    get_registry().counter("codec.config.encodes.total").inc()
+    return data, codec.digest(data)
+
+
+def encode_model_payload(model_dict: Dict[str, Any]) -> Tuple[bytes, str]:
+    """``(codec bytes, digest)`` of a model snapshot dict — counted.
+
+    Like config payloads, the model crosses the process boundary as one
+    hoisted encoding per pool lifetime; ``codec.model.encodes.total``
+    guards against per-shard re-encoding creeping back in.
+    """
+    data = codec.encode(model_dict)
+    get_registry().counter("codec.model.encodes.total").inc()
+    return data, codec.digest(data)
 
 
 # -- image payloads ------------------------------------------------------------

@@ -149,31 +149,6 @@ def default_chunk_size(n_items: int, workers: int) -> int:
     return max(1, math.ceil(n_items / (max(1, workers) * 4)))
 
 
-def encode_config_payload(config) -> Tuple[bytes, str]:
-    """``(codec bytes, digest)`` of a worker config — count every encode.
-
-    ``codec.config.encodes.total`` is the regression guard for the
-    one-encode-per-pool-lifetime contract: callers that hoist correctly
-    (``EnCore.worker_payload``) bump it once per config change, not once
-    per shard submission.
-    """
-    data = codec.encode(config.to_dict())
-    get_registry().counter("codec.config.encodes.total").inc()
-    return data, codec.digest(data)
-
-
-def encode_model_payload(model_dict: Dict[str, Any]) -> Tuple[bytes, str]:
-    """``(codec bytes, digest)`` of a model snapshot dict — counted.
-
-    Like config payloads, the model crosses the process boundary as one
-    hoisted encoding per pool lifetime; ``codec.model.encodes.total``
-    guards against per-shard re-encoding creeping back in.
-    """
-    data = codec.encode(model_dict)
-    get_registry().counter("codec.model.encodes.total").inc()
-    return data, codec.digest(data)
-
-
 def attach_worker_cache(assembler, spec: Optional[Dict[str, Any]]) -> None:
     """Arm a worker assembler's result cache from its task payload."""
     if not spec:

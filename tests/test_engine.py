@@ -7,8 +7,14 @@ rules, and reports.  These tests pin that contract from the
 the CLI.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.engine
 from repro.core.dataset import Dataset, PartialDataset
 from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.corpus.generator import Ec2CorpusGenerator
@@ -337,3 +343,42 @@ class TestArtifacts:
         for mine, theirs in zip(restored.warnings, report.warnings):
             assert mine.score == pytest.approx(theirs.score, abs=1e-4)
             assert (mine.rule is None) == (theirs.rule is None)
+
+
+class TestLazyImports:
+    def test_submodules_do_not_import_the_shard_engine(self, tmp_path):
+        """Importing the codec or the result cache, and a serial train
+        over a disk cache, leave the shard engine and its pool unloaded."""
+        script = (
+            "import sys\n"
+            "import repro.engine.codec, repro.engine.cache\n"
+            "engine = ('repro.engine.sharding', 'repro.engine.pool')\n"
+            "print([m for m in engine if m in sys.modules])\n"
+            "from repro.core.pipeline import EnCore\n"
+            "from repro.corpus.generator import Ec2CorpusGenerator\n"
+            "from repro.engine.cache import ResultCache\n"
+            "encore = EnCore()\n"
+            "encore.set_cache(ResultCache(sys.argv[1]))\n"
+            "encore.train(Ec2CorpusGenerator(seed=3).generate(6), workers=1)\n"
+            "print([m for m in engine if m in sys.modules])\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "cache")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "[]"]
+        assert any((tmp_path / "cache").rglob("*")), "the train stored no entry"
+
+    def test_public_names_resolve(self):
+        from repro.engine.artifacts import ShardResult as artifact
+        from repro.engine.sharding import ShardedAssembler as sharded
+
+        assert repro.engine.ShardedAssembler is sharded
+        assert repro.engine.ShardResult is artifact
+        for name in repro.engine.__all__:
+            assert getattr(repro.engine, name) is not None
+        with pytest.raises(AttributeError):
+            repro.engine.no_such_name
