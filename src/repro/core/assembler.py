@@ -9,7 +9,7 @@ attributes, and appends system-wide environment columns.  The output is an
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.augment import Augmenter
 from repro.core.collector import RawCollection
@@ -44,13 +44,14 @@ class DataAssembler:
     "Baseline" row) and the "Original" column of Table 2.
 
     ``error_policy`` controls per-image fault isolation on the corpus
-    paths (:meth:`assemble_partial` / :meth:`assemble_corpus`): under
-    ``strict`` (the constructor default, preserving historical
-    behaviour) the first bad image fails the run; under ``quarantine``
-    or ``skip`` the bad image is dropped — with or without an auditable
-    :class:`~repro.core.resilience.QuarantineRecord` — and assembly
-    continues with the survivors.  :class:`EnCore` instances default to
-    ``quarantine`` via :class:`~repro.core.pipeline.EnCoreConfig`.
+    paths (:meth:`assemble_rows`, :meth:`assemble_partial`,
+    :meth:`assemble_corpus`): under ``strict`` (the constructor default,
+    preserving historical behaviour) the first bad image fails the run;
+    under ``quarantine`` or ``skip`` the bad image is dropped — with or
+    without an auditable :class:`~repro.core.resilience.QuarantineRecord`
+    — and assembly continues with the survivors.  :class:`EnCore`
+    instances default to ``quarantine`` via
+    :class:`~repro.core.pipeline.EnCoreConfig`.
     """
 
     def __init__(
@@ -220,11 +221,23 @@ class DataAssembler:
         alone.
         """
         partial = PartialDataset()
+        for system in self.assemble_rows(images, shard_index):
+            partial.add(system)
+        return partial
+
+    def assemble_rows(
+        self, images: Iterable[SystemImage], shard_index: int = -1
+    ) -> Iterator[AssembledSystem]:
+        """The assembled rows of *images* under the error policy, in input
+        order; dropped images yield nothing.
+
+        A sharded-assembly worker ships these rows as they are: the
+        coordinator folds them into its own :class:`PartialDataset`.
+        """
         for image in images:
             system = self._assemble_guarded(image, shard_index)
             if system is not None:
-                partial.add(system)
-        return partial
+                yield system
 
     def _assemble_guarded(
         self, image: SystemImage, shard_index: int = -1

@@ -241,9 +241,9 @@ def _run_shard(task: bytes) -> bytes:
                     if report is not None
                 ]
             else:
-                items = encore.assembler.assemble_partial(
-                    images, shard_index=shard_index
-                ).systems
+                items = list(
+                    encore.assembler.assemble_rows(images, shard_index)
+                )
         telemetry = capture_telemetry(
             encore.quarantine, encore.drift if kind == "check" else None,
             tracer, shard_index,
@@ -616,7 +616,7 @@ class ShardedAssembler(_ShardExecutor):
 
     def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
         self._install_inline_faults()
-        return self.assembler.assemble_partial(chunk, shard_index=index).systems
+        return list(self.assembler.assemble_rows(chunk, index))
 
 
 class BatchChecker(_ShardExecutor):

@@ -20,17 +20,21 @@ from typing import Dict, Union
 #: One lock per append target, so in-process concurrent appenders (the
 #: serve daemon's request threads writing ledger entries) serialise
 #: fully instead of relying on the kernel's single-write atomicity.
+#: Keyed by resolved path; ``_append_locks_by_name`` remembers each
+#: absolute path's lock, so a path is resolved once, not once per line.
 _append_locks: Dict[str, threading.Lock] = {}
+_append_locks_by_name: Dict[str, threading.Lock] = {}
 _append_locks_guard = threading.Lock()
 
 
 def _append_lock(path: Path) -> threading.Lock:
-    key = str(path.resolve())
-    with _append_locks_guard:
-        lock = _append_locks.get(key)
-        if lock is None:
-            lock = _append_locks[key] = threading.Lock()
-        return lock
+    name = os.path.abspath(path)
+    lock = _append_locks_by_name.get(name)
+    if lock is None:
+        with _append_locks_guard:
+            lock = _append_locks.setdefault(str(path.resolve()), threading.Lock())
+            _append_locks_by_name[name] = lock
+    return lock
 
 
 def ensure_parent(path: Union[str, Path]) -> Path:
@@ -91,10 +95,18 @@ def append_line(path: Union[str, Path], line: str) -> Path:
       handlers all appending ledger entries — a per-path lock serialises
       the whole open+write, so buffered writes can never flush a partial
       line between two threads' appends.
+
+    Parent directories are created when the open finds them missing, so
+    an append costs no path work beyond the open itself.
     """
-    path = ensure_parent(path)
+    path = Path(path)
     text = line.rstrip("\n") + "\n"
     with _append_lock(path):
-        with open(path, "a") as handle:
+        try:
+            handle = open(path, "a")
+        except FileNotFoundError:
+            ensure_parent(path)
+            handle = open(path, "a")
+        with handle:
             handle.write(text)
     return path

@@ -119,9 +119,18 @@ class Provenance:
         return tuple(out)
 
     def digest(self) -> str:
-        """Short stable content hash; what warnings embed as evidence."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        """Short stable content hash; what warnings embed as evidence.
+
+        Hashed on the first call and kept: the record is frozen, and a
+        check embeds it in every warning of the rule.
+        """
+        try:
+            return self._digest
+        except AttributeError:
+            blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+            digest = hashlib.sha256(blob).hexdigest()[:12]
+            object.__setattr__(self, "_digest", digest)
+            return digest
 
     def describe(self) -> str:
         """One-paragraph human rendering (``repro explain`` output)."""

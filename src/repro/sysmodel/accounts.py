@@ -15,17 +15,20 @@ from typing import Dict, Iterable, List, Optional
 ROOT_GROUP = "root"
 #: Groups conventionally granting administrative privileges.
 ADMIN_GROUPS = frozenset({"root", "wheel", "sudo", "admin"})
+#: Home and shell of an account that has neither.
+NO_HOME = "/nonexistent"
+NO_SHELL = "/usr/sbin/nologin"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class User:
     """One ``/etc/passwd`` row (the fields EnCore uses)."""
 
     name: str
     uid: int
     gid: int
-    home: str = "/nonexistent"
-    shell: str = "/usr/sbin/nologin"
+    home: str = NO_HOME
+    shell: str = NO_SHELL
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -34,7 +37,7 @@ class User:
             raise ValueError(f"uid/gid must be non-negative for {self.name}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Group:
     """One ``/etc/group`` row."""
 

@@ -28,6 +28,16 @@ class FileKind(str, Enum):
     SYMLINK = "symlink"
 
 
+#: Snapshot kind string → :class:`FileKind`: one dict lookup per decoded
+#: file instead of an enum call.
+FILE_KINDS: Dict[str, FileKind] = {kind.value: kind for kind in FileKind}
+
+_set = object.__setattr__
+#: Permission bits → one shared int.  A JSON decode makes a new int object
+#: per file for every mode above 256; valid modes number at most 4096.
+_MODES: Dict[int, int] = {}
+
+
 def normalize_path(path: str) -> str:
     """Normalise *path* to a canonical absolute POSIX path.
 
@@ -35,18 +45,21 @@ def normalize_path(path: str) -> str:
     stores absolute paths, mirroring what a collector sees when it walks a
     mounted image.
     """
-    if not path or not path.startswith("/"):
+    if not path or path[0] != "/":
         raise ValueError(f"filesystem paths must be absolute, got {path!r}")
-    norm = posixpath.normpath(path)
-    return norm
+    return posixpath.normpath(path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FileMeta:
     """Metadata of one filesystem object.
 
     ``mode`` carries the permission bits only (e.g. ``0o644``); the object
     kind lives in ``kind``.  ``target`` is the symlink target for symlinks.
+
+    A corpus holds tens of thousands of these, so the record is slotted
+    and its constructor validates with one ``normpath`` and three
+    comparisons; snapshot decoding passes the fields positionally.
     """
 
     path: str
@@ -57,14 +70,32 @@ class FileMeta:
     size: int = 0
     target: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "path", normalize_path(self.path))
-        if self.kind is FileKind.SYMLINK and self.target is None:
-            raise ValueError(f"symlink {self.path} requires a target")
-        if self.kind is not FileKind.SYMLINK and self.target is not None:
-            raise ValueError(f"non-symlink {self.path} must not have a target")
-        if not 0 <= self.mode <= 0o7777:
-            raise ValueError(f"invalid mode {oct(self.mode)} for {self.path}")
+    def __init__(
+        self,
+        path: str,
+        kind: FileKind = FileKind.FILE,
+        owner: str = "root",
+        group: str = "root",
+        mode: int = 0o644,
+        size: int = 0,
+        target: Optional[str] = None,
+    ) -> None:
+        path = normalize_path(path)
+        if (kind is FileKind.SYMLINK) is (target is None):
+            if target is None:
+                raise ValueError(f"symlink {path} requires a target")
+            raise ValueError(f"non-symlink {path} must not have a target")
+        if not 0 <= mode <= 0o7777:
+            raise ValueError(f"invalid mode {oct(mode)} for {path}")
+        if type(mode) is int:
+            mode = _MODES.setdefault(mode, mode)
+        _set(self, "path", path)
+        _set(self, "kind", kind)
+        _set(self, "owner", owner)
+        _set(self, "group", group)
+        _set(self, "mode", mode)
+        _set(self, "size", size)
+        _set(self, "target", target)
 
     @property
     def is_dir(self) -> bool:
@@ -145,28 +176,30 @@ class FileSystem:
         Re-adding an existing path replaces its metadata (used by the error
         injector to flip ownership/permissions).
         """
+        path = meta.path
+        entries = self._entries
         if make_parents:
-            self._ensure_parents(meta.path)
-        elif posixpath.dirname(meta.path) not in self._entries:
+            self._ensure_parents(path)
+        elif (path[: path.rfind("/")] or "/") not in entries:
             self._ancestors_present = False
-        existing = self._entries.get(meta.path)
+        existing = entries.get(path)
         if existing is not None and existing.is_dir and not meta.is_dir:
-            raise ValueError(f"cannot replace directory {meta.path} with {meta.kind.value}")
-        self._entries[meta.path] = meta
+            raise ValueError(f"cannot replace directory {path} with {meta.kind.value}")
+        entries[path] = meta
         return meta
 
     def _ensure_parents(self, path: str) -> None:
         entries = self._entries
-        parent = posixpath.dirname(path)
-        while parent and parent != "/":
+        # Cut at the last "/": "" once the root, which always exists, is
+        # reached.
+        parent = path[: path.rfind("/")]
+        while parent:
             if parent in entries:
                 if self._ancestors_present:
                     return  # its own ancestors are present too
             else:
-                entries[parent] = FileMeta(
-                    parent, kind=FileKind.DIRECTORY, mode=0o755
-                )
-            parent = posixpath.dirname(parent)
+                entries[parent] = FileMeta(parent, FileKind.DIRECTORY, mode=0o755)
+            parent = parent[: parent.rfind("/")]
 
     def add_file(self, path: str, **kwargs) -> FileMeta:
         """Convenience wrapper: add a regular file."""

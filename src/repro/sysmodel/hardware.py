@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HardwareSpec:
     """CPU / memory / disk specification, possibly unavailable.
 

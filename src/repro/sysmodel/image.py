@@ -18,7 +18,7 @@ from repro.sysmodel.osinfo import OSInfo
 from repro.sysmodel.services import ServiceRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class ConfigFile:
     """One configuration file inside an image.
 

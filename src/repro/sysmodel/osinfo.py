@@ -20,7 +20,7 @@ class SELinuxStatus(str, Enum):
     ABSENT = "absent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OSInfo:
     """Distribution identity of an image."""
 

@@ -9,17 +9,20 @@ disk and re-loaded without re-running the generator.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.sysmodel.accounts import AccountDatabase, Group, User
-from repro.sysmodel.filesystem import FileKind, FileMeta, FileSystem
+from repro.sysmodel.accounts import NO_HOME, NO_SHELL, AccountDatabase, Group, User
+from repro.sysmodel.filesystem import FILE_KINDS, FileMeta, FileSystem
 from repro.sysmodel.hardware import HardwareSpec
 from repro.sysmodel.image import ConfigFile, SystemImage
 from repro.sysmodel.osinfo import OSInfo, SELinuxStatus
 from repro.sysmodel.services import Service, ServiceRegistry
 
 SNAPSHOT_VERSION = 1
+
+_intern = sys.intern
 
 
 class ImageCorruptError(ValueError):
@@ -113,30 +116,51 @@ def _image_from_dict(data: Dict[str, Any]) -> SystemImage:
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version: {version}")
 
+    # Identifier strings (owners, account names, shells, protocols) repeat
+    # across files and images; interning keeps one copy of each, and
+    # rejects a non-string with TypeError.
     accounts = AccountDatabase(
-        users=[User(**u) for u in data["users"]],
+        users=[
+            User(
+                _intern(u["name"]),
+                u["uid"],
+                u["gid"],
+                _intern(u.get("home", NO_HOME)),
+                _intern(u.get("shell", NO_SHELL)),
+            )
+            for u in data["users"]
+        ],
         groups=[
-            Group(g["name"], g["gid"], tuple(g.get("members", ())))
+            Group(_intern(g["name"]), g["gid"], tuple(map(_intern, g.get("members", ()))))
             for g in data["groups"]
         ],
     )
-    services = ServiceRegistry([Service(**s) for s in data["services"]])
+    services = ServiceRegistry(
+        [
+            Service(_intern(s["name"]), s["port"], _intern(s.get("protocol", "tcp")))
+            for s in data["services"]
+        ]
+    )
     hardware = HardwareSpec(**data["hardware"])
     os_raw = dict(data["os_info"])
     os_raw["selinux"] = SELinuxStatus(os_raw["selinux"])
     os_info = OSInfo(**os_raw)
 
     fs = FileSystem()
+    add = fs.add
     for f in data["files"]:
-        fs.add(
+        kind = FILE_KINDS.get(f["kind"])
+        if kind is None:
+            raise ValueError(f"unknown file kind {f['kind']!r}")
+        add(
             FileMeta(
                 f["path"],
-                kind=FileKind(f["kind"]),
-                owner=f["owner"],
-                group=f["group"],
-                mode=f["mode"],
-                size=f["size"],
-                target=f.get("target"),
+                kind,
+                _intern(f["owner"]),
+                _intern(f["group"]),
+                f["mode"],
+                f["size"],
+                f.get("target"),
             )
         )
 
@@ -151,7 +175,7 @@ def _image_from_dict(data: Dict[str, Any]) -> SystemImage:
         running=data.get("running", False),
     )
     for c in data["config_files"]:
-        image.add_config_file(ConfigFile(c["app"], c["path"], c["text"]))
+        image.add_config_file(ConfigFile(_intern(c["app"]), c["path"], c["text"]))
     return image
 
 

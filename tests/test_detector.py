@@ -1,5 +1,9 @@
 """Tests for the anomaly detector (paper §6): the four checks + ranking."""
 
+import hashlib
+import json
+from collections import Counter
+
 import pytest
 
 from repro.core.assembler import DataAssembler
@@ -7,6 +11,7 @@ from repro.core.detector import AnomalyDetector, Warning, WarningKind
 from repro.core.inference import RuleInferencer
 from repro.core.report import Report
 from repro.corpus.generator import Ec2CorpusGenerator
+from repro.obs.model import Provenance
 from repro.sysmodel.image import ConfigFile, SystemImage
 
 
@@ -82,6 +87,40 @@ class TestCorrelationViolation:
         image.add_config_file(ConfigFile("mysql", "/etc/my.cnf", "[mysqld]\nport = 3306\n"))
         target = assembler.assemble(image)
         assert detector.check_correlations(target) == []
+
+
+    def test_provenance_hashed_once_per_rule(self, monkeypatch):
+        """A rule's provenance digest is computed once, however many
+        checks the rule fails, and equals the digest of its content."""
+        assembler = DataAssembler()
+        dataset = assembler.assemble_corpus(make_image(i) for i in range(20))
+        rules = RuleInferencer().infer(dataset).rules
+        detector = AnomalyDetector(dataset, rules, inferencer=assembler.inferencer)
+        expected = {
+            id(rule.provenance): hashlib.sha256(
+                json.dumps(rule.provenance.to_dict(), sort_keys=True).encode()
+            ).hexdigest()[:12]
+            for rule in rules
+        }
+        hashed = Counter()
+        to_dict = Provenance.to_dict
+
+        def counting_to_dict(self):
+            hashed[id(self)] += 1
+            return to_dict(self)
+
+        monkeypatch.setattr(Provenance, "to_dict", counting_to_dict)
+        violations = 0
+        for index in range(50):
+            target = assembler.assemble(make_image(900 + index, datadir_owner="root"))
+            for warning in detector.check_correlations(target):
+                violations += 1
+                assert warning.explanation.provenance_digest == (
+                    expected[id(warning.rule.provenance)]
+                )
+        assert violations >= 50
+        assert hashed and set(hashed.values()) == {1}
+        assert set(hashed) <= set(expected)
 
 
 class TestTypeViolation:

@@ -10,6 +10,7 @@ the CLI.
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,8 @@ from repro.engine import (
     partial_to_dict,
     report_from_dict,
 )
-from repro.engine import codec
+from repro.engine import codec, sharding
+from repro.engine import pool as engine_pool
 from repro.engine.artifacts import ShardResult
 from repro.obs.metrics import MetricsRegistry, use_registry
 
@@ -182,6 +184,38 @@ class TestShardedAssembly:
         encore, _ = serial_model
         with pytest.raises(ValueError):
             ShardedAssembler(encore, 0, None)
+
+    @pytest.mark.parametrize("pool", ["in_process_worker", "unavailable"])
+    def test_each_row_is_folded_once(self, small_corpus, monkeypatch, pool):
+        """Shards ship their rows unfolded; only the coordinator folds them."""
+        images = small_corpus[:8]
+        folded = []
+        add = PartialDataset.add
+
+        def counting_add(self, system):
+            folded.append(system.image_id)
+            add(self, system)
+
+        class InProcessExecutor:
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+        class FakePool:
+            def executor(self):
+                if pool == "unavailable":
+                    raise OSError("no processes here")
+                return InProcessExecutor()
+
+        monkeypatch.setattr(sharding, "get_warm_pool", lambda workers: FakePool())
+        monkeypatch.setattr(engine_pool, "_worker_state", {})
+        monkeypatch.setattr(PartialDataset, "add", counting_add)
+        dataset = ShardedAssembler(EnCore(), 2, 4).assemble(images)
+        assert folded == [image.image_id for image in images]
+        monkeypatch.undo()
+        serial = EnCore().assembler.assemble_corpus(images)
+        assert dataset.fingerprint() == serial.fingerprint()
 
 
 class TestBatchChecking:

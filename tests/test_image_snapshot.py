@@ -1,10 +1,22 @@
 """Tests for SystemImage and JSON snapshots."""
 
 import copy
+import json
+import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from repro.corpus.generator import Ec2CorpusGenerator
+from repro.sysmodel import (
+    FileKind,
+    FileMeta,
+    Group,
+    HardwareSpec,
+    OSInfo,
+    Service,
+    User,
+)
 from repro.sysmodel.image import ConfigFile, SystemImage
 from repro.sysmodel.snapshot import (
     ImageCorruptError,
@@ -160,3 +172,112 @@ class TestImageFromDictMutations:
         with pytest.raises(ImageCorruptError, match="missing field") as excinfo:
             load_image(path)
         assert excinfo.value.path == str(path)
+
+
+# -- decoded records: slotted, sharing their name strings, byte-identical ------
+
+
+def _fresh_dict(image):
+    """A snapshot dict as a load sees it: every string a new object."""
+    return json.loads(json.dumps(image_to_dict(image)))
+
+
+class TestDecodedRecords:
+    def test_records_are_slotted(self, small_corpus):
+        image = image_from_dict(_fresh_dict(small_corpus[0]))
+        records = [
+            image.fs.get("/etc"),
+            image.accounts.user("root"),
+            image.accounts.group("root"),
+            next(iter(image.services)),
+            image.hardware,
+            image.os_info,
+            image.config_files()[0],
+        ]
+        assert [type(r) for r in records] == [
+            FileMeta, User, Group, Service, HardwareSpec, OSInfo, ConfigFile,
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_frozen_records_keep_value_semantics(self):
+        meta = FileMeta("/srv//www/", FileKind.DIRECTORY, "www", "www", 0o750)
+        assert meta.path == "/srv/www"
+        assert meta == FileMeta("/srv/www", kind=FileKind.DIRECTORY,
+                                owner="www", group="www", mode=0o750)
+        assert hash(meta) == hash(replace(meta, owner="www"))
+        changed = replace(meta, mode=0o700)
+        assert changed.mode == 0o700 and meta.mode == 0o750
+        for record, field in ((meta, "owner"), (User("u", 1, 1), "name"),
+                              (Group("g", 1), "name"), (Service("s", 1), "port"),
+                              (HardwareSpec(), "available"), (OSInfo(), "version")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, "x")
+
+    def test_decoded_images_share_name_strings(self):
+        corpus = Ec2CorpusGenerator(seed=3).generate(20)
+        decoded = [image_from_dict(_fresh_dict(image)) for image in corpus]
+        owners = {}
+        shared = 0
+        for image in decoded:
+            for meta in image.fs:
+                for name in (meta.owner, meta.group):
+                    first = owners.setdefault(name, name)
+                    assert first is name, name
+                    shared += 1
+            for user in map(image.accounts.user, image.accounts.user_list()):
+                assert owners.setdefault(user.name, user.name) is user.name
+                assert owners.setdefault(user.shell, user.shell) is user.shell
+        assert shared > len(owners) * 10
+        assert any(name != "root" for name in owners)
+
+    @pytest.mark.parametrize("images", ["seed-3", "seed-11", "wild-seed-4"])
+    def test_round_trip_is_exact(self, images):
+        if images == "wild-seed-4":
+            corpus, _ = Ec2CorpusGenerator(seed=4).generate_wild(1000)
+        else:
+            corpus = Ec2CorpusGenerator(seed=int(images[5:])).generate(200)
+        for image in corpus:
+            data = _fresh_dict(image)
+            assert image_to_dict(image_from_dict(data)) == data, image.image_id
+
+
+class TestMalformedFiles:
+    """Each bad file entry, at a seeded position, fails as a corrupt image."""
+
+    MUTATIONS = {
+        "non-string owner": [("owner", 7), ("owner", None), ("owner", ["root"])],
+        "non-string group": [("group", 0)],
+        "unhashable kind": [("kind", ["file"]), ("kind", {"dir": 1})],
+        "unknown kind": [("kind", "socket")],
+        "relative path": [("path", "etc/passwd"), ("path", ""), ("path", 5)],
+        "symlink without a target": [("kind", "symlink"), ("target", None)],
+        "target on a file": [("kind", "file"), ("target", "/etc")],
+        "mode out of range": [("mode", 0o10000)],
+        "negative mode": [("mode", -1)],
+        "non-numeric mode": [("mode", "644")],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_bad_file_entry_is_corrupt(self, name, seed):
+        data = _fresh_dict(Ec2CorpusGenerator(seed=3).generate_one(seed))
+        entry = random.Random(seed).choice(data["files"][1:])
+        for key, value in self.MUTATIONS[name]:
+            entry[key] = value
+        with pytest.raises(ImageCorruptError) as excinfo:
+            image_from_dict(data)
+        assert excinfo.value.path is None and excinfo.value.reason
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("users", "name", 3),
+        ("users", "shell", ["/bin/sh"]),
+        ("groups", "members", [1]),
+        ("services", "protocol", 6),
+        ("config_files", "app", None),
+    ])
+    def test_non_string_names_are_corrupt(self, section, key, value):
+        data = _fresh_dict(Ec2CorpusGenerator(seed=3).generate_one(0))
+        data[section][0][key] = value
+        with pytest.raises(ImageCorruptError):
+            image_from_dict(data)

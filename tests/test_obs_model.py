@@ -42,6 +42,39 @@ class TestFileIO:
         append_line(dest, "second")
         assert dest.read_text() == "first\nsecond\n"
 
+    def test_append_line_recreates_a_removed_directory(self, tmp_path):
+        dest = tmp_path / "log" / "lines.jsonl"
+        append_line(dest, "first")
+        dest.unlink()
+        dest.parent.rmdir()
+        append_line(dest, "second")
+        assert dest.read_text() == "second\n"
+
+    def test_append_line_locks_one_path_once(self, tmp_path, monkeypatch):
+        """Every spelling of one file shares one lock; a path is resolved
+        on its first append only."""
+        from repro.obs import fileio
+
+        resolved = []
+        resolve = type(tmp_path).resolve
+
+        def counting_resolve(self, *args, **kwargs):
+            resolved.append(str(self))
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(tmp_path), "resolve", counting_resolve)
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        dest = tmp_path / "real" / "lines.jsonl"
+        for _ in range(3):
+            append_line(dest, "x")
+            append_line(str(tmp_path / "link" / "lines.jsonl"), "y")
+        assert len(resolved) == 2
+        assert fileio._append_lock(dest) is fileio._append_lock(
+            tmp_path / "link" / "lines.jsonl"
+        )
+        assert dest.read_text() == "x\ny\n" * 3
+
 
 # -- provenance ----------------------------------------------------------------
 
