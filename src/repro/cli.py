@@ -495,6 +495,13 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_skipped(log_file) -> None:
+    """Name on stderr the lines a JSONL log read had to skip."""
+    if log_file.skipped:
+        print(f"skipped {log_file.skipped} unreadable line(s) in "
+              f"{log_file.path}", file=sys.stderr)
+
+
 def cmd_ledger(args: argparse.Namespace) -> int:
     """Show or diff the persistent run ledger."""
     from repro.obs.ledger import default_ledger, diff_entries
@@ -502,6 +509,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     ledger = default_ledger(getattr(args, "ledger", None))
     if args.action == "show":
         entries = ledger.last(args.last)
+        _report_skipped(ledger)
         if not entries:
             print(f"ledger {ledger.path} is empty")
             return 0
@@ -634,6 +642,7 @@ def cmd_quarantine(args: argparse.Namespace) -> int:
         entries = qlog.entries()[-args.last:]
     else:
         entries = qlog.last_run()
+    _report_skipped(qlog)
     if not entries:
         print(f"quarantine log {qlog.path} is empty")
         return 0

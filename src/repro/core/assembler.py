@@ -16,20 +16,18 @@ from repro.core.collector import RawCollection
 from repro.core.dataset import AssembledSystem, Dataset, PartialDataset
 from repro.core.resilience import (
     DEFAULT_MAX_ERROR_RATE,
+    DROP_COUNTERS,
     ErrorPolicy,
     Quarantine,
     enforce_error_budget,
     record_from_exception,
 )
 from repro.core.types import ConfigType, TypedValue, TypeInferencer, TypeRegistry
-from repro.obs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 from repro.parsers.registry import ParserRegistry, default_registry
 from repro.sysmodel.filesystem import DirectoryIndex
 from repro.sysmodel.image import SystemImage
-
-log = get_logger("core.assembler")
 
 #: One value's cells: its typed cell and its augmented ``(suffix, cell)``
 #: pairs, in the augmenter's order.
@@ -44,9 +42,9 @@ class DataAssembler:
     "Baseline" row) and the "Original" column of Table 2.
 
     ``error_policy`` controls per-image fault isolation on the corpus
-    paths (:meth:`assemble_rows`, :meth:`assemble_partial`,
-    :meth:`assemble_corpus`): under ``strict`` (the constructor default,
-    preserving historical behaviour) the first bad image fails the run;
+    paths (:meth:`assemble_rows`, :meth:`assemble_corpus`): under
+    ``strict`` (the constructor default, preserving historical
+    behaviour) the first bad image fails the run;
     under ``quarantine`` or ``skip`` the bad image is dropped — with or
     without an auditable :class:`~repro.core.resilience.QuarantineRecord`
     — and assembly continues with the survivors.  :class:`EnCore`
@@ -99,15 +97,9 @@ class DataAssembler:
         rows are shared objects — safe, because assembled rows are
         append-only and nothing mutates them after assembly.
         """
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(image)
-            if not self.cache_store_only:
-                hit = self.cache.lookup(key, image)
-                if hit is not None:
-                    system, parsed_entries = hit
-                    self._record_assembled(system, parsed_entries)
-                    return system
+        system = self.cached_assembled(image)
+        if system is not None:
+            return system
         system = AssembledSystem(
             image, environment_available=self.augment_environment
         )
@@ -140,8 +132,8 @@ class DataAssembler:
                 system.set(
                     f"env:{name}", TypedValue(attr.value, attr.type), augmented=True
                 )
-        if key is not None:
-            self.cache.store(key, system, parsed_entries)
+        if self.cache is not None:
+            self.cache.store(self._cache_key(image), system, parsed_entries)
         self._record_assembled(system, parsed_entries)
         return system
 
@@ -163,7 +155,8 @@ class DataAssembler:
     def cached_assembled(self, image: SystemImage) -> Optional[AssembledSystem]:
         """A cache hit's row (counters replayed), or ``None`` on a miss.
 
-        The sharded coordinator's pre-pass: hits resolve here without
+        The lookup half of :meth:`assemble`, and the sharded
+        coordinator's pre-pass: hits resolve here without
         touching the pool; misses (``None``) are shipped to workers.
         """
         if self.cache is None or self.cache_store_only:
@@ -206,69 +199,50 @@ class DataAssembler:
 
     # -- corpora ---------------------------------------------------------------
 
-    def assemble_partial(
-        self, images: Iterable[SystemImage], shard_index: int = -1
-    ) -> PartialDataset:
-        """Assemble a chunk of images into a mergeable partial dataset.
-
-        This is the unit of work a sharded-assembly worker performs; the
-        serial corpus path folds through the same accumulation so both
-        routes produce identical statistics.  Under a non-strict
-        :attr:`error_policy`, images that fail to assemble are dropped
-        into :attr:`quarantine` instead of failing the chunk — the
-        returned partial covers exactly the clean subset, in input
-        order, so downstream rules match training on the clean images
-        alone.
-        """
-        partial = PartialDataset()
-        for system in self.assemble_rows(images, shard_index):
-            partial.add(system)
-        return partial
-
     def assemble_rows(
         self, images: Iterable[SystemImage], shard_index: int = -1
     ) -> Iterator[AssembledSystem]:
         """The assembled rows of *images* under the error policy, in input
-        order; dropped images yield nothing.
+        order; a dropped image yields nothing.
 
-        A sharded-assembly worker ships these rows as they are: the
-        coordinator folds them into its own :class:`PartialDataset`.
+        The one guarded row loop of training, run by the serial corpus
+        path, by each assembly shard worker (which ships the rows as
+        they are) and by the shard executor's inline fallback.  Its
+        twin for checking is :meth:`EnCore.check_rows`.
         """
         for image in images:
-            system = self._assemble_guarded(image, shard_index)
-            if system is not None:
-                yield system
+            self._stage, self._source = "", ""
+            try:
+                if self.fault_hook is not None:
+                    self.fault_hook(image)
+                system = self.assemble(image)
+            except Exception as exc:
+                if self.error_policy is ErrorPolicy.STRICT:
+                    raise
+                record = record_from_exception(
+                    image.image_id, exc,
+                    stage=self._stage, source_path=self._source,
+                    shard_index=shard_index,
+                )
+                self.quarantine.drop(
+                    record, self.error_policy, DROP_COUNTERS["assemble"]
+                )
+                continue
+            yield system
 
-    def _assemble_guarded(
-        self, image: SystemImage, shard_index: int = -1
-    ) -> Optional[AssembledSystem]:
-        """One image under the error policy; ``None`` when dropped."""
-        self._stage, self._source = "", ""
-        try:
-            if self.fault_hook is not None:
-                self.fault_hook(image)
-            return self.assemble(image)
-        except Exception as exc:
-            if self.error_policy is ErrorPolicy.STRICT:
-                raise
-            record = record_from_exception(
-                image.image_id, exc,
-                stage=self._stage, source_path=self._source,
-                shard_index=shard_index,
-            )
-            keep = self.error_policy is ErrorPolicy.QUARANTINE
-            self.quarantine.add(record, keep=keep)
-            get_registry().counter(
-                "quarantine.images.total", stage=record.stage
-            ).inc()
-            log.warning(
-                "image.quarantined", image=image.image_id, stage=record.stage,
-                error=record.error, source=record.source_path,
-            )
-            return None
-
-    def assemble_corpus(self, images: Iterable[SystemImage]) -> Dataset:
+    def assemble_corpus(
+        self,
+        images: Iterable[SystemImage],
+        rows: Optional[Iterable[AssembledSystem]] = None,
+    ) -> Dataset:
         """Assemble a full training set into a :class:`Dataset`.
+
+        *rows* are the assembled rows of *images* when something else
+        produced them (the sharded executor: cache hits and shard
+        results, in input order); by default :meth:`assemble_rows` makes
+        them here.  Either way they are folded in input order through
+        one :class:`PartialDataset`, so every route yields the same
+        dataset.
 
         Under a non-strict policy this is also an error-budget boundary:
         a corpus whose drop rate exceeds :attr:`max_error_rate` raises
@@ -278,7 +252,10 @@ class DataAssembler:
         images = list(images)
         with span("assemble.corpus") as s:
             dropped_before = self.quarantine.dropped
-            dataset = self.assemble_partial(images).finalize()
+            partial = PartialDataset()
+            for system in self.assemble_rows(images) if rows is None else rows:
+                partial.add(system)
+            dataset = partial.finalize()
             enforce_error_budget(
                 self.quarantine.dropped - dropped_before, len(images),
                 self.max_error_rate, self.error_policy,

@@ -23,6 +23,7 @@ from repro.core.detector import AnomalyDetector
 from repro.core.inference import InferenceResult, RuleInferencer
 from repro.core.repair import RepairAdvisor, Suggestion
 from repro.core.report import Report
+from repro.core.resilience import DROP_COUNTERS, ErrorPolicy, record_from_exception
 from repro.core.rules import RuleSet
 from repro.core.templates import RuleTemplate, default_templates
 from repro.core.types import TypeRegistry, default_type_registry
@@ -59,8 +60,6 @@ class EnCoreConfig:
     max_error_rate: float = 0.10
 
     def __post_init__(self) -> None:
-        from repro.core.resilience import ErrorPolicy
-
         if not 0 <= self.min_support_fraction <= 1:
             raise ValueError("min_support_fraction must be in [0,1]")
         if not 0 <= self.min_confidence <= 1:
@@ -329,10 +328,12 @@ class EnCore:
     def _assemble(
         self, images: Iterable[SystemImage], workers: int, chunk_size: Optional[int]
     ) -> Dataset:
-        """Assemble a corpus; a serial run never imports the shard engine."""
+        """Assemble a corpus; a serial run, or a corpus of one image, never
+        imports the shard engine."""
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if workers == 1:
+        images = list(images)
+        if workers == 1 or len(images) <= 1:
             self._arm_faults()
             return self.assembler.assemble_corpus(images)
         from repro.engine.sharding import ShardedAssembler
@@ -506,42 +507,44 @@ class EnCore:
             )
         if workers <= 1:
             self._arm_faults()
-            for image in images:
-                report = self._check_guarded(image)
-                if report is not None:
-                    yield report
+            yield from self.check_rows(images)
             return
         self._require_forkable(workers)
         from repro.engine.sharding import BatchChecker
 
         yield from BatchChecker(self, workers, chunk_size).stream(images)
 
-    def _check_guarded(self, image: SystemImage):
-        """One target under the error policy; ``None`` when quarantined.
+    def check_rows(
+        self, images: Iterable[SystemImage], shard_index: int = -1
+    ) -> Iterator[Report]:
+        """The reports of *images* under the error policy, in input order;
+        a dropped target yields nothing.
 
-        The same call runs inside check workers (``repro.engine.sharding``), so
-        fleet checking behaves identically at any worker count.  The
-        single-target :meth:`check` stays fail-fast regardless of
-        policy: with exactly one target there is nothing to salvage.
+        The one guarded row loop of checking, twin of
+        :meth:`DataAssembler.assemble_rows`: serial :meth:`check_stream`,
+        each check shard worker and the shard executor's inline fallback
+        all run it, so fleet checking behaves identically at any worker
+        count.  The single-target :meth:`check` stays fail-fast
+        regardless of policy: with exactly one target there is nothing
+        to salvage.
         """
-        from repro.core.resilience import ErrorPolicy, record_from_exception
-
-        policy = ErrorPolicy.parse(self.config.error_policy)
-        try:
-            if self.assembler.fault_hook is not None:
-                self.assembler.fault_hook(image)
-            return self.check(image)
-        except Exception as exc:
-            if policy is ErrorPolicy.STRICT:
-                raise
-            record = record_from_exception(image.image_id, exc, stage="check")
-            self.quarantine.add(record, keep=policy is ErrorPolicy.QUARANTINE)
-            from repro.obs.metrics import get_registry
-
-            get_registry().counter(
-                "quarantine.targets.total", stage=record.stage
-            ).inc()
-            return None
+        assembler = self.assembler
+        for image in images:
+            try:
+                if assembler.fault_hook is not None:
+                    assembler.fault_hook(image)
+                report = self.check(image)
+            except Exception as exc:
+                if assembler.error_policy is ErrorPolicy.STRICT:
+                    raise
+                record = record_from_exception(
+                    image.image_id, exc, stage="check", shard_index=shard_index
+                )
+                self.quarantine.drop(
+                    record, assembler.error_policy, DROP_COUNTERS["check"]
+                )
+                continue
+            yield report
 
     def check_many(
         self,

@@ -12,6 +12,7 @@ corpus-scale code path a shared vocabulary for surviving that mess:
 * :class:`QuarantineRecord` / :class:`Quarantine` — the auditable
   record of every dropped image (who, which stage, what error, where),
   mergeable across worker shards like every other pipeline artifact;
+  :meth:`Quarantine.drop` is the one drop rule every job applies;
 * :func:`enforce_error_budget` — the guard that keeps "graceful
   degradation" from quietly becoming "trained on nothing": a run whose
   drop rate exceeds ``max_error_rate`` aborts with
@@ -30,6 +31,7 @@ from the clean images alone, at any worker count.
 
 from __future__ import annotations
 
+import json
 import re
 import time
 from dataclasses import dataclass
@@ -37,7 +39,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
 
+from repro.obs import get_logger
+from repro.obs.fileio import append_line, read_jsonl
+from repro.obs.metrics import get_registry
 from repro.parsers.base import ConfigParseError
+
+log = get_logger("core.resilience")
 
 #: Default quarantine-log location, sibling of the run ledger.
 DEFAULT_QUARANTINE_PATH = Path(".encore") / "quarantine.jsonl"
@@ -47,6 +54,12 @@ DEFAULT_QUARANTINE_PATH = Path(".encore") / "quarantine.jsonl"
 DEFAULT_MAX_ERROR_RATE = 0.10
 
 _LINE_RE = re.compile(r"line (\d+)")
+
+#: Task kind → the per-stage counter a dropped image of that job bumps.
+DROP_COUNTERS = {
+    "assemble": "quarantine.images.total",
+    "check": "quarantine.targets.total",
+}
 
 
 class ErrorPolicy(str, Enum):
@@ -228,6 +241,22 @@ class Quarantine:
         if keep and record is not None:
             self.records.append(record)
 
+    def drop(
+        self, record: QuarantineRecord, policy: ErrorPolicy, counter: str
+    ) -> None:
+        """The one drop rule, for every job and every place an image drops.
+
+        Counts the image, keeps *record* unless *policy* is ``skip``,
+        bumps *counter* (a :data:`DROP_COUNTERS` value) at the record's
+        stage and logs ``image.quarantined``.
+        """
+        self.add(record, keep=policy is not ErrorPolicy.SKIP)
+        get_registry().counter(counter, stage=record.stage).inc()
+        log.warning(
+            "image.quarantined", image=record.image_id, stage=record.stage,
+            error=record.error, source=record.source_path,
+        )
+
     def extend_dicts(self, records: Iterable[Mapping], dropped: Optional[int] = None) -> None:
         """Fold a worker shard's serialised records (and drop count) in."""
         added = 0
@@ -323,19 +352,18 @@ class QuarantineLog:
     """Append-only JSONL history of quarantined images, grouped by run.
 
     Shares the run ledger's crash-safety model: one O_APPEND write per
-    record, truncated tail lines skipped on read.
+    record, unreadable lines (a crash-truncated tail) skipped and counted
+    on read.
     """
 
     def __init__(self, path: Union[str, Path] = DEFAULT_QUARANTINE_PATH) -> None:
         self.path = Path(path)
+        #: Lines the last :meth:`entries` read skipped as unreadable.
+        self.skipped = 0
 
     def append(
         self, records: Iterable[QuarantineRecord], run_id: str = "", command: str = ""
     ) -> int:
-        import json
-
-        from repro.obs.fileio import append_line
-
         written = 0
         for record in records:
             data = record.to_dict()
@@ -346,23 +374,14 @@ class QuarantineLog:
         return written
 
     def entries(self) -> List[Dict[str, object]]:
-        """All parseable record dicts, oldest first."""
-        import json
+        """All readable record dicts, oldest first.
 
-        if not self.path.exists():
-            return []
-        out: List[Dict[str, object]] = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue  # crash-truncated tail line
-            if isinstance(data, dict):
-                out.append(data)
-        return out
+        A line that is not a JSON object, or whose fields do not make a
+        :class:`QuarantineRecord`, is skipped and counted in
+        :attr:`skipped`.
+        """
+        entries, self.skipped = read_jsonl(self.path, _checked_record)
+        return entries
 
     def last_run(self) -> List[Dict[str, object]]:
         """Records of the most recent run (grouped by ``run_id``)."""
@@ -376,3 +395,9 @@ class QuarantineLog:
                 break
             tail.append(data)
         return list(reversed(tail))
+
+
+def _checked_record(data: Dict[str, object]) -> Dict[str, object]:
+    """*data* itself, once it is known to decode as a record."""
+    QuarantineRecord.from_dict(data)
+    return data

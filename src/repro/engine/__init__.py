@@ -13,9 +13,10 @@ each shard's worker telemetry crosses back as one envelope
 
 The contract throughout: executing a stage with ``workers=N`` for any N
 (and any chunk size) produces results identical to the serial run.
-Assembly achieves this through the associative
-:meth:`~repro.core.dataset.PartialDataset.merge`; checking because each
-target is independent and reports are re-ordered to input order.
+Both jobs run the serial path's own guarded row loop in every shard,
+and assembly folds the rows, in input order, through the serial corpus
+fold; checking holds because each target is independent and reports
+are re-ordered to input order.
 
 The names below resolve on first use, so importing one submodule does
 not import the others.
@@ -35,8 +36,6 @@ _EXPORTS = {
     "assembled_system_to_dict": "repro.engine.artifacts",
     "chunked": "repro.engine.sharding",
     "default_chunk_size": "repro.engine.sharding",
-    "partial_from_dict": "repro.engine.artifacts",
-    "partial_to_dict": "repro.engine.artifacts",
     "report_from_dict": "repro.engine.artifacts",
 }
 

@@ -4,7 +4,7 @@ Every boundary in the stage graph (``docs/architecture.md``) exchanges a
 value that can leave the process: system images already serialise via
 :mod:`repro.sysmodel.snapshot`, rules and model snapshots via
 :mod:`repro.core.persistence`.  This module fills the remaining gaps —
-assembled systems, partial datasets and the shard result envelope — so
+assembled systems and the shard result envelope — so
 any stage's output can be pickled to a worker process, written to
 disk, or shipped to another host and resumed there.
 
@@ -76,7 +76,7 @@ from itertools import accumulate, compress, islice
 from operator import lt
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dataset import AssembledSystem, PartialDataset
+from repro.core.dataset import AssembledSystem
 from repro.core.detector import Explanation, Warning, WarningKind
 from repro.core.report import Report
 from repro.core.resilience import Quarantine
@@ -309,26 +309,6 @@ def _revive(data: Dict[str, Any], image: Optional[SystemImage]) -> AssembledSyst
         },
         augmented=set(compress(names, flags)),
         names=names,
-    )
-
-
-# -- partial datasets ----------------------------------------------------------
-
-
-def partial_to_dict(partial: PartialDataset) -> Dict[str, Any]:
-    """Serialise a partial dataset as its system rows.
-
-    The per-attribute counters are a pure function of the rows, so the
-    wire format carries only the rows and the loader re-accumulates —
-    there is no way for serialised statistics to drift from the data.
-    """
-    return {"systems": [assembled_system_to_dict(s) for s in partial.systems]}
-
-
-def partial_from_dict(data: Dict[str, Any]) -> PartialDataset:
-    """Rebuild a partial from :func:`partial_to_dict`."""
-    return PartialDataset.from_systems(
-        assembled_system_from_dict(s) for s in data["systems"]
     )
 
 

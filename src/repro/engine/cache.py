@@ -39,7 +39,6 @@ counters at the call site so cached runs report the same
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -53,6 +52,7 @@ from repro.engine.artifacts import (
     image_digest,
 )
 from repro.obs import get_logger
+from repro.obs.fileio import atomic_write_bytes
 from repro.obs.metrics import get_registry
 from repro.sysmodel.image import SystemImage
 
@@ -185,23 +185,15 @@ class ResultCache:
         return system, parsed_entries
 
     def _disk_store(self, key: str, system, parsed_entries: int) -> None:
-        path = self._path(key)
         payload = frame_entry({
             "parsed_entries": parsed_entries,
             "system": assembled_system_to_dict(system, include_image=False),
         })
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
-            os.replace(tmp, path)
+            atomic_write_bytes(self._path(key), payload)
         except OSError as exc:
             # A read-only or full cache directory degrades to memory-only.
             log.warning("cache.store_failed", key=key, error=str(exc))
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
     # -- introspection ---------------------------------------------------------
 

@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import atexit
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Optional
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Dict, Optional
 
 from repro.engine import codec
 from repro.obs import get_logger
@@ -102,21 +101,6 @@ class WarmPool:
         self._poisoned = False
         self.spawns += 1
         get_registry().counter("pool.spawn.total").inc()
-
-    def submit(self, fn: Callable, *args: Any) -> Future:
-        """Submit through the live pool, absorbing one stale-pool race.
-
-        A pool broken by a *previous* operation (or shut down behind our
-        back) raises at submit time; one respawn-and-retry turns that
-        into the fresh-pool behaviour callers expect.  Failures *during*
-        execution still surface through the returned future.
-        """
-        executor = self.executor()
-        try:
-            return executor.submit(fn, *args)
-        except (BrokenProcessPool, RuntimeError):
-            self.poison()
-            return self.executor().submit(fn, *args)
 
     def poison(self) -> None:
         """Mark the current generation dead; next acquisition respawns."""

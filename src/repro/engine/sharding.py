@@ -10,10 +10,11 @@ as a compact codec-framed task (:mod:`repro.engine.codec`) whose
 :class:`~repro.engine.artifacts.ShardResult` envelope per chunk, in
 input order:
 
-* :class:`ShardedAssembler` left-folds the assembled rows.  Because
-  :class:`PartialDataset` accumulation is associative and
-  order-preserving, the finalized dataset is identical — fingerprint
-  and all — to a serial pass, regardless of worker count or chunk size.
+* :class:`ShardedAssembler` hands the assembled rows, in input order,
+  to the serial corpus fold
+  (:meth:`~repro.core.assembler.DataAssembler.assemble_corpus`), so the
+  finalized dataset is identical — fingerprint and all — to a serial
+  pass, regardless of worker count or chunk size.
 * :class:`BatchChecker` streams each shard's reports as it completes.
   Warning scores cross the process boundary at full float64 precision,
   so sharded reports are exactly the serial ones.
@@ -41,25 +42,28 @@ The data plane (see ``docs/architecture.md``, "Data plane"):
   so cached runs stay byte-identical to cold ones.  Check workers look
   the cache up themselves (every target needs a report regardless).
 
-Failure handling is one policy for both jobs (see ``docs/robustness.md``):
+Failure handling is one policy for both jobs (see ``docs/robustness.md``),
+and every dropped image goes through one drop rule,
+:meth:`~repro.core.resilience.Quarantine.drop`:
 
-1. **Per-image isolation** happens inside the worker: the error policy
-   drops unparseable images into quarantine records that ride back on
-   the shard result.  An image whose *payload* cannot be decoded
-   (:class:`~repro.engine.codec.CodecError`) quarantines the same way,
-   under stage ``codec``.
+1. **Per-image isolation** happens inside the worker, in the same
+   guarded row loop a serial run uses (:func:`row_loop`): the error
+   policy drops unparseable images, and their records ride back on the
+   shard result.  An image whose *payload* cannot be decoded
+   (:class:`~repro.engine.codec.CodecError`) drops the same way, under
+   stage ``codec``.
 2. **Per-shard retry**: a shard whose worker crashed
    (``BrokenProcessPool``) or stalled (``shard_timeout``) is retried in
    a fresh single-worker pool under an exponential-backoff
    :class:`~repro.core.resilience.RetryPolicy`.
 3. **Bisection** kicks in when retries are exhausted: the chunk is
    split recursively until the poisoned image(s) are isolated and
-   quarantined individually (stage ``worker``), so one crash-inducing
+   dropped individually (stage ``worker``), so one crash-inducing
    image costs exactly itself — never its shard, never the run.  Under
    ``strict``, the last failure propagates instead.
 4. **Inline fallback**: when no subprocess can be created at all, the
-   chunks run in-process on the coordinator's own assembler (or
-   pipeline, for checks).
+   chunks run in-process through the same row loop, on the
+   coordinator's own pipeline.
 
 Workers record into a fresh process-local metrics registry per shard
 and ship one telemetry envelope back (metrics, quarantine, drift and,
@@ -76,15 +80,16 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as ShardTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
+from itertools import groupby
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.dataset import Dataset, PartialDataset
+from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.report import Report
 from repro.core.resilience import (
+    DROP_COUNTERS,
     ErrorPolicy,
     QuarantineRecord,
     RetryPolicy,
-    enforce_error_budget,
     record_from_exception,
 )
 from repro.engine import codec
@@ -163,10 +168,10 @@ def decode_task_images(
 ) -> List[SystemImage]:
     """Decode a task's per-image payloads under the error policy.
 
-    Each image is framed separately, so one corrupt payload quarantines
-    exactly that image (stage ``codec``) instead of failing the shard —
-    unless the policy is strict, where it propagates like any other
-    per-image failure.
+    Each image is framed separately, so one corrupt payload drops
+    exactly that image (stage ``codec``, counted as a drop of the
+    task's job) instead of failing the shard — unless the policy is
+    strict, where it propagates like any other per-image failure.
     """
     images: List[SystemImage] = []
     for image_id, raw in zip(payload["image_ids"], payload["images"]):
@@ -178,17 +183,20 @@ def decode_task_images(
             record = record_from_exception(
                 image_id, exc, stage="codec", shard_index=shard_index
             )
-            assembler.quarantine.add(
-                record, keep=assembler.error_policy is ErrorPolicy.QUARANTINE
-            )
-            get_registry().counter(
-                "quarantine.images.total", stage=record.stage
-            ).inc()
-            log.warning(
-                "image.quarantined", image=image_id, stage=record.stage,
-                error=record.error,
+            assembler.quarantine.drop(
+                record, assembler.error_policy, DROP_COUNTERS[payload["kind"]]
             )
     return images
+
+
+def row_loop(encore, kind: str):
+    """Job *kind*'s guarded row loop: ``(images, shard_index)`` → items.
+
+    Assembled rows for ``assemble``, reports for ``check``; the same
+    loop a serial run uses, so a shard drops exactly what a serial run
+    would.
+    """
+    return encore.check_rows if kind == "check" else encore.assembler.assemble_rows
 
 
 def _run_shard(task: bytes) -> bytes:
@@ -235,15 +243,7 @@ def _run_shard(task: bytes) -> bytes:
             tracer.span(f"{kind}.shard", shard=shard_index, items=len(images))
             if tracer is not None else nullcontext()
         ):
-            if kind == "check":
-                items: List[Any] = [
-                    report for report in map(encore._check_guarded, images)
-                    if report is not None
-                ]
-            else:
-                items = list(
-                    encore.assembler.assemble_rows(images, shard_index)
-                )
+            items = list(row_loop(encore, kind)(images, shard_index))
         telemetry = capture_telemetry(
             encore.quarantine, encore.drift if kind == "check" else None,
             tracer, shard_index,
@@ -261,14 +261,15 @@ class _ShardExecutor:
     ``fault_plan`` and hoisted config payload shape every task.
     Frames tasks, dispatches them through the warm pool, folds results
     and runs the retry → bisect → inline recovery policy.  Subclasses
-    name their ``kind`` and run a chunk inline (``_inline_items``).
+    name their ``kind``; the drop policy is the assembler's
+    ``error_policy``, and a chunk runs inline through the job's
+    :func:`row_loop`.
     """
 
     #: Task kind — also names the worker's ``{kind}.shard`` span (a
-    #: profile's shard row) and the ``{kind}.shards.total`` counter.
+    #: profile's shard row), the ``{kind}.shards.total`` counter and the
+    #: job's drop counter (:data:`~repro.core.resilience.DROP_COUNTERS`).
     kind = ""
-    #: Counter bumped when bisection pins a crash on a single image.
-    quarantine_counter = ""
     drift = None
     model_bytes: Optional[Tuple[bytes, str]] = None
 
@@ -285,14 +286,6 @@ class _ShardExecutor:
             encore.retry_policy if encore.retry_policy is not None
             else RetryPolicy()
         )
-
-    @property
-    def _policy(self) -> ErrorPolicy:
-        return ErrorPolicy.parse(self.encore.config.error_policy)
-
-    def _install_inline_faults(self) -> None:
-        """Arm the fault plan on the coordinator (in-process mode)."""
-        self.encore._arm_faults()
 
     # -- one task frame, one decode, one fold ----------------------------------
 
@@ -417,7 +410,7 @@ class _ShardExecutor:
             log.info("shard.recovered", shard=index, attempt=attempt)
             return result
         assert last_exc is not None
-        if self._policy is ErrorPolicy.STRICT:
+        if self.assembler.error_policy is ErrorPolicy.STRICT:
             raise last_exc
         registry.counter("retry.bisections.total").inc()
         log.warning(
@@ -440,18 +433,14 @@ class _ShardExecutor:
         byte-identical to running the clean subset serially.
         """
         if len(chunk) == 1:
-            image = chunk[0]
             record = QuarantineRecord(
-                image_id=image.image_id, stage="worker",
+                image_id=chunk[0].image_id, stage="worker",
                 error=type(exc).__name__,
                 message=str(exc) or "worker process crashed or stalled",
                 shard_index=index,
             )
-            self.quarantine.add(record)
-            get_registry().counter(self.quarantine_counter, stage="worker").inc()
-            log.warning(
-                "image.quarantined", image=image.image_id,
-                stage="worker", error=record.error,
+            self.quarantine.drop(
+                record, self.assembler.error_policy, DROP_COUNTERS[self.kind]
             )
             return []
         items: List[Any] = []
@@ -492,59 +481,36 @@ class _ShardExecutor:
     def _inline(self, chunk: List[SystemImage], index: int) -> ShardResult:
         """Run one chunk in-process (the last-resort recovery path).
 
-        Records (and, for checks, drift observations) go straight into
-        the coordinator's own objects, so the result carries only items.
+        The fault plan is armed on the coordinator, and records (and,
+        for checks, drift observations) go straight into its own
+        objects, so the result carries only items.
         """
-        return ShardResult(self.kind, self._inline_items(chunk, index))
-
-    def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
-        raise NotImplementedError
+        self.encore._arm_faults()
+        items = list(row_loop(self.encore, self.kind)(chunk, index))
+        return ShardResult(self.kind, items)
 
 
 class ShardedAssembler(_ShardExecutor):
     """Assemble a corpus for *encore* across *workers* processes.
 
-    ``workers <= 1`` runs serially through the pipeline's own assembler
-    (preserving programmatic customization exactly); ``workers > 1``
-    ships codec-framed chunk tasks to the shared warm pool, whose
-    workers rebuild (once) from the pipeline's worker config.  When a
-    process pool cannot be created (restricted sandboxes), assembly runs
-    inline through the pipeline's assembler with a warning — results are
-    identical either way.  *chunk_size* defaults to
+    Ships codec-framed chunk tasks to the shared warm pool, whose
+    workers rebuild (once) from the pipeline's worker config, and hands
+    the rows back to the pipeline's own
+    :meth:`~repro.core.assembler.DataAssembler.assemble_corpus` to fold
+    (``EnCore`` keeps serial runs and one-image corpora off this path).
+    When a process pool cannot be created (restricted sandboxes), chunks
+    run inline through the pipeline's assembler with a warning — results
+    are identical either way.  *chunk_size* defaults to
     :func:`default_chunk_size`.
     """
 
     kind = "assemble"
-    quarantine_counter = "quarantine.images.total"
 
     def assemble(self, images: Iterable[SystemImage]) -> Dataset:
         images = list(images)
-        if self.workers <= 1 or len(images) <= 1:
-            self._install_inline_faults()
-            return self.assembler.assemble_corpus(images)
-        return self._assemble_sharded(images)
-
-    def assemble_partial(self, images: Iterable[SystemImage]) -> PartialDataset:
-        images = list(images)
-        if self.workers <= 1 or len(images) <= 1:
-            self._install_inline_faults()
-            return self.assembler.assemble_partial(images)
-        return self._sharded_partial(images)
+        return self.assembler.assemble_corpus(images, self._rows(images))
 
     # -- internals -------------------------------------------------------------
-
-    def _assemble_sharded(self, images: List[SystemImage]) -> Dataset:
-        with span("assemble.corpus") as s:
-            dropped_before = self.quarantine.dropped
-            dataset = self._sharded_partial(images).finalize()
-            enforce_error_budget(
-                self.quarantine.dropped - dropped_before,
-                len(images),
-                self.encore.config.max_error_rate,
-                self._policy,
-            )
-            s.annotate(systems=len(dataset), attributes=len(dataset.attributes()))
-        return dataset
 
     def _partition(
         self, images: List[SystemImage]
@@ -558,65 +524,45 @@ class ShardedAssembler(_ShardExecutor):
         count — so a warm corpus with one touched image ships exactly
         that image.
         """
-        order: List[Tuple[str, Any]] = []
-        misses = 0
-        if self.encore.cache is not None:
-            for image in images:
-                system = self.assembler.cached_assembled(image)
-                if system is not None:
-                    order.append(("hit", system))
-                else:
-                    order.append(("miss", image))
-                    misses += 1
-        else:
-            order = [("miss", image) for image in images]
-            misses = len(images)
+        lookup = self.encore.cache is not None
+        order = [
+            (self.assembler.cached_assembled(image) if lookup else None, image)
+            for image in images
+        ]
+        misses = sum(system is None for system, _ in order)
+        chunk_size = self.chunk_size or default_chunk_size(misses, self.workers)
         segments: List[Tuple[str, List[Any]]] = []
         chunks: List[List[SystemImage]] = []
-        if misses:
-            chunk_size = self.chunk_size or default_chunk_size(misses, self.workers)
-            i = 0
-            while i < len(order):
-                kind = order[i][0]
-                j = i
-                while j < len(order) and order[j][0] == kind:
-                    j += 1
-                run = [item for _, item in order[i:j]]
-                if kind == "hit":
-                    segments.append(("rows", run))
-                else:
-                    for chunk in chunked(run, chunk_size):
-                        segments.append(("chunk", chunk))
-                        chunks.append(chunk)
-                i = j
-        elif order:
-            segments.append(("rows", [system for _, system in order]))
+        for hit, run in groupby(order, key=lambda pair: pair[0] is not None):
+            run = list(run)
+            if hit:
+                segments.append(("rows", [system for system, _ in run]))
+                continue
+            for chunk in chunked([image for _, image in run], chunk_size):
+                segments.append(("chunk", chunk))
+                chunks.append(chunk)
         return segments, chunks
 
-    def _sharded_partial(self, images: List[SystemImage]) -> PartialDataset:
+    def _rows(self, images: List[SystemImage]) -> Iterator[AssembledSystem]:
+        """The corpus's rows in input order: cache hits and shard results.
+
+        The result is byte-identical to a serial pass no matter which
+        shards were cached or needed recovery.  The dispatch generator
+        starts (and the pool is touched) only when the first chunk is
+        reached.
+        """
         segments, chunks = self._partition(images)
         with span(
             "assemble.shards", shards=len(chunks), workers=self.workers,
             cached=len(images) - sum(len(c) for c in chunks),
         ):
-            # A left fold in input order: the result is byte-identical
-            # to a serial pass no matter which shards were cached or
-            # needed recovery.  The dispatch generator starts (and the
-            # pool is touched) only when the first chunk is reached.
             results = self._dispatch(chunks)
-            merged = PartialDataset()
             for kind, rows in segments:
                 if kind == "chunk":
                     result = next(results)
                     self._fold(result)
                     rows = result.items
-                for system in rows:
-                    merged.add(system)
-        return merged
-
-    def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
-        self._install_inline_faults()
-        return list(self.assembler.assemble_rows(chunk, index))
+                yield from rows
 
 
 class BatchChecker(_ShardExecutor):
@@ -629,7 +575,6 @@ class BatchChecker(_ShardExecutor):
     """
 
     kind = "check"
-    quarantine_counter = "quarantine.targets.total"
 
     def __init__(self, encore, workers: int, chunk_size: Optional[int]) -> None:
         super().__init__(encore, workers, chunk_size)
@@ -648,10 +593,3 @@ class BatchChecker(_ShardExecutor):
             for result in self._dispatch(chunked(images, chunk_size)):
                 self._fold(result)
                 yield from result.items
-
-    def _inline_items(self, chunk: List[SystemImage], index: int) -> List[Any]:
-        self._install_inline_faults()
-        return [
-            report for report in map(self.encore._check_guarded, chunk)
-            if report is not None
-        ]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
-from repro.obs.fileio import append_line
+from repro.obs.fileio import append_line, read_jsonl
 
 #: Default ledger location, relative to the working directory.
 DEFAULT_LEDGER_PATH = Path(".encore") / "ledger.jsonl"
@@ -218,22 +218,8 @@ class Ledger:
         A line that is not a JSON object of entry fields (a crash-truncated
         tail, a stray ``[1]``) is skipped and counted in :attr:`skipped`.
         """
-        self.skipped = 0
-        if not self.path.exists():
-            return []
-        out: List[LedgerEntry] = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-                if not isinstance(data, dict):
-                    raise TypeError(f"not an object: {type(data).__name__}")
-                out.append(LedgerEntry.from_dict(data))
-            except (ValueError, TypeError, AttributeError):
-                self.skipped += 1
-        return out
+        entries, self.skipped = read_jsonl(self.path, LedgerEntry.from_dict)
+        return entries
 
     def last(self, n: int = 10) -> List[LedgerEntry]:
         return self.entries()[-n:]

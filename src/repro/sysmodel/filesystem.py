@@ -47,7 +47,10 @@ def normalize_path(path: str) -> str:
     """
     if not path or path[0] != "/":
         raise ValueError(f"filesystem paths must be absolute, got {path!r}")
-    return posixpath.normpath(path)
+    path = posixpath.normpath(path)
+    # POSIX lets normpath keep exactly two leading slashes; the model has
+    # one root, so "//etc" is "/etc".
+    return path[1:] if path.startswith("//") else path
 
 
 @dataclass(frozen=True, slots=True, init=False)

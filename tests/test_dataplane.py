@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.persistence import SnapshotCorruptError, load_snapshot
 from repro.core.pipeline import EnCore, EnCoreConfig
-from repro.core.resilience import classify_stage
+from repro.core.resilience import RetryPolicy, classify_stage
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.engine import codec
 from repro.engine.artifacts import image_payload
@@ -206,8 +206,9 @@ class TestCodecErrors:
 
 
 class TestCodecQuarantineRouting:
-    def _payload(self, good_image):
+    def _payload(self, good_image, kind="assemble"):
         return {
+            "kind": kind,
             "image_ids": [good_image.image_id, "poisoned-img"],
             "images": [image_payload(good_image), b"ENCB\x01garbage!"],
         }
@@ -224,6 +225,15 @@ class TestCodecQuarantineRouting:
         assert record.stage == "codec"
         assert record.shard_index == 3
         assert registry.total("quarantine.images.total") == 1
+
+    def test_corrupt_check_payload_counts_as_a_dropped_target(self, registry):
+        encore = EnCore(EnCoreConfig(error_policy="quarantine"))
+        good = Ec2CorpusGenerator(seed=5).generate_one(1)
+        decode_task_images(
+            self._payload(good, kind="check"), encore.assembler, shard_index=3
+        )
+        assert registry.total("quarantine.targets.total") == 1
+        assert registry.total("quarantine.images.total") == 0
 
     def test_codec_valid_non_image_quarantines_exactly_itself(self, registry):
         encore = EnCore(EnCoreConfig(error_policy="quarantine"))
@@ -269,14 +279,18 @@ class TestWarmPool:
         finally:
             pool.shutdown()
 
-    def test_submit_survives_pool_shut_down_behind_our_back(self, registry):
-        pool = WarmPool(1)
-        try:
-            pool.executor().shutdown(wait=True)
-            assert pool.submit(abs, -3).result(timeout=60) == 3
-            assert pool.spawns == 2
-        finally:
-            pool.shutdown()
+    def test_train_survives_pool_shut_down_behind_our_back(
+        self, registry, fresh_pool
+    ):
+        """Every submit to a dead shared pool fails; recovery still trains."""
+        images = Ec2CorpusGenerator(seed=5).generate(6)
+        serial = EnCore().train(images).ruleset_digest()
+        encore = EnCore()
+        encore.retry_policy = RetryPolicy(sleep=lambda _seconds: None)
+        get_warm_pool(2).executor().shutdown(wait=True)
+        model = encore.train(images, workers=2, chunk_size=3)
+        assert model.ruleset_digest() == serial
+        assert registry.total("retry.shards.failed") >= 1
 
     def test_ensure_workers_grows(self):
         pool = WarmPool(1)
@@ -377,6 +391,18 @@ class TestResultCache:
         assert system.image is image  # rows re-attached to our object
         # Promoted into memory: a second lookup needs no disk read.
         assert fresh.stats()["memory_entries"] == 1
+
+    def test_unwritable_root_degrades_to_memory(self, tmp_path, registry):
+        root = tmp_path / "not-a-directory"
+        root.write_text("occupied")
+        cache = ResultCache(root)
+        image = Ec2CorpusGenerator(seed=3).generate_one(1)
+        system = EnCore().assembler.assemble(image)
+        key = cache_key("cfg", image)
+        cache.store(key, system, 7)
+        assert list(tmp_path.iterdir()) == [root]  # no entry, no .tmp left
+        assert root.read_text() == "occupied"
+        assert cache.lookup(key, image) == (system, 7)
 
     def test_corrupt_disk_entry_reads_as_miss(self, tmp_path, registry):
         root = tmp_path / "cache"

@@ -26,8 +26,6 @@ from repro.engine import (
     assembled_system_to_dict,
     chunked,
     default_chunk_size,
-    partial_from_dict,
-    partial_to_dict,
     report_from_dict,
 )
 from repro.engine import codec, sharding
@@ -75,7 +73,7 @@ def _root_owned_datadir(image, image_id):
 @pytest.fixture(scope="module")
 def assembled(small_corpus):
     """All systems of the small corpus, assembled once (read-only)."""
-    return EnCore().assembler.assemble_partial(small_corpus).systems
+    return list(EnCore().assembler.assemble_rows(small_corpus))
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +174,10 @@ class TestShardedAssembly:
         assert _work_totals(sharded) == _work_totals(serial)
 
     def test_single_image_stays_serial(self, small_corpus):
-        encore = EnCore()
-        dataset = ShardedAssembler(encore, 8, None).assemble(small_corpus[:1])
-        assert len(dataset) == 1
+        with use_registry(MetricsRegistry()) as registry:
+            model = EnCore().train(small_corpus[:1], workers=8)
+        assert len(model.dataset) == 1
+        assert registry.total("assemble.shards.total") == 0
 
     def test_rejects_bad_worker_count(self, serial_model):
         encore, _ = serial_model
@@ -330,12 +329,6 @@ class TestArtifacts:
         for attribute in system.attributes():
             assert restored.values_of(attribute) == system.values_of(attribute)
             assert restored.is_augmented(attribute) == system.is_augmented(attribute)
-
-    def test_partial_round_trip(self, assembled):
-        partial = PartialDataset.from_systems(assembled[:6])
-        restored = partial_from_dict(partial_to_dict(partial))
-        assert restored == partial
-        assert restored.finalize().fingerprint() == partial.finalize().fingerprint()
 
     def test_shard_result_round_trip(self, assembled, serial_model,
                                      held_out_image):

@@ -28,6 +28,29 @@ class TestNormalizePath:
     def test_trailing_slash_dropped(self):
         assert normalize_path("/var/log/") == "/var/log"
 
+    def test_double_leading_slash_is_the_root(self):
+        # posixpath.normpath keeps exactly two leading slashes.
+        assert normalize_path("//etc/x.conf") == "/etc/x.conf"
+        assert normalize_path("//") == "/"
+        assert normalize_path("///etc") == "/etc"
+
+    def test_double_slash_path_lands_in_the_one_tree(self):
+        fs = FileSystem()
+        fs.add_file("//etc/x.conf")
+        assert fs.exists("/etc/x.conf")
+        assert not [path for path in fs.file_list() if path.startswith("//")]
+
+    def test_double_slash_path_in_a_snapshot_decodes_into_the_one_tree(self):
+        image = Ec2CorpusGenerator(seed=3).generate_one(1)
+        data = image_to_dict(image)
+        data["files"].append(
+            {"path": "//etc/x.conf", "kind": "file", "owner": "root",
+             "group": "root", "mode": 0o644, "size": 0}
+        )
+        fs = image_from_dict(data).fs
+        assert fs.is_file("/etc/x.conf")
+        assert not [path for path in fs.file_list() if path.startswith("//")]
+
 
 class TestFileMeta:
     def test_symlink_requires_target(self):

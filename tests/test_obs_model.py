@@ -395,6 +395,18 @@ class TestLedger:
         assert ledger.skipped == 1
         assert ledger.resolve("-1").run_id == second.run_id
 
+    def test_show_names_skipped_lines_on_stderr(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "ledger.jsonl"
+        Ledger(path).append(_entry())
+        with path.open("a") as handle:
+            handle.write('[1]\n{"command": "check", "trunca')
+        assert main(["ledger", "show", "--ledger", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped 2 unreadable line(s)" in captured.err
+        assert "skipped" not in captured.out
+
     def test_resolve_by_index_and_prefix(self, tmp_path):
         ledger = Ledger(tmp_path / "ledger.jsonl")
         first = ledger.append(_entry())

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import resilience
 from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.core.resilience import (
     ErrorBudgetExceeded,
@@ -345,6 +346,26 @@ class TestWorkerCrashRecovery:
         assert fresh_registry.total("retry.bisections.total") >= 1
         assert fresh_registry.total(self.quarantine_counter) == 1
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crash_always_under_skip_keeps_no_record(
+        self, corpus, corpus_model, fresh_registry, tmp_path, workers
+    ):
+        """Skip drops a crashing image counted but unrecorded, whether the
+        serial loop or bisection pins it."""
+        victim = corpus[5].image_id
+        clean = [image for image in corpus if image.image_id != victim]
+        baseline = self._baseline(clean, corpus_model)
+        encore = _encore_for(self.job, corpus_model, error_policy="skip")
+        encore.retry_policy = fast_retry(max_attempts=2)
+        encore.fault_plan = FaultPlan.crash_always(tmp_path, victim)
+        output = _run_job(self.job, encore, corpus, workers=workers)
+        assert encore.quarantine.dropped == 1
+        assert not encore.quarantine.records
+        assert output == baseline
+        assert fresh_registry.total(self.quarantine_counter) == 1
+        counter = fresh_registry.counter(self.quarantine_counter, stage="worker")
+        assert counter.value == 1
+
     def test_crash_always_under_strict_propagates(self, corpus, corpus_model,
                                                   tmp_path):
         encore = _encore_for(self.job, corpus_model, error_policy="strict")
@@ -400,6 +421,31 @@ class TestCheckQuarantine:
         reports = list(checker.check_stream(poisoned, workers=workers))
         assert len(reports) == len(clean)
         assert sorted(checker.quarantine.image_ids()) == sorted(ids)
+
+    def test_check_drop_logs_image_quarantined(self, poisoned_setup,
+                                               monkeypatch):
+        poisoned, ids, _, baseline = poisoned_setup
+        logged = []
+
+        class Recorder:
+            def warning(self, event, **fields):
+                logged.append((event, fields["image"]))
+
+        monkeypatch.setattr(resilience, "log", Recorder())
+        checker = _checker_with("quarantine", baseline)
+        list(checker.check_stream(poisoned, workers=1))
+        assert sorted(image for event, image in logged
+                      if event == "image.quarantined") == sorted(ids)
+
+    def test_check_shard_record_carries_its_shard_index(self, poisoned_setup):
+        poisoned, ids, _, baseline = poisoned_setup
+        checker = _checker_with("quarantine", baseline)
+        list(checker.check_stream(poisoned, workers=2, chunk_size=10))
+        shard_of = {image.image_id: i // 10 for i, image in enumerate(poisoned)}
+        assert sorted(
+            (record.image_id, record.shard_index)
+            for record in checker.quarantine.records
+        ) == sorted((image_id, shard_of[image_id]) for image_id in ids)
 
     def test_strict_check_stream_raises(self, poisoned_setup):
         poisoned, _, _, baseline = poisoned_setup
@@ -516,3 +562,24 @@ class TestQuarantineLogFile:
     def test_missing_file_is_empty(self, tmp_path):
         assert QuarantineLog(tmp_path / "nope.jsonl").entries() == []
         assert QuarantineLog(tmp_path / "nope.jsonl").last_run() == []
+
+    def test_malformed_lines_are_skipped_and_counted(self, tmp_path, capsys):
+        path = tmp_path / "q.jsonl"
+        qlog = QuarantineLog(path)
+        qlog.append([QuarantineRecord("a", "parse", "E")], run_id="r")
+        with path.open("a") as handle:
+            handle.write('{"line": "abc"}\n{"line": null}\n[1]\n')
+            handle.write('{"image_id": "tru')  # crash mid-write
+        assert [r["image_id"] for r in qlog.entries()] == ["a"]
+        assert qlog.skipped == 4
+        assert main(["quarantine", "show", "--all",
+                     "--quarantine", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped 4 unreadable line(s)" in captured.err
+        assert "a  parse" in captured.out
+
+    def test_show_survives_a_log_of_only_bad_lines(self, tmp_path, capsys):
+        path = tmp_path / "q.jsonl"
+        path.write_text('{"line": "abc"}\n{"line": null}\n[1]\n{"image_id": "tr')
+        assert main(["quarantine", "show", "--quarantine", str(path)]) == 0
+        assert "skipped 4 unreadable line(s)" in capsys.readouterr().err
