@@ -17,7 +17,7 @@ Run:  python examples/cross_component.py
 
 from repro import EnCore
 from repro.corpus import Ec2CorpusGenerator
-from repro.corpus.generator import _extract_value, _replace_value
+from repro.corpus.generator import _extract_value
 
 
 def main() -> None:
@@ -42,11 +42,9 @@ def main() -> None:
     if _extract_value(php_text, "mysql.default_socket") is None:
         php_text += "mysql.default_socket = /var/lib/mysql/mysql.sock\n"
         broken.replace_config_text("php", php_text)
-    new_text, old = _replace_value(
-        broken.config_file("php").text, "mysql.default_socket",
-        "/tmp/wrong-mysql.sock",
+    old = broken.set_config_value(
+        "php", "mysql.default_socket", "/tmp/wrong-mysql.sock"
     )
-    broken.replace_config_text("php", new_text)
     mysql_socket = _extract_value(broken.config_file("mysql").text, "socket")
     print(f"\nInjected: php mysql.default_socket = /tmp/wrong-mysql.sock "
           f"(server socket: {mysql_socket}, was {old})")

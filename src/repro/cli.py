@@ -54,6 +54,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.core.detector import count_kinds
 from repro.core.pipeline import EnCore, EnCoreConfig
 from repro.corpus.generator import Ec2CorpusGenerator
 from repro.corpus.private_cloud import PrivateCloudGenerator
@@ -128,15 +129,6 @@ def _workers(args: argparse.Namespace) -> int:
 
 def _chunk_size(args: argparse.Namespace) -> Optional[int]:
     return getattr(args, "chunk_size", None)
-
-
-def _count_kinds(reports) -> Dict[str, int]:
-    """Warning kind → count across one or more reports."""
-    out: Dict[str, int] = {}
-    for report in reports:
-        for warning in report.warnings:
-            out[warning.kind.value] = out.get(warning.kind.value, 0) + 1
-    return out
 
 
 def _record_ledger(
@@ -349,7 +341,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print()
             print(drift)
     entry = _record_ledger(args, encore, "check", targets_checked=1,
-                           warning_counts=_count_kinds([report]))
+                           warning_counts=count_kinds(report.warnings))
     base = 0 if not report.warnings else 1
     return _finish_quarantine(args, encore, "check", entry, base=base)
 
@@ -360,7 +352,7 @@ def cmd_suggest(args: argparse.Namespace) -> int:
     report, suggestions = encore.suggest(load_image(Path(args.target)))
     print(report.render(limit=args.limit))
     entry = _record_ledger(args, encore, "suggest", targets_checked=1,
-                           warning_counts=_count_kinds([report]))
+                           warning_counts=count_kinds(report.warnings))
     if not suggestions:
         print("\nno remediation suggestions (clean system)")
         return _finish_quarantine(args, encore, "suggest", entry)
@@ -384,10 +376,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     )
     warning_counts: Dict[str, int] = {}
     for report in stream:
-        for warning in report.warnings:
-            warning_counts[warning.kind.value] = (
-                warning_counts.get(warning.kind.value, 0) + 1
-            )
+        count_kinds(report.warnings, warning_counts)
         if report.warnings:
             flagged += 1
             top = report.warnings[0]
@@ -417,10 +406,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         )
         for report in stream:
             targets_checked += 1
-            for warning in report.warnings:
-                warning_counts[warning.kind.value] = (
-                    warning_counts.get(warning.kind.value, 0) + 1
-                )
+            count_kinds(report.warnings, warning_counts)
             log.debug("target.checked", image=report.image_id,
                       warnings=len(report.warnings))
     if encore.drift is not None and encore.drift.targets:

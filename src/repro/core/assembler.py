@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.augment import Augmenter
-from repro.core.collector import RawCollection
 from repro.core.dataset import AssembledSystem, Dataset, PartialDataset
 from repro.core.resilience import (
     DEFAULT_MAX_ERROR_RATE,
@@ -167,10 +166,6 @@ class DataAssembler:
         system, parsed_entries = hit
         self._record_assembled(system, parsed_entries)
         return system
-
-    def assemble_raw(self, collection: RawCollection) -> AssembledSystem:
-        """Assemble from a collector dump instead of a live image."""
-        return self.assemble(collection.restore_image())
 
     def _cells(
         self, value: str, image: SystemImage, directories: DirectoryIndex

@@ -73,7 +73,3 @@ class DataCollector:
                 "memory_bytes": 0, "disk_bytes": 0, "available": False,
             }
         return RawCollection(image.image_id, config_files, environment)
-
-    def collect_many(self, images: List[SystemImage]) -> List[RawCollection]:
-        """Collect a whole training set."""
-        return [self.collect(image) for image in images]

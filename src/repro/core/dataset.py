@@ -445,11 +445,3 @@ class Dataset:
     def rows(self) -> List[Dict[str, str]]:
         """All rows as plain dicts (input to the mining substrate)."""
         return [system.as_row() for system in self.systems]
-
-    def rows_with_missing(self) -> List[Dict[str, Optional[str]]]:
-        """Rows over the full attribute universe, ``None`` when absent."""
-        universe = self.attributes()
-        out: List[Dict[str, Optional[str]]] = []
-        for system in self.systems:
-            out.append({attr: system.value(attr) for attr in universe})
-        return out

@@ -26,7 +26,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import AssembledSystem, AttributeStats, Dataset
 from repro.core.rules import ConcreteRule, RuleSet
@@ -120,6 +120,16 @@ class Warning:
         return f"[{self.kind.value}] {self.attribute}: {self.message} (score={self.score:.3f})"
 
 
+def count_kinds(
+    warnings: Iterable[Warning], into: Optional[Dict[str, int]] = None
+) -> Dict[str, int]:
+    """Warning kind value → count, in first-seen order, added to *into*."""
+    out = {} if into is None else into
+    for warning in warnings:
+        out[warning.kind.value] = out.get(warning.kind.value, 0) + 1
+    return out
+
+
 #: Base scores per warning kind; within a kind the statistical component
 #: (ICF, confidence, cardinality) refines the ordering.
 _BASE_SCORE = {
@@ -181,10 +191,7 @@ class AnomalyDetector:
             s.annotate(warnings=len(ranked))
         registry = get_registry()
         registry.counter("detect.targets.total").inc()
-        by_kind: dict = {}
-        for warning in ranked:
-            by_kind[warning.kind.value] = by_kind.get(warning.kind.value, 0) + 1
-        for kind, count in by_kind.items():
+        for kind, count in count_kinds(ranked).items():
             registry.counter("detect.warnings.total", kind=kind).inc(count)
         return ranked
 

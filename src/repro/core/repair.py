@@ -1,18 +1,24 @@
-"""Remediation suggestions — the paper's auto-configuration direction.
+"""Remediation suggestions, and the per-template break/repair table.
 
 Section 9 names assisting "the process of auto-configuration" as future
 work: the information EnCore integrates (assembled values + inferred
 rules) is enough to not only *flag* a violation but propose a concrete
-remediation.  This module turns each warning kind into an actionable
-:class:`Suggestion`:
+remediation.  :class:`RepairAdvisor` turns each warning into an
+actionable :class:`Suggestion`:
 
 * **entry-name violation** → rename the entry to the closest known name;
-* **correlation violation** → per-template repair: transfer ownership
-  (``chown``), fix permissions, re-point the path, or restore the value
-  ordering by adopting the partner entry's bound;
+* **correlation violation** → the repair of the rule's template in
+  :data:`TEMPLATE_TABLE` (``chown``, ``chmod``, create the path, mirror
+  the partner entry, or adopt half the partner's bound), or a generic
+  "restore relation" text for templates without one;
 * **data-type violation / suspicious value** → replace the value with
   the training distribution's dominant value (with its observed
   frequency as the confidence).
+
+:data:`TEMPLATE_TABLE` states each predefined template once: its
+*break*, the edit that violates a rule on a mutant image (what
+:class:`~repro.testing.rulegen.RuleGuidedTestGenerator` applies, paper
+§8), next to its *repair*.  An entry that lacks either says why.
 
 Suggestions are advisory and never mutate the target.
 """
@@ -22,13 +28,14 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.dataset import AssembledSystem, Dataset
 from repro.core.detector import Warning, WarningKind
 from repro.core.report import Report
 from repro.core.rules import ConcreteRule
 from repro.core.types import parse_number, parse_size_bytes
+from repro.sysmodel.image import SystemImage
 
 
 class RepairAction(str, Enum):
@@ -122,66 +129,11 @@ class RepairAdvisor:
         value_b = target.value(rule.attribute_b)
         if value_a is None or value_b is None:
             return None
-        if rule.template_name == "ownership":
-            return Suggestion(
-                warning, RepairAction.CHOWN, rule.attribute_a,
-                f"chown {value_b} {value_a}", rule.confidence,
-                f"rule: {rule.attribute_b} owns {rule.attribute_a}",
-            )
-        if rule.template_name == "not_accessible":
-            return Suggestion(
-                warning, RepairAction.CHMOD, rule.attribute_a,
-                f"chmod o-rwx {value_a}", rule.confidence,
-                f"{value_a} must not be accessible by {value_b}",
-            )
-        if rule.template_name == "concat_path":
-            return Suggestion(
-                warning, RepairAction.CREATE_PATH, rule.attribute_b,
-                f"create {value_a.rstrip('/')}/{value_b}", rule.confidence,
-                "concatenated path must exist",
-            )
-        if rule.template_name in ("less_number", "less_size"):
-            return self._fix_ordering(warning, rule, value_a, value_b)
-        if rule.template_name in ("equal_same_type", "one_instance_equal"):
-            return Suggestion(
-                warning, RepairAction.SET_VALUE, rule.attribute_a,
-                f"set to {value_b!r} (mirror {rule.attribute_b})",
-                rule.confidence,
-                "the two entries should agree",
-            )
-        if rule.template_name == "user_in_group":
-            return Suggestion(
-                warning, RepairAction.MANUAL, rule.attribute_a,
-                f"add user {value_a!r} to group {value_b!r}", rule.confidence,
-                "group membership expected",
-            )
+        entry = TEMPLATE_TABLE.get(rule.template_name)
+        repair = entry.repair if entry and entry.repair else _restore_relation
+        action, attribute, proposal, rationale = repair(rule, value_a, value_b)
         return Suggestion(
-            warning, RepairAction.MANUAL, rule.attribute_a,
-            f"restore relation {rule.attribute_a} {rule.relation} "
-            f"{rule.attribute_b}",
-            rule.confidence,
-        )
-
-    def _fix_ordering(
-        self, warning: Warning, rule: ConcreteRule, value_a: str, value_b: str
-    ) -> Suggestion:
-        """Propose lowering A under B, preserving the literal's unit."""
-        if rule.template_name == "less_size":
-            bound = parse_size_bytes(value_b)
-            proposal = f"set {rule.attribute_a} below {value_b}"
-            if bound is not None:
-                half = max(1, bound // 2)
-                proposal = f"set {rule.attribute_a} to {_size_literal(half)}"
-        else:
-            bound = parse_number(value_b)
-            proposal = f"set {rule.attribute_a} below {value_b}"
-            if bound is not None:
-                proposal = f"set {rule.attribute_a} to {int(bound) // 2}"
-        return Suggestion(
-            warning, RepairAction.SET_VALUE, rule.attribute_a, proposal,
-            rule.confidence,
-            f"training systems keep {rule.attribute_a} {rule.relation} "
-            f"{rule.attribute_b}",
+            warning, action, attribute, proposal, rule.confidence, rationale
         )
 
     # -- values -----------------------------------------------------------------------
@@ -213,6 +165,166 @@ class RepairAdvisor:
             frequency,
             "dominant training value",
         )
+
+
+# -- the template table -------------------------------------------------------------
+
+#: Breaks one rule on a mutant image in place; ``(mutation_kind,
+#: description)``, or ``None`` when the image offers nothing to break.
+Break = Callable[[ConcreteRule, SystemImage, str, str], Optional[Tuple[str, str]]]
+#: Restores one rule: ``(action, attribute, proposal, rationale)``.
+Repair = Callable[[ConcreteRule, str, str], Tuple[RepairAction, str, str, str]]
+
+
+@dataclass(frozen=True)
+class TemplateEdits:
+    """A template's break (paper §8) next to its repair (§9).
+
+    ``manual`` says why an entry lacks one of them; without a repair,
+    a violation gets the generic "restore relation" suggestion.
+    """
+
+    break_: Optional[Break] = None
+    repair: Optional[Repair] = None
+    manual: str = ""
+
+
+def _restore_relation(rule, value_a, value_b):
+    return (
+        RepairAction.MANUAL, rule.attribute_a,
+        f"restore relation {rule.attribute_a} {rule.relation} {rule.attribute_b}",
+        "",
+    )
+
+
+def _set_entry(image: SystemImage, attribute: str, value: str) -> bool:
+    """Rewrite the config line behind *attribute*; False when absent."""
+    app, _, name = attribute.partition(":")
+    try:
+        return image.set_config_value(app, name.rsplit("/", 1)[-1], value) is not None
+    except KeyError:
+        return False
+
+
+def _break_ownership(rule, image, value_a, value_b):
+    if not image.fs.exists(value_a):
+        return None
+    wrong_owner = "root" if value_b != "root" else "nobody"
+    image.fs.chown(value_a, owner=wrong_owner, group=wrong_owner)
+    return "environment", f"chown {wrong_owner} {value_a} (expected owner {value_b})"
+
+
+def _break_accessibility(rule, image, value_a, value_b):
+    if image.fs.get(value_a) is None:
+        return None
+    image.fs.chmod(value_a, 0o644)
+    image.fs.chown(value_a, owner="root", group="root")
+    return "environment", (
+        f"make {value_a} world-readable (must stay inaccessible to {value_b})"
+    )
+
+
+def _break_concat(rule, image, value_a, value_b):
+    joined = f"{value_a.rstrip('/')}/{value_b}"
+    if not image.fs.exists(joined):
+        return None
+    image.fs.remove(joined)
+    return "environment", f"remove {joined} (the concatenated path must exist)"
+
+
+def _break_ordering(rule, image, value_a, value_b):
+    """Push A to four times B's bound, in B's kind of literal."""
+    if rule.template_name == "less_size":
+        bound = parse_size_bytes(value_b)
+        if bound is None or parse_size_bytes(value_a) is None:
+            return None
+        oversized = _size_literal(bound * 4 if bound else 4)
+    else:
+        bound = parse_number(value_b)
+        if bound is None:
+            return None
+        oversized = str(int(abs(bound) * 4) + 1)
+    if not _set_entry(image, rule.attribute_a, oversized):
+        return None
+    return "config", (
+        f"set {rule.attribute_a} to {oversized} (must stay "
+        f"{rule.relation} {rule.attribute_b} = {value_b})"
+    )
+
+
+def _repair_ordering(rule, value_a, value_b):
+    """Propose half of B's bound for A, keeping the literal's unit."""
+    proposal = f"set {rule.attribute_a} below {value_b}"
+    if rule.template_name == "less_size":
+        bound = parse_size_bytes(value_b)
+        if bound is not None:
+            proposal = f"set {rule.attribute_a} to {_size_literal(max(1, bound // 2))}"
+    else:
+        bound = parse_number(value_b)
+        if bound is not None:
+            proposal = f"set {rule.attribute_a} to {int(bound) // 2}"
+    return (
+        RepairAction.SET_VALUE, rule.attribute_a, proposal,
+        f"training systems keep {rule.attribute_a} {rule.relation} "
+        f"{rule.attribute_b}",
+    )
+
+
+def _break_equality(rule, image, value_a, value_b):
+    desynced = value_a + "0" if not value_a.endswith("0") else value_a + "1"
+    if not _set_entry(image, rule.attribute_a, desynced):
+        return None
+    return "config", (
+        f"desynchronise {rule.attribute_a} (= {desynced}) from "
+        f"{rule.attribute_b} (= {value_b})"
+    )
+
+
+_ORDERING = TemplateEdits(_break_ordering, _repair_ordering)
+_EQUALITY = TemplateEdits(_break_equality, lambda rule, a, b: (
+    RepairAction.SET_VALUE, rule.attribute_a,
+    f"set to {b!r} (mirror {rule.attribute_b})", "the two entries should agree",
+))
+
+#: Keyed by :func:`~repro.core.templates.default_templates` name.  Custom
+#: ``$$Template`` rules are absent: no mutant, and the generic repair.
+TEMPLATE_TABLE: Dict[str, TemplateEdits] = {
+    "equal_same_type": _EQUALITY,
+    "one_instance_equal": _EQUALITY,
+    "extended_boolean": TemplateEdits(manual=(
+        "B is an extended attribute derived from the environment, and "
+        "what turns it false differs per attribute"
+    )),
+    "ip_subnet": TemplateEdits(manual=(
+        "no corpus learns an ip_subnet rule, so no break could be "
+        "checked against the detector"
+    )),
+    "concat_path": TemplateEdits(_break_concat, lambda rule, a, b: (
+        RepairAction.CREATE_PATH, rule.attribute_b,
+        f"create {a.rstrip('/')}/{b}", "concatenated path must exist",
+    )),
+    "substring": TemplateEdits(manual=(
+        "which of the two entries to edit depends on what they mean"
+    )),
+    "user_in_group": TemplateEdits(
+        repair=lambda rule, a, b: (
+            RepairAction.MANUAL, rule.attribute_a,
+            f"add user {a!r} to group {b!r}", "group membership expected",
+        ),
+        manual="no break: membership comes from the primary gid or a "
+        "member list, and no corpus learns a user_in_group rule to test one",
+    ),
+    "not_accessible": TemplateEdits(_break_accessibility, lambda rule, a, b: (
+        RepairAction.CHMOD, rule.attribute_a, f"chmod o-rwx {a}",
+        f"{a} must not be accessible by {b}",
+    )),
+    "ownership": TemplateEdits(_break_ownership, lambda rule, a, b: (
+        RepairAction.CHOWN, rule.attribute_a, f"chown {b} {a}",
+        f"rule: {rule.attribute_b} owns {rule.attribute_a}",
+    )),
+    "less_number": _ORDERING,
+    "less_size": _ORDERING,
+}
 
 
 _SUFFIXES = [(1 << 40, "T"), (1 << 30, "G"), (1 << 20, "M"), (1 << 10, "K")]

@@ -48,12 +48,6 @@ class Report:
     def __iter__(self):
         return iter(self.warnings)
 
-    def counts_by_kind(self) -> Dict[WarningKind, int]:
-        out: Dict[WarningKind, int] = {}
-        for warning in self.warnings:
-            out[warning.kind] = out.get(warning.kind, 0) + 1
-        return out
-
     @staticmethod
     def _matches(candidate: str, attribute: str) -> bool:
         """Substring-tolerant attribute matching (tail without app prefix)."""
@@ -115,13 +109,6 @@ class Report:
 
     def detects(self, attribute: str) -> bool:
         return self.rank_of_attribute(attribute) is not None
-
-    def paper_rank_notation(self, attribute: str) -> str:
-        """The Table 9 "rank(total)" notation, ``-`` when missed."""
-        rank = self.rank_of_attribute(attribute)
-        if rank is None:
-            return "-"
-        return f"{rank}({len(self.warnings)})"
 
     def top(self, n: int = 10) -> List[Warning]:
         return self.warnings[:n]

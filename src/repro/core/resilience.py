@@ -151,13 +151,20 @@ class QuarantineRecord:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "QuarantineRecord":
+        """Decode one record; ``TypeError`` when ``image_id`` or ``stage``
+        is missing or not a string, or ``line`` is not an integer."""
+        image_id, stage, line = data.get("image_id"), data.get("stage"), data.get("line", 0)
+        if not isinstance(image_id, str) or not isinstance(stage, str):
+            raise TypeError("quarantine record needs string image_id and stage")
+        if isinstance(line, bool) or not isinstance(line, int):
+            raise TypeError(f"quarantine record line is not an integer: {line!r}")
         return cls(
-            image_id=str(data.get("image_id", "")),
-            stage=str(data.get("stage", "")),
+            image_id=image_id,
+            stage=stage,
             error=str(data.get("error", "")),
             message=str(data.get("message", "")),
             source_path=str(data.get("source_path", "")),
-            line=int(data.get("line", 0)),
+            line=line,
             shard_index=int(data.get("shard_index", -1)),
             trace_id=str(data.get("trace_id", "")),
         )

@@ -540,11 +540,9 @@ class Ec2CorpusGenerator:
         if not candidates:
             return None
         app, raw = rng.choice(candidates)
-        config = image.config_file(app)
-        new_text, old = _replace_value(config.text, raw, "/opt/missing/location")
+        old = image.set_config_value(app, raw, "/opt/missing/location")
         if old is None:
             return None
-        config.text = new_text
         return PlantedIssue(image.image_id, "FilePath", app, raw,
                             f"{raw} points at non-existent /opt/missing/location "
                             f"(was {old})")
@@ -589,11 +587,9 @@ class Ec2CorpusGenerator:
         if not candidates:
             return None
         app, raw, bad = rng.choice(candidates)
-        config = image.config_file(app)
-        new_text, old = _replace_value(config.text, raw, bad)
+        old = image.set_config_value(app, raw, bad)
         if old is None:
             return None
-        config.text = new_text
         return PlantedIssue(image.image_id, "ValueCompare", app, raw,
                             f"{raw} set to {bad} (was {old}), breaking ordering")
 
@@ -608,21 +604,3 @@ def _extract_value(text: str, raw_name: str) -> Optional[str]:
                 return rest.split()[0] if " " in rest else rest
     return None
 
-
-def _replace_value(text: str, raw_name: str, new_value: str) -> Tuple[str, Optional[str]]:
-    """Replace the value of *raw_name*; returns (new_text, old_value)."""
-    lines = text.splitlines()
-    old: Optional[str] = None
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if not stripped.startswith(raw_name):
-            continue
-        tail = stripped[len(raw_name):]
-        if tail and tail[0] not in " =\t":
-            continue  # prefix of a longer directive name
-        old = tail.lstrip(" =\t")
-        separator = " = " if "=" in tail else " "
-        indent = line[: len(line) - len(line.lstrip())]
-        lines[i] = f"{indent}{raw_name}{separator}{new_value}"
-        break
-    return "\n".join(lines) + ("\n" if text.endswith("\n") else ""), old

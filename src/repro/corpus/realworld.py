@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List
 
-from repro.corpus.generator import _extract_value, _replace_value
+from repro.corpus.generator import _extract_value
 from repro.sysmodel.image import SystemImage
 
 
@@ -57,11 +57,8 @@ def _docroot(image: SystemImage) -> str:
 
 
 def _set_value(image: SystemImage, app: str, raw_name: str, value: str) -> None:
-    config = image.config_file(app)
-    new_text, old = _replace_value(config.text, raw_name, value)
-    if old is None:
+    if image.set_config_value(app, raw_name, value) is None:
         raise ValueError(f"{raw_name} not present in {app} config of {image.image_id}")
-    config.text = new_text
 
 
 def _ensure_mysqld_entry(image: SystemImage, key: str, value: str) -> None:
@@ -129,10 +126,7 @@ def _case6_symlink_with_followsymlinks_off(image: SystemImage) -> None:
     is off — parts of the site become unavailable."""
     docroot = _docroot(image)
     image.fs.add_symlink(f"{docroot}/current", f"{docroot}/index.html")
-    config = image.config_file("apache")
-    new_text, old = _replace_value(config.text, "Options", "None")
-    if old is not None:
-        config.text = new_text
+    image.set_config_value("apache", "Options", "None")
 
 
 def _case7_docroot_permission(image: SystemImage) -> None:

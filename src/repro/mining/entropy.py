@@ -64,10 +64,3 @@ def value_entropy(values: Iterable[object]) -> float:
             continue
         counts[value] = counts.get(value, 0) + 1
     return entropy_from_counts(counts)
-
-
-def two_value_threshold(p_major: float = 0.9) -> float:
-    """Entropy of a two-value split — how the paper derives Ht = 0.325."""
-    if not 0.5 <= p_major < 1.0:
-        raise ValueError("p_major must be in [0.5, 1)")
-    return shannon_entropy([p_major, 1.0 - p_major])

@@ -39,7 +39,6 @@ with file/line context.
 
 from __future__ import annotations
 
-import json
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -550,29 +549,3 @@ class AlertEngine:
             "resolved": [i.to_dict() for i in self.resolved],
         }
 
-
-def render_incidents(incidents: Sequence[Mapping], json_output: bool = False) -> str:
-    """Render incident dicts (engine or ledger provenance) for the CLI."""
-    if json_output:
-        return json.dumps(list(incidents), indent=2, sort_keys=True)
-    if not incidents:
-        return "no incidents"
-    lines = []
-    for data in incidents:
-        incident = Incident(
-            rule=str(data.get("rule", "?")),
-            kind=str(data.get("kind", "?")),
-            severity=str(data.get("severity", "warn")),
-            series=str(data.get("series", "?")),
-            state=str(data.get("state", "firing")),
-            started_at=float(data.get("started_at", 0.0)),
-            fired_at=float(data.get("fired_at", 0.0)),
-            resolved_at=(float(data["resolved_at"])
-                         if data.get("resolved_at") is not None else None),
-            value=(float(data["value"])
-                   if data.get("value") is not None else None),
-            threshold=(float(data["threshold"])
-                       if data.get("threshold") is not None else None),
-        )
-        lines.append(incident.describe())
-    return "\n".join(lines)

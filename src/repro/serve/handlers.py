@@ -45,9 +45,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.report import Report, warning_to_dict
+from repro.core.detector import count_kinds
+from repro.core.report import warning_to_dict
 from repro.obs import get_logger
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.tracing import TraceContext, Tracer, use_tracer
@@ -75,14 +76,6 @@ class RequestOutcome:
     command: str
     targets_checked: int = 0
     warning_counts: Dict[str, int] = field(default_factory=dict)
-
-
-def _count_kinds(reports: List[Report]) -> Dict[str, int]:
-    out: Dict[str, int] = {}
-    for report in reports:
-        for warning in report.warnings:
-            out[warning.kind.value] = out.get(warning.kind.value, 0) + 1
-    return out
 
 
 def _parse_image(data: object, key: str = "image") -> SystemImage:
@@ -382,7 +375,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 },
                 command="serve.check",
                 targets_checked=len(reports),
-                warning_counts=_count_kinds(reports),
+                warning_counts=count_kinds(w for r in reports for w in r.warnings),
             )
         if "image" not in body:
             raise ApiError(400, "body must contain 'image' or 'images'")
@@ -396,7 +389,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             payload={"request_id": request_id, "report": report.to_dict()},
             command="serve.check",
             targets_checked=1,
-            warning_counts=_count_kinds([report]),
+            warning_counts=count_kinds(report.warnings),
         )
 
     def _handle_explain(self, body: Dict[str, object],
@@ -424,7 +417,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             },
             command="serve.explain",
             targets_checked=1,
-            warning_counts=_count_kinds([report]),
+            warning_counts=count_kinds(report.warnings),
         )
 
     def _handle_suggest(self, body: Dict[str, object],
@@ -457,5 +450,5 @@ class ServeHandler(BaseHTTPRequestHandler):
             },
             command="serve.suggest",
             targets_checked=1,
-            warning_counts=_count_kinds([report]),
+            warning_counts=count_kinds(report.warnings),
         )

@@ -92,9 +92,6 @@ class AccountDatabase:
             self.add_user(User(name, uid, self._groups[name].gid, home=home))
         return self._users[name]
 
-    def remove_user(self, name: str) -> None:
-        self._users.pop(name, None)
-
     def user(self, name: str) -> Optional[User]:
         return self._users.get(name)
 

@@ -120,9 +120,6 @@ class FileMeta:
     def world_readable(self) -> bool:
         return bool(self.mode & 0o004)
 
-    def world_writable(self) -> bool:
-        return bool(self.mode & 0o002)
-
     def readable_by(self, user: str, groups: Optional[List[str]] = None) -> bool:
         """Crude POSIX read-permission check used by accessibility templates."""
         if user == "root":
@@ -132,15 +129,6 @@ class FileMeta:
         if groups and self.group in groups:
             return bool(self.mode & 0o040)
         return self.world_readable()
-
-    def writable_by(self, user: str, groups: Optional[List[str]] = None) -> bool:
-        if user == "root":
-            return True
-        if user == self.owner:
-            return bool(self.mode & 0o200)
-        if groups and self.group in groups:
-            return bool(self.mode & 0o020)
-        return self.world_writable()
 
 
 class FileSystem:

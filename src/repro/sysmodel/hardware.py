@@ -40,11 +40,3 @@ class HardwareSpec:
     def unavailable(cls) -> "HardwareSpec":
         """The dormant-image case: no hardware information collected."""
         return cls(available=False)
-
-    @property
-    def memory_mb(self) -> int:
-        return self.memory_bytes // (1 << 20)
-
-    @property
-    def disk_gb(self) -> int:
-        return self.disk_bytes // (1 << 30)

@@ -104,6 +104,29 @@ class SystemImage:
         config.text = text
         return config
 
+    def set_config_value(self, app: str, raw_name: str, value: str) -> Optional[str]:
+        """Set *raw_name* in *app*'s config; the old value, or ``None``.
+
+        The first line whose stripped text starts with *raw_name* (as a
+        whole directive name) is rewritten, whatever section it sits in.
+        ``None`` means no such line, and the text is left unchanged.
+        Raises :class:`KeyError` like :meth:`config_file`.
+        """
+        config = self.config_file(app)
+        lines = config.text.splitlines()
+        for i, line in enumerate(lines):
+            stripped = line.strip()
+            tail = stripped[len(raw_name):]
+            if not stripped.startswith(raw_name) or tail[:1] not in ("", " ", "=", "\t"):
+                continue  # another directive, or a longer name with this prefix
+            separator = " = " if "=" in tail else " "
+            indent = line[: len(line) - len(line.lstrip())]
+            lines[i] = f"{indent}{raw_name}{separator}{value}"
+            newline = "\n" if config.text.endswith("\n") else ""
+            config.text = "\n".join(lines) + newline
+            return tail.lstrip(" =\t")
+        return None
+
     def apps(self) -> List[str]:
         """Distinct application names configured in this image."""
         return sorted({c.app for c in self._config_files})

@@ -37,11 +37,3 @@ class OSInfo:
     def __post_init__(self) -> None:
         if not self.dist_name:
             raise ValueError("dist_name must be non-empty")
-
-    @property
-    def is_rpm_family(self) -> bool:
-        return self.dist_name.lower() in ("centos", "fedora", "rhel", "amzn")
-
-    @property
-    def is_deb_family(self) -> bool:
-        return self.dist_name.lower() in ("ubuntu", "debian")

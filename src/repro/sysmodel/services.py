@@ -90,9 +90,5 @@ class ServiceRegistry:
                 return service.name
         return None
 
-    def is_privileged(self, port: int) -> bool:
-        """Ports below 1024 require root to bind."""
-        return 0 < port < 1024
-
     def copy(self) -> "ServiceRegistry":
         return ServiceRegistry(self._services)

@@ -15,27 +15,33 @@ deterministic :class:`~repro.testing.faults.FaultPlan` that crashes or
 hangs worker processes on chosen images — the harness behind the chaos
 tests that exercise the pipeline's quarantine and shard-recovery paths
 (see ``docs/robustness.md``).
+
+The names below resolve on first use, so ``python -m
+repro.testing.faults`` runs the module once, not a second time through
+this package's import.
 """
 
-from repro.testing.faults import (
-    CORRUPTIONS,
-    FaultPlan,
-    corrupt_text,
-    poison_corpus,
-    poison_image,
-    poison_snapshot_dir,
-    poisonable_app,
-)
-from repro.testing.rulegen import GeneratedTest, RuleGuidedTestGenerator
+from importlib import import_module
 
-__all__ = [
-    "CORRUPTIONS",
-    "FaultPlan",
-    "GeneratedTest",
-    "RuleGuidedTestGenerator",
-    "corrupt_text",
-    "poison_corpus",
-    "poison_image",
-    "poison_snapshot_dir",
-    "poisonable_app",
-]
+#: Public name → the submodule that defines it.
+_EXPORTS = {
+    "CORRUPTIONS": "repro.testing.faults",
+    "FaultPlan": "repro.testing.faults",
+    "GeneratedTest": "repro.testing.rulegen",
+    "RuleGuidedTestGenerator": "repro.testing.rulegen",
+    "corrupt_text": "repro.testing.faults",
+    "poison_corpus": "repro.testing.faults",
+    "poison_image": "repro.testing.faults",
+    "poison_snapshot_dir": "repro.testing.faults",
+    "poisonable_app": "repro.testing.faults",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

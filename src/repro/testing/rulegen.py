@@ -1,15 +1,13 @@
 """Rule-guided test-case generation (the §8 ConfErr-enhancement idea).
 
 For each learned rule that applies to a seed image, generate a mutated
-image that *violates exactly that rule*:
-
-* ownership rules → chown the path away from the expected owner
-  (an **environment** mutation — something ConfErr cannot produce);
-* accessibility rules → open up the permissions;
-* ordering rules → push the smaller entry across its partner's bound
-  (a **config** mutation);
-* equality rules → desynchronise the two entries;
-* concatenation rules → remove the joined path from the filesystem.
+image that *violates exactly that rule*.  The mutation is the break of
+the rule's template in :data:`repro.core.repair.TEMPLATE_TABLE`, which
+states next to it the repair that restores the rule.  Breaks are either
+**environment** mutations (chown, chmod, remove a path — something
+ConfErr cannot produce) or **config** mutations through
+:meth:`SystemImage.set_config_value`.  Templates whose entry has no
+break, and custom ``$$Template`` rules, get no mutant.
 
 Each :class:`GeneratedTest` records the targeted rule and the mutation,
 and carries the oracle: a fresh EnCore check of the mutated image should
@@ -24,9 +22,8 @@ from typing import List, Optional
 
 from repro.core.dataset import AssembledSystem
 from repro.core.pipeline import TrainedModel
+from repro.core.repair import TEMPLATE_TABLE
 from repro.core.rules import ConcreteRule
-from repro.core.types import parse_number, parse_size_bytes
-from repro.corpus.generator import _replace_value
 from repro.sysmodel.image import SystemImage
 
 
@@ -70,8 +67,6 @@ class RuleGuidedTestGenerator:
                 out.append(test)
         return out
 
-    # -- per-template mutation strategies -----------------------------------------
-
     def _mutate_for_rule(
         self,
         rule: ConcreteRule,
@@ -79,128 +74,13 @@ class RuleGuidedTestGenerator:
         target: AssembledSystem,
         index: int,
     ) -> Optional[GeneratedTest]:
+        entry = TEMPLATE_TABLE.get(rule.template_name)
         value_a = target.value(rule.attribute_a)
         value_b = target.value(rule.attribute_b)
-        if value_a is None or value_b is None:
-            return None
-        strategy = {
-            "ownership": self._break_ownership,
-            "not_accessible": self._break_accessibility,
-            "concat_path": self._break_concat,
-            "less_number": self._break_ordering,
-            "less_size": self._break_ordering,
-            "equal_same_type": self._break_equality,
-            "one_instance_equal": self._break_equality,
-        }.get(rule.template_name)
-        if strategy is None:
+        if entry is None or entry.break_ is None or value_a is None or value_b is None:
             return None
         mutant = seed.copy(f"{seed.image_id}-t{index}")
-        return strategy(rule, mutant, value_a, value_b)
-
-    @staticmethod
-    def _break_ownership(
-        rule: ConcreteRule, mutant: SystemImage, value_a: str, value_b: str
-    ) -> Optional[GeneratedTest]:
-        if not mutant.fs.exists(value_a):
+        broken = entry.break_(rule, mutant, value_a, value_b)
+        if broken is None:
             return None
-        wrong_owner = "root" if value_b != "root" else "nobody"
-        mutant.fs.chown(value_a, owner=wrong_owner, group=wrong_owner)
-        return GeneratedTest(
-            rule, "environment",
-            f"chown {wrong_owner} {value_a} (expected owner {value_b})",
-            mutant,
-        )
-
-    @staticmethod
-    def _break_accessibility(
-        rule: ConcreteRule, mutant: SystemImage, value_a: str, value_b: str
-    ) -> Optional[GeneratedTest]:
-        meta = mutant.fs.get(value_a)
-        if meta is None:
-            return None
-        mutant.fs.chmod(value_a, 0o644)
-        mutant.fs.chown(value_a, owner="root", group="root")
-        return GeneratedTest(
-            rule, "environment",
-            f"make {value_a} world-readable (must stay inaccessible to "
-            f"{value_b})",
-            mutant,
-        )
-
-    @staticmethod
-    def _break_concat(
-        rule: ConcreteRule, mutant: SystemImage, value_a: str, value_b: str
-    ) -> Optional[GeneratedTest]:
-        joined = f"{value_a.rstrip('/')}/{value_b}"
-        if not mutant.fs.exists(joined):
-            return None
-        mutant.fs.remove(joined)
-        return GeneratedTest(
-            rule, "environment",
-            f"remove {joined} (the concatenated path must exist)",
-            mutant,
-        )
-
-    @staticmethod
-    def _break_ordering(
-        rule: ConcreteRule, mutant: SystemImage, value_a: str, value_b: str
-    ) -> Optional[GeneratedTest]:
-        app, _, name = rule.attribute_a.partition(":")
-        raw = name.rsplit("/", 1)[-1]
-        if rule.template_name == "less_size":
-            bound = parse_size_bytes(value_b)
-            current = parse_size_bytes(value_a)
-            if bound is None or current is None:
-                return None
-            oversized = _size_literal(bound * 4 if bound else 4)
-        else:
-            bound = parse_number(value_b)
-            if bound is None:
-                return None
-            oversized = str(int(abs(bound) * 4) + 1)
-        try:
-            config = mutant.config_file(app)
-        except KeyError:
-            return None
-        new_text, old = _replace_value(config.text, raw, oversized)
-        if old is None:
-            return None
-        config.text = new_text
-        return GeneratedTest(
-            rule, "config",
-            f"set {rule.attribute_a} to {oversized} (must stay "
-            f"{rule.relation} {rule.attribute_b} = {value_b})",
-            mutant,
-        )
-
-    @staticmethod
-    def _break_equality(
-        rule: ConcreteRule, mutant: SystemImage, value_a: str, value_b: str
-    ) -> Optional[GeneratedTest]:
-        app, _, name = rule.attribute_a.partition(":")
-        raw = name.rsplit("/", 1)[-1]
-        desynced = value_a + "0" if not value_a.endswith("0") else value_a + "1"
-        try:
-            config = mutant.config_file(app)
-        except KeyError:
-            return None
-        new_text, old = _replace_value(config.text, raw, desynced)
-        if old is None:
-            return None
-        config.text = new_text
-        return GeneratedTest(
-            rule, "config",
-            f"desynchronise {rule.attribute_a} (= {desynced}) from "
-            f"{rule.attribute_b} (= {value_b})",
-            mutant,
-        )
-
-
-_SUFFIXES = [(1 << 40, "T"), (1 << 30, "G"), (1 << 20, "M"), (1 << 10, "K")]
-
-
-def _size_literal(num_bytes: int) -> str:
-    for unit, suffix in _SUFFIXES:
-        if num_bytes >= unit:
-            return f"{max(1, num_bytes // unit)}{suffix}"
-    return str(num_bytes)
+        return GeneratedTest(rule, *broken, mutant)

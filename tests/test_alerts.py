@@ -27,9 +27,9 @@ from repro.obs.alerts import (
     AlertConfigError,
     AlertEngine,
     AlertRule,
+    Incident,
     load_rules,
     parse_rules,
-    render_incidents,
 )
 from repro.obs.health import (
     HealthMonitor,
@@ -379,11 +379,11 @@ class TestRenderIncidents:
             "started_at": 0.0, "fired_at": 10.0, "resolved_at": 70.0,
             "value": 3.0, "threshold": 2.0,
         }]
-        text = render_incidents(incidents)
+        incident = Incident(**incidents[0])
+        text = incident.describe()
         assert "[page] burn (burn_rate) resolved" in text
         assert "after 60.0s" in text
-        assert json.loads(render_incidents(incidents, json_output=True))
-        assert render_incidents([]) == "no incidents"
+        assert json.loads(json.dumps(incident.to_dict())) == incidents[0]
 
 
 # -- health monitor -------------------------------------------------------------

@@ -44,7 +44,7 @@ class TestAssembleSingle:
 
     def test_assemble_from_collection(self, assembler, mysql_image):
         collection = DataCollector().collect(mysql_image)
-        system = assembler.assemble_raw(collection)
+        system = assembler.assemble(collection.restore_image())
         direct = assembler.assemble(mysql_image)
         assert system.as_row() == direct.as_row()
 
@@ -116,13 +116,6 @@ class TestDataset:
         dataset = assembler.assemble_corpus(small_corpus[:5])
         # PHP names legitimately contain dots and must survive.
         assert any("." in n for n in dataset.entry_names()["php"])
-
-    def test_rows_with_missing_covers_universe(self, assembler, small_corpus):
-        dataset = assembler.assemble_corpus(small_corpus[:5])
-        rows = dataset.rows_with_missing()
-        universe = set(dataset.attributes())
-        for row in rows:
-            assert set(row) == universe
 
     def test_type_agreement_range(self, assembler, small_corpus):
         dataset = assembler.assemble_corpus(small_corpus[:10])

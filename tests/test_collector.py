@@ -40,7 +40,8 @@ class TestCollect:
         assert not restored.hardware.available
 
     def test_collect_many(self, small_corpus):
-        collections = DataCollector().collect_many(small_corpus[:3])
+        collector = DataCollector()
+        collections = [collector.collect(image) for image in small_corpus[:3]]
         assert [c.image_id for c in collections] == \
             [i.image_id for i in small_corpus[:3]]
 
@@ -49,6 +50,6 @@ class TestCollect:
         assembler = DataAssembler()
         image = small_corpus[0]
         collection = DataCollector().collect(image)
-        via_dump = assembler.assemble_raw(collection)
+        via_dump = assembler.assemble(collection.restore_image())
         direct = assembler.assemble(image)
         assert via_dump.as_row() == direct.as_row()

@@ -16,10 +16,10 @@ from repro.corpus.generator import (
     GenerationProfile,
     format_size,
     _extract_value,
-    _replace_value,
 )
 from repro.corpus.private_cloud import PrivateCloudGenerator
 from repro.parsers.registry import default_registry
+from repro.sysmodel.image import ConfigFile, SystemImage
 
 
 class TestCatalog:
@@ -65,23 +65,37 @@ class TestHelpers:
         assert _extract_value(text, "datadir") == "/var/lib/mysql"
         assert _extract_value(text, "missing") is None
 
+    @staticmethod
+    def _image(text):
+        image = SystemImage("edit")
+        image.add_config_file(ConfigFile("apache", "/etc/httpd.conf", text))
+        return image
+
     def test_replace_value(self):
-        text = "Timeout 60\nKeepAlive On\n"
-        new, old = _replace_value(text, "Timeout", "300")
-        assert old == "60"
-        assert "Timeout 300" in new
-        assert "KeepAlive On" in new
+        image = self._image("Timeout 60\nKeepAlive On\n")
+        assert image.set_config_value("apache", "Timeout", "300") == "60"
+        assert image.config_file("apache").text == "Timeout 300\nKeepAlive On\n"
 
     def test_replace_value_prefix_safe(self):
         """'Timeout' must not match 'TimeoutAction'."""
-        text = "TimeoutAction error\nTimeout 60\n"
-        new, old = _replace_value(text, "Timeout", "1")
-        assert old == "60"
-        assert "TimeoutAction error" in new
+        image = self._image("TimeoutAction error\nTimeout 60\n")
+        assert image.set_config_value("apache", "Timeout", "1") == "60"
+        assert image.config_file("apache").text == "TimeoutAction error\nTimeout 1\n"
+
+    def test_replace_value_section_blind(self):
+        """The first matching line wins, whatever its section."""
+        image = self._image("[client]\nsocket = /a\n[mysqld]\nsocket = /b\n")
+        assert image.set_config_value("apache", "socket", "/c") == "/a"
+        assert image.config_file("apache").text == (
+            "[client]\nsocket = /c\n[mysqld]\nsocket = /b\n"
+        )
 
     def test_replace_missing_returns_none(self):
-        _, old = _replace_value("A 1\n", "B", "2")
-        assert old is None
+        image = self._image("A 1\r\n")
+        assert image.set_config_value("apache", "B", "2") is None
+        assert image.config_file("apache").text == "A 1\r\n"
+        with pytest.raises(KeyError):
+            image.set_config_value("mysql", "A", "2")
 
 
 class TestEc2Generator:

@@ -7,10 +7,12 @@ from collections import Counter
 import pytest
 
 from repro.core.assembler import DataAssembler
-from repro.core.detector import AnomalyDetector, Warning, WarningKind
+from repro.core.detector import AnomalyDetector, Warning, WarningKind, count_kinds
 from repro.core.inference import RuleInferencer
 from repro.core.report import Report
 from repro.corpus.generator import Ec2CorpusGenerator
+from repro.corpus.realworld import real_world_cases
+from repro.evaluation.realworld import RealWorldResult
 from repro.obs.model import Provenance
 from repro.sysmodel.image import ConfigFile, SystemImage
 
@@ -241,13 +243,22 @@ class TestReport:
         ) is None
 
     def test_paper_rank_notation(self):
+        """Table 9's "rank(total)" notation, as its experiment records it."""
         report = self.make_report()
-        assert report.paper_rank_notation("mysqld/datadir") == "1(2)"
-        assert report.paper_rank_notation("nope") == "-"
+        case = real_world_cases()[0]
+
+        def notation(attribute):
+            rank = report.rank_of_attribute(attribute)
+            return RealWorldResult(case, rank, len(report)).rank_notation
+
+        assert notation("mysqld/datadir") == "1(2)"
+        assert notation("nope") == "-"
 
     def test_counts_by_kind(self):
-        counts = self.make_report().counts_by_kind()
-        assert counts[WarningKind.DATA_TYPE] == 1
+        counts = count_kinds(self.make_report().warnings)
+        assert counts == {"data_type_violation": 1, "correlation_violation": 1}
+        more = count_kinds(self.make_report().warnings, counts)
+        assert more is counts and counts["data_type_violation"] == 2
 
     def test_render_contains_warnings(self):
         text = self.make_report().render()

@@ -9,6 +9,9 @@ injectors themselves.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,20 @@ class TestPoisoning:
         images = [_image_with("sshd", valid_config_samples()["sshd"])]
         with pytest.raises(ValueError, match="cannot poison"):
             poison_corpus(images, 1, seed=0)
+
+    def test_poison_cli_runs_the_module_once(self, tmp_path):
+        """The package resolves its names lazily, so ``-m`` does not
+        import ``repro.testing.faults`` a second time."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.testing.faults", "poison", "--dir", str(tmp_path),
+             "--count", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFaultPlan:

@@ -86,11 +86,6 @@ class TestFileMeta:
     def test_root_reads_everything(self):
         assert FileMeta("/a", mode=0o000).readable_by("root")
 
-    def test_writable_by(self):
-        meta = FileMeta("/a", owner="mysql", mode=0o600)
-        assert meta.writable_by("mysql")
-        assert not meta.writable_by("nobody")
-
 
 class TestFileSystem:
     def test_root_exists(self):

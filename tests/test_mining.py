@@ -14,7 +14,6 @@ from repro.mining.association import AssociationRule, mine_association_rules
 from repro.mining.entropy import (
     DEFAULT_ENTROPY_THRESHOLD,
     shannon_entropy,
-    two_value_threshold,
     value_entropy,
 )
 from repro.mining.fpgrowth import FPTree, fpgrowth
@@ -204,7 +203,7 @@ class TestEntropy:
 
     def test_paper_threshold_derivation(self):
         """Ht = 0.325 is the entropy of a 90/10 two-value split."""
-        assert abs(two_value_threshold(0.9) - DEFAULT_ENTROPY_THRESHOLD) < 0.001
+        assert abs(shannon_entropy([0.9, 0.1]) - DEFAULT_ENTROPY_THRESHOLD) < 0.001
 
     def test_constant_is_zero(self):
         assert value_entropy(["x", "x", "x"]) == 0.0

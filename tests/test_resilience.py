@@ -137,6 +137,7 @@ class TestQuarantineRecords:
         assert record.stage == "parse"
         assert record.line == 42
         assert record.error == "ConfigParseError"
+        assert QuarantineRecord.from_dict(record.to_dict()) == record
 
     def test_record_from_fault_is_worker_stage(self):
         record = record_from_exception("ami-9", FaultInjected("ami-9"))
@@ -569,13 +570,17 @@ class TestQuarantineLogFile:
         qlog.append([QuarantineRecord("a", "parse", "E")], run_id="r")
         with path.open("a") as handle:
             handle.write('{"line": "abc"}\n{"line": null}\n[1]\n')
+            handle.write('{}\n{"image_id": 7, "line": 2.9}\n')
+            handle.write('{"image_id": "b"}\n')  # no stage
+            handle.write('{"image_id": "b", "stage": "parse", "line": 2.9}\n')
+            handle.write('{"image_id": "b", "stage": "parse", "line": true}\n')
             handle.write('{"image_id": "tru')  # crash mid-write
         assert [r["image_id"] for r in qlog.entries()] == ["a"]
-        assert qlog.skipped == 4
+        assert qlog.skipped == 9
         assert main(["quarantine", "show", "--all",
                      "--quarantine", str(path)]) == 0
         captured = capsys.readouterr()
-        assert "skipped 4 unreadable line(s)" in captured.err
+        assert "skipped 9 unreadable line(s)" in captured.err
         assert "a  parse" in captured.out
 
     def test_show_survives_a_log_of_only_bad_lines(self, tmp_path, capsys):
